@@ -15,12 +15,14 @@ a header row.  Commands are idempotent and never leave partial output:
 files are staged to a temporary name and renamed into place on success.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or file-format error,
-3 validation error.
+3 validation error.  A request that still runs out of memory (a
+``MemoryError``) also exits 3: the input asked for more than fits.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -152,14 +154,14 @@ def cmd_render(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _read_config(args.config)
     spec = TerrainSpec(
-        rows=int(config["rows"]),
-        cols=int(config["cols"]),
+        rows=_parse_int(config["rows"], "rows"),
+        cols=_parse_int(config["cols"], "cols"),
         kind=config["terrain"],
-        amplitude=float(config["amplitude"]),
-        roughness=float(config["roughness"]),
-        seed=int(config["seed"]),
+        amplitude=_parse_float(config["amplitude"], "amplitude"),
+        roughness=_parse_float(config["roughness"], "roughness"),
+        seed=_parse_int(config["seed"], "seed"),
     )
-    plane_counts = [int(v) for v in _parse_float_list(config["planes"], "planes")]
+    plane_counts = _parse_int_list(config["planes"], "planes")
     floors = _parse_float_list(config["sigma_floors"], "sigma_floors")
     if len(plane_counts) != 3 or len(floors) != 3:
         raise ValueError("planes and sigma_floors must list exactly 3 values")
@@ -171,8 +173,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             use_height_correction=_parse_bool(
                 config["height_correction"], "height_correction"
             ),
-            temperature=float(config["temperature"]),
-            noise=float(config["noise"]),
+            temperature=_parse_float(config["temperature"], "temperature"),
+            noise=_parse_float(config["noise"], "noise"),
         )
         for m, f in zip(plane_counts, floors)
     )
@@ -180,18 +182,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if (config["range_low"] is None) != (config["range_high"] is None):
         raise ValueError("range_low and range_high must be given together")
     if config["range_low"] is not None:
-        global_range = (float(config["range_low"]), float(config["range_high"]))
+        global_range = (
+            _parse_float(config["range_low"], "range_low"),
+            _parse_float(config["range_high"], "range_high"),
+        )
     else:
         valid = gt.values[gt.mask]
         global_range = (float(valid.min()), float(valid.max()) + 1e-9)
-    seed = int(config["seed"])
-
-    result = run_pipeline(gt, global_range, stages, seed=seed)
+    result = run_pipeline(gt, global_range, stages, seed=spec.seed)
     write_run_directory(result, gt, global_range, args.out_dir)
     for i, report in enumerate(result.reports, start=1):
         print(f"stage{i}_mae={report.mae:.6f}")
     if args.ablation:
-        seeds = [int(v) for v in _parse_float_list(config["ablation_seeds"], "ablation_seeds")]
+        seeds = _parse_int_list(config["ablation_seeds"], "ablation_seeds")
         rows = ablation_report(gt, global_range, stages, seeds)
         write_ablation_csv(rows, Path(args.out_dir) / "ablation.csv")
         for row in rows:
@@ -240,11 +243,42 @@ def _read_config(path: str) -> dict[str, str | None]:
     return config
 
 
+def _parse_float(text: str, name: str) -> float:
+    """A finite number, or a ``ValueError`` that names the config key."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {text!r}")
+    return value
+
+
+def _parse_int(text: str, name: str) -> int:
+    """An integer, or a ``ValueError`` that names the config key."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
 def _parse_float_list(text: str, name: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise ValueError(f"{name} must be a comma-separated number list, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must list finite numbers, got {text!r}")
+    return values
+
+
+def _parse_int_list(text: str, name: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise ValueError(
+            f"{name} must be a comma-separated integer list, got {text!r}"
+        ) from None
 
 
 def _parse_bool(text: str, name: str) -> bool:
@@ -354,6 +388,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"terraslope: validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"terraslope: validation error: out of memory{detail}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -10,6 +10,13 @@ local relief gets denser sampling.
 Plane counts per pixel are always conserved: the lower subrange covers
 [low, center) half-open, the upper covers [center, high] closed, and both
 sides keep at least one plane.
+
+The public functions build whole (rows, cols, M) volumes, so each checks
+rows * cols * M * 8 bytes against :data:`VOLUME_BUDGET_BYTES` before it
+allocates.  The plane formulas, expectation and spread live in private array
+kernels (``_equal_planes``, ``_guided_planes``, ``_expectation``,
+``_spread``); the public functions run them on whole grids and the
+coarse-to-fine pipeline in :mod:`terraslope.simulate` on row tiles.
 """
 
 from __future__ import annotations
@@ -22,6 +29,23 @@ from .raster import HeightGrid
 from .slope import SlopeFactors
 
 _PROB_SUM_TOL = 1e-9
+
+#: Largest float64 (rows, cols, M) volume one call may allocate: 512 MiB, a
+#: 1024 x 1024 grid with 64 planes.  A whole-volume call holds a few arrays
+#: of this size at once; a larger request fails with ``ValueError`` instead
+#: of exhausting memory.
+VOLUME_BUDGET_BYTES = 512 * 2**20
+
+
+def _check_volume(shape: tuple[int, int], plane_count: int) -> None:
+    """Raise ``ValueError`` if a ``shape`` x ``plane_count`` volume is over budget."""
+    rows, cols = shape
+    nbytes = rows * cols * plane_count * 8
+    if nbytes > VOLUME_BUDGET_BYTES:
+        raise ValueError(
+            f"a {rows}x{cols}x{plane_count} plane volume needs {nbytes / 2**20:.0f} MiB, "
+            f"over the {VOLUME_BUDGET_BYTES // 2**20} MiB volume budget"
+        )
 
 
 def _frozen_array(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -150,13 +174,32 @@ class PixelRanges:
         return self.low.shape
 
 
+def _expectation(probs: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Per-pixel probability-weighted mean of the planes.
+
+    ``probs`` is (rows, cols, M); ``planes`` has the same shape or is one
+    (M,) vector every pixel shares.
+    """
+    return np.einsum("rcm,rcm->rc", probs, np.broadcast_to(planes, probs.shape))
+
+
+def _spread(probs: np.ndarray, planes: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Per-pixel standard deviation of the planes around ``center``.
+
+    Shapes as in :func:`_expectation`; ``center`` is (rows, cols).
+    """
+    dev = planes - center[:, :, None]
+    var = np.einsum("rcm,rcm->rc", probs, dev * dev)
+    return np.sqrt(np.maximum(var, 0.0))
+
+
 def expected_height(planes: HypothesisPlanes, probs: ProbabilityVolume) -> HeightGrid:
     """Probability-weighted mean height per pixel (soft-argmax regression)."""
     if planes.planes.shape != probs.probs.shape:
         raise ValueError(
             f"planes {planes.planes.shape} and probs {probs.probs.shape} differ"
         )
-    height = np.einsum("rcm,rcm->rc", probs.probs, planes.planes)
+    height = _expectation(probs.probs, planes.planes)
     mask = planes.mask & probs.mask
     height[~mask] = planes.nodata
     return HeightGrid(height, cell_size=planes.cell_size, nodata=planes.nodata)
@@ -176,9 +219,7 @@ def pixel_std(
         )
     if height.shape != planes.shape:
         raise ValueError(f"height {height.shape} does not match {planes.shape}")
-    dev = planes.planes - height.values[:, :, None]
-    var = np.einsum("rcm,rcm->rc", probs.probs, dev * dev)
-    sigma = np.sqrt(np.maximum(var, 0.0))
+    sigma = _spread(probs.probs, planes.planes, height.values)
     mask = planes.mask & probs.mask & height.mask
     sigma[~mask] = height.nodata
     return height.with_values(sigma)
@@ -197,7 +238,7 @@ def pixel_range(
     """
     if height.shape != sigma.shape:
         raise ValueError(f"height {height.shape} and sigma {sigma.shape} differ")
-    if sigma_floor < 0:
+    if not (sigma_floor >= 0):
         raise ValueError(f"sigma_floor must be >= 0, got {sigma_floor}")
     mask = height.mask & sigma.mask
     if ((sigma.values < 0) & mask).any():
@@ -232,6 +273,53 @@ def _split_counts(
     return n_below, total - n_below
 
 
+def _guided_layout(
+    height: HeightGrid, ranges: PixelRanges, factors: SlopeFactors, plane_count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Grid-level inputs of :func:`_guided_planes`.
+
+    Returns the joint validity mask, the center, low and high of each pixel
+    (0 where invalid) and the lower-subrange plane count.
+    """
+    rise = np.broadcast_to(np.asarray(factors.rise, dtype=np.float64), height.shape)
+    drop = np.broadcast_to(np.asarray(factors.drop, dtype=np.float64), height.shape)
+    mask = height.mask & ranges.mask
+    center = np.where(mask, height.values, 0.0)
+    low = np.where(mask, ranges.low, 0.0)
+    high = np.where(mask, ranges.high, 0.0)
+    n_below, _ = _split_counts(plane_count, drop, rise)
+    return mask, center, low, high, n_below
+
+
+def _guided_planes(
+    center: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
+    n_below: np.ndarray,
+    plane_count: int,
+) -> np.ndarray:
+    """Slope-guided (rows, cols, M) planes from per-pixel 2D inputs."""
+    n_above = plane_count - n_below
+    idx = np.arange(plane_count)
+    below_count = n_below[:, :, None]
+    step_below = (center - low)[:, :, None] / below_count
+    planes = idx * step_below
+    planes += low[:, :, None]
+
+    above_count = n_above[:, :, None]
+    span_above = (high - center)[:, :, None]
+    step_above = np.where(above_count > 1, span_above / np.maximum(above_count - 1, 1), 0.0)
+    upper = np.subtract(idx, below_count, dtype=np.float64)
+    upper *= step_above
+    upper += center[:, :, None]
+
+    np.copyto(planes, upper, where=idx >= below_count)
+    # Pin the top sample and clamp float drift: the sweep must stay inside
+    # [low, high] and reach high whenever the upper subrange has >= 2 planes.
+    planes[:, :, -1] = np.where(n_above >= 2, high, center)
+    return np.clip(planes, low[:, :, None], high[:, :, None], out=planes)
+
+
 def slope_guided_partition(
     height: HeightGrid,
     ranges: PixelRanges,
@@ -248,39 +336,34 @@ def slope_guided_partition(
     sampling goes to the side with the larger slope factor.
 
     Raises:
-        ValueError: plane_count < 2 or mismatched shapes.
+        ValueError: plane_count < 2, mismatched shapes, or a volume over
+            :data:`VOLUME_BUDGET_BYTES`.
     """
     if plane_count < 2:
         raise ValueError(f"plane_count must be >= 2, got {plane_count}")
     if height.shape != ranges.shape:
         raise ValueError(f"height {height.shape} and ranges {ranges.shape} differ")
-    rise = np.broadcast_to(np.asarray(factors.rise, dtype=np.float64), height.shape)
-    drop = np.broadcast_to(np.asarray(factors.drop, dtype=np.float64), height.shape)
-
-    mask = height.mask & ranges.mask
-    center = np.where(mask, height.values, 0.0)
-    low = np.where(mask, ranges.low, 0.0)
-    high = np.where(mask, ranges.high, 0.0)
-    n_below, n_above = _split_counts(plane_count, drop, rise)
-
-    idx = np.arange(plane_count)[None, None, :]
-    below_count = n_below[:, :, None]
-    step_below = (center - low)[:, :, None] / below_count
-    lower = low[:, :, None] + idx * step_below
-
-    above_count = n_above[:, :, None]
-    span_above = (high - center)[:, :, None]
-    step_above = np.where(above_count > 1, span_above / np.maximum(above_count - 1, 1), 0.0)
-    upper = center[:, :, None] + (idx - below_count) * step_above
-
-    planes = np.where(idx < below_count, lower, upper)
-    # Pin the top sample and clamp float drift: the sweep must stay inside
-    # [low, high] and reach high whenever the upper subrange has >= 2 planes.
-    planes[:, :, -1] = np.where(n_above >= 2, high, center)
-    planes = np.clip(planes, low[:, :, None], high[:, :, None])
+    _check_volume(height.shape, plane_count)
+    mask, center, low, high, n_below = _guided_layout(height, ranges, factors, plane_count)
+    planes = _guided_planes(center, low, high, n_below, plane_count)
     return HypothesisPlanes(
         planes=planes, mask=mask, cell_size=height.cell_size, nodata=height.nodata
     )
+
+
+def _equal_planes(low, high, plane_count: int) -> np.ndarray:
+    """``plane_count`` evenly spaced planes from ``low`` to ``high`` inclusive.
+
+    ``low`` and ``high`` are scalars or arrays of one shape S; the result
+    has shape S + (plane_count,).
+    """
+    low = np.asarray(low, dtype=np.float64)
+    high = np.asarray(high, dtype=np.float64)
+    steps = np.linspace(0.0, 1.0, plane_count)
+    width = (high - low)[..., None]
+    planes = low[..., None] + steps * width
+    planes[..., -1] = high
+    return planes
 
 
 def equal_partition(ranges: PixelRanges, plane_count: int) -> HypothesisPlanes:
@@ -290,14 +373,15 @@ def equal_partition(ranges: PixelRanges, plane_count: int) -> HypothesisPlanes:
     yields ``plane_count`` copies of the single height.
 
     Raises:
-        ValueError: plane_count < 2.
+        ValueError: plane_count < 2 or a volume over
+            :data:`VOLUME_BUDGET_BYTES`.
     """
     if plane_count < 2:
         raise ValueError(f"plane_count must be >= 2, got {plane_count}")
-    steps = np.linspace(0.0, 1.0, plane_count)
-    width = (ranges.high - ranges.low)[:, :, None]
-    planes = ranges.low[:, :, None] + steps[None, None, :] * width
-    planes[:, :, -1] = ranges.high
+    _check_volume(ranges.shape, plane_count)
     return HypothesisPlanes(
-        planes=planes, mask=ranges.mask, cell_size=ranges.cell_size, nodata=ranges.nodata
+        planes=_equal_planes(ranges.low, ranges.high, plane_count),
+        mask=ranges.mask,
+        cell_size=ranges.cell_size,
+        nodata=ranges.nodata,
     )

@@ -18,8 +18,10 @@ so sharing them across threads requires no locking.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -251,8 +253,11 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
     if rows < 1 or cols < 1:
         raise GridFormatError(f"invalid dimensions {rows}x{cols} in header")
 
-    values = np.empty(rows * cols, dtype=np.float64)
-    count = 0
+    # Values collect in a growable buffer and the grid array is made only
+    # after the body count matched, so a header that declares a huge grid
+    # over a short body fails on the count instead of on the allocation.
+    expected = rows * cols
+    values = array("d")
     for body_line, line in enumerate(lines[lineno:], start=lineno + 1):
         for token in line.split():
             try:
@@ -261,25 +266,24 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
                 raise GridFormatError(
                     f"line {body_line}: non-numeric token {token!r}"
                 ) from None
-            if not np.isfinite(v) and v != nodata:
+            if not math.isfinite(v) and v != nodata:
                 raise GridFormatError(
                     f"line {body_line}: non-finite value {token!r}"
                 )
-            if count >= rows * cols:
+            if len(values) >= expected:
                 raise GridFormatError(
                     f"line {body_line}: value count mismatch, expected "
-                    f"{rows * cols} values"
+                    f"{expected} values"
                 )
-            values[count] = v
-            count += 1
-    if count != rows * cols:
+            values.append(v)
+    if len(values) != expected:
         raise GridFormatError(
-            f"value count mismatch: header declares {rows * cols} values, "
-            f"body has {count}"
+            f"value count mismatch: header declares {expected} values, "
+            f"body has {len(values)}"
         )
 
     return HeightGrid(
-        values.reshape(rows, cols),
+        np.frombuffer(values, dtype=np.float64).reshape(rows, cols),
         cell_size=header["cellsize"],
         nodata=nodata,
         xllcorner=header["xllcorner"],

@@ -11,6 +11,9 @@ The pipeline runs three stages.  Stage 1 sweeps equally spaced planes over
 the global height range shared by all pixels; stages 2 and 3 recenter a
 per-pixel range on the previous estimate, sized by the distribution spread
 (with a per-stage floor), and optionally reallocate planes by local slope.
+Each stage streams its hypothesis volume in row tiles (see
+:func:`run_pipeline`), so memory grows with the grid, not with grid times
+plane count.
 
 Paired runs are comparable seed-for-seed: the matcher noise field depends
 only on the run seed and the stage index, never on the configuration, so
@@ -22,7 +25,9 @@ from __future__ import annotations
 
 import csv
 import os
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,13 +36,14 @@ from .correction import GaussianKernel, correct
 from .metrics import DEFAULT_THRESHOLDS, EvalReport, evaluate, write_report_csv
 from .partition import (
     HypothesisPlanes,
-    PixelRanges,
     ProbabilityVolume,
-    equal_partition,
-    expected_height,
+    _check_volume,
+    _equal_planes,
+    _expectation,
+    _guided_layout,
+    _guided_planes,
+    _spread,
     pixel_range,
-    pixel_std,
-    slope_guided_partition,
 )
 from .raster import (
     HeightGrid,
@@ -78,9 +84,10 @@ class StageConfig:
             raise ValueError(f"plane_count must be >= 2, got {self.plane_count}")
         if not (self.temperature > 0):
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if self.noise < 0:
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not (self.noise >= 0):
             raise ValueError(f"noise must be >= 0, got {self.noise}")
-        if self.sigma_floor < 0:
+        if not (self.sigma_floor >= 0):
             raise ValueError(f"sigma_floor must be >= 0, got {self.sigma_floor}")
 
 
@@ -122,7 +129,7 @@ class TerrainSpec:
             raise ValueError(
                 f"unsupported terrain kind {self.kind!r}; choose from {TERRAIN_KINDS}"
             )
-        if self.amplitude < 0:
+        if not (self.amplitude >= 0):
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
 
 
@@ -274,6 +281,25 @@ def matcher_noise(shape: tuple[int, int], scale: float, seed: int) -> np.ndarray
     return scale * np.random.default_rng(seed).standard_normal(shape)
 
 
+def _oracle_probs(
+    planes: np.ndarray, target: np.ndarray, temperature: float, valid: np.ndarray
+) -> np.ndarray:
+    """Softmax of ``-|plane - target| / temperature`` over the last axis.
+
+    ``planes`` is (rows, cols, M) or one (M,) vector shared by every pixel;
+    pixels where ``valid`` is False get the uniform distribution.
+    """
+    probs = planes - target[:, :, None]
+    np.abs(probs, out=probs)
+    np.negative(probs, out=probs)
+    probs /= temperature
+    probs -= probs.max(axis=2, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=2, keepdims=True)
+    probs[~valid] = 1.0 / probs.shape[2]
+    return probs
+
+
 def oracle_matcher(
     planes: HypothesisPlanes,
     gt: HeightGrid,
@@ -296,26 +322,56 @@ def oracle_matcher(
     if planes.shape != gt.shape:
         raise ValueError(f"planes {planes.shape} and gt {gt.shape} differ")
     target = gt.values + matcher_noise(gt.shape, noise, seed)
-    logits = -np.abs(planes.planes - target[:, :, None]) / temperature
-    logits -= logits.max(axis=2, keepdims=True)
-    weights = np.exp(logits)
-    probs = weights / weights.sum(axis=2, keepdims=True)
     mask = planes.mask & gt.mask
-    probs[~mask] = 1.0 / planes.plane_count
+    probs = _oracle_probs(planes.planes, target, temperature, mask)
     return ProbabilityVolume(probs=probs, mask=mask)
 
 
-def _global_ranges(gt: HeightGrid, low: float, high: float) -> PixelRanges:
-    shape = gt.shape
-    sigma = (high - low) / 2.0
-    return PixelRanges(
-        low=np.full(shape, low),
-        high=np.full(shape, high),
-        sigma=np.full(shape, sigma),
-        mask=gt.mask,
-        cell_size=gt.cell_size,
-        nodata=gt.nodata,
-    )
+#: Bytes of float64 planes in one row tile of a stage volume (1 MiB).  The
+#: pipeline streams tiles of this size, or single rows when one row is
+#: larger, so its volume memory does not grow with the number of rows.
+TILE_BYTES = 2**20
+
+
+@dataclass(frozen=True)
+class _StageSweep:
+    """One stage's plane and probability volume, built one row tile at a time.
+
+    The planes of a tile are ``kernel(*(g[tile] for g in grids),
+    plane_count)``: (tile_rows, cols, M) planes from per-pixel inputs, or
+    one (M,) vector every pixel shares when ``grids`` is empty.  ``target``
+    is the noisy ground truth the matcher fits and ``valid`` marks pixels
+    with meaningful planes and a valid ground truth.  Iterating yields
+    ``(tile, planes, probs)`` per tile; it can be repeated, and each pass
+    recomputes the same values.
+    """
+
+    kernel: Callable[..., np.ndarray]
+    grids: tuple[np.ndarray, ...]
+    plane_count: int
+    target: np.ndarray
+    valid: np.ndarray
+    temperature: float
+
+    def __iter__(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        rows, cols = self.target.shape
+        step = max(1, TILE_BYTES // (8 * cols * self.plane_count))
+        for start in range(0, rows, step):
+            tile = slice(start, min(start + step, rows))
+            planes = self.kernel(*(g[tile] for g in self.grids), self.plane_count)
+            probs = _oracle_probs(
+                planes, self.target[tile], self.temperature, self.valid[tile]
+            )
+            yield tile, planes, probs
+
+
+def _stage_std(sweep: _StageSweep, height: HeightGrid) -> HeightGrid:
+    """:func:`~terraslope.partition.pixel_std` of a stage's volume, by tiles."""
+    sigma = np.empty(height.shape)
+    for tile, planes, probs in sweep:
+        sigma[tile] = _spread(probs, planes, height.values[tile])
+    sigma[~(sweep.valid & height.mask)] = height.nodata
+    return height.with_values(sigma)
 
 
 def run_pipeline(
@@ -333,11 +389,24 @@ def run_pipeline(
     expected height, optionally applies Gaussian correction, and derives
     slope and direction maps.
 
+    Memory: no stage holds its (rows, cols, M) plane or probability volume
+    whole.  Row tiles of about :data:`TILE_BYTES` of planes stream through
+    the partition kernel, the matcher, the expected height and the plane
+    spacing; a second pass over the same tiles measures the spread around
+    the corrected height that sizes the next stage's ranges.  Volume memory
+    is one tile per stage, not rows * cols * M; the rest is a few
+    (rows, cols) grids.  The results equal, bit for bit, those of composing
+    the whole-volume functions (the partition module's ``equal_partition``,
+    ``slope_guided_partition``, ``expected_height`` and ``pixel_std``, and
+    :func:`oracle_matcher`).
+
     Identical (gt, global_range, stages, seed) yield bit-identical results.
 
     Raises:
-        ValueError: bad range, ground truth outside the range, or a stage
-            list that is not exactly three configs.
+        ValueError: bad range, ground truth outside the range, a stage
+            list that is not exactly three configs, or a stage whose
+            single-row volume (cols * M) is over the partition module's
+            ``VOLUME_BUDGET_BYTES``.
     """
     low, high = float(global_range[0]), float(global_range[1])
     if not (low < high):
@@ -353,40 +422,53 @@ def run_pipeline(
             f"{valid_values.max():.3f}], outside the global range [{low}, {high}]"
         )
 
+    for cfg in stages:
+        _check_volume((1, gt.cols), cfg.plane_count)
+
     heights: list[HeightGrid] = []
     slopes: list[HeightGrid] = []
     directions: list[SlopeDirectionGrid] = []
     reports: list[EvalReport] = []
     spacings: list[float] = []
 
-    planes: HypothesisPlanes | None = None
-    probs: ProbabilityVolume | None = None
+    sweep: _StageSweep | None = None
     height: HeightGrid | None = None
 
     for stage_index, cfg in enumerate(stages):
         if stage_index == 0:
-            ranges = _global_ranges(gt, low, high)
-            planes = equal_partition(ranges, cfg.plane_count)
+            kernel, grids = partial(_equal_planes, low, high), ()
+            plane_mask = gt.mask
         else:
-            sigma = pixel_std(planes, probs, height)
-            ranges = pixel_range(height, sigma, cfg.sigma_floor)
+            ranges = pixel_range(height, _stage_std(sweep, height), cfg.sigma_floor)
             if cfg.use_slope_partition:
                 factors = slope_factor_maps(height)
-                planes = slope_guided_partition(height, ranges, factors, cfg.plane_count)
+                plane_mask, center, lo, hi, n_below = _guided_layout(
+                    height, ranges, factors, cfg.plane_count
+                )
+                kernel, grids = _guided_planes, (center, lo, hi, n_below)
             else:
-                planes = equal_partition(ranges, cfg.plane_count)
-        probs = oracle_matcher(
-            planes, gt, cfg.temperature, cfg.noise, seed=3 * seed + stage_index
+                kernel, grids = _equal_planes, (ranges.low, ranges.high)
+                plane_mask = ranges.mask
+        target = gt.values + matcher_noise(
+            gt.shape, cfg.noise, seed=3 * seed + stage_index
         )
-        height = expected_height(planes, probs)
+        sweep = _StageSweep(
+            kernel, grids, cfg.plane_count, target, plane_mask & gt.mask, cfg.temperature
+        )
+        estimate = np.empty(gt.shape)
+        widest_gap = np.empty(gt.shape)
+        for tile, planes, probs in sweep:
+            estimate[tile] = _expectation(probs, planes)
+            widest_gap[tile] = np.diff(planes, axis=-1).max(axis=-1)
+        estimate[~sweep.valid] = gt.nodata
+        height = HeightGrid(estimate, cell_size=gt.cell_size, nodata=gt.nodata)
         if cfg.use_height_correction:
             height = correct(height, GaussianKernel(scale=1.0))
         heights.append(height)
         slopes.append(slope_map(height))
         directions.append(slope_direction_map(height))
         reports.append(evaluate(height, gt, thresholds=DEFAULT_THRESHOLDS))
-        gaps = np.diff(planes.planes[planes.mask], axis=-1)
-        spacings.append(float(gaps.max()) if gaps.size else 0.0)
+        spacings.append(float(widest_gap[plane_mask].max()) if plane_mask.any() else 0.0)
 
     pseudo_gt_dir = slope_direction_map(gt)
     gt_stack = [gt] * 3

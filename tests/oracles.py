@@ -1,13 +1,35 @@
 """Independent brute-force reference implementations.
 
-Everything here is written as plain per-pixel Python loops over scalar
-values, deliberately sharing no code with the library: these are the
-oracles the vectorized implementations are checked against.
+Everything here except :func:`reference_pipeline` is written as plain
+per-pixel Python loops over scalar values, deliberately sharing no code with
+the library: these are the oracles the vectorized implementations are
+checked against.
+
+:func:`reference_pipeline` is the whole-volume form of
+``simulate.run_pipeline``: it composes the public per-step functions, each
+building full (rows, cols, M) volumes.  The row-tiled pipeline must
+reproduce it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from terraslope import losses
+from terraslope.correction import GaussianKernel, correct
+from terraslope.metrics import DEFAULT_THRESHOLDS, evaluate
+from terraslope.partition import (
+    PixelRanges,
+    equal_partition,
+    expected_height,
+    pixel_range,
+    pixel_std,
+    slope_guided_partition,
+)
+from terraslope.simulate import SimulationResult, oracle_matcher
+from terraslope.slope import slope_direction_map, slope_factor_maps, slope_map
 
 
 def window_values(values, nodata, row, col):
@@ -152,3 +174,63 @@ def scalar_metrics(est, gt, est_nodata, gt_nodata, thresholds):
         median = (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
     completeness = 100.0 * est_valid / (rows * cols)
     return mae, rmse, pct, median, completeness, n
+
+
+def reference_pipeline(gt, global_range, stages, seed=0):
+    """Three-stage coarse-to-fine run over whole (rows, cols, M) volumes."""
+    low, high = float(global_range[0]), float(global_range[1])
+    heights, slopes, directions, reports, spacings = [], [], [], [], []
+    planes = probs = height = None
+    for stage_index, cfg in enumerate(stages):
+        if stage_index == 0:
+            ranges = PixelRanges(
+                low=np.full(gt.shape, low),
+                high=np.full(gt.shape, high),
+                sigma=np.full(gt.shape, (high - low) / 2.0),
+                mask=gt.mask,
+                cell_size=gt.cell_size,
+                nodata=gt.nodata,
+            )
+            planes = equal_partition(ranges, cfg.plane_count)
+        else:
+            sigma = pixel_std(planes, probs, height)
+            ranges = pixel_range(height, sigma, cfg.sigma_floor)
+            if cfg.use_slope_partition:
+                factors = slope_factor_maps(height)
+                planes = slope_guided_partition(height, ranges, factors, cfg.plane_count)
+            else:
+                planes = equal_partition(ranges, cfg.plane_count)
+        probs = oracle_matcher(
+            planes, gt, cfg.temperature, cfg.noise, seed=3 * seed + stage_index
+        )
+        height = expected_height(planes, probs)
+        if cfg.use_height_correction:
+            height = correct(height, GaussianKernel(scale=1.0))
+        heights.append(height)
+        slopes.append(slope_map(height))
+        directions.append(slope_direction_map(height))
+        reports.append(evaluate(height, gt, thresholds=DEFAULT_THRESHOLDS))
+        gaps = np.diff(planes.planes[planes.mask], axis=-1)
+        spacings.append(float(gaps.max()) if gaps.size else 0.0)
+
+    pseudo_gt_dir = slope_direction_map(gt)
+    stage_pairs = tuple(
+        (losses.stage_height_loss(h, gt), losses.stage_direction_loss(d, pseudo_gt_dir))
+        for h, d in zip(heights, directions)
+    )
+    h_loss = losses.height_loss(heights, [gt] * 3)
+    d_loss = losses.direction_loss(directions, [pseudo_gt_dir] * 3)
+    report = losses.LossReport(
+        height_loss=h_loss,
+        direction_loss=d_loss,
+        overall=losses.overall_loss(h_loss, d_loss),
+        per_stage=stage_pairs,
+    )
+    return SimulationResult(
+        heights=tuple(heights),
+        slopes=tuple(slopes),
+        directions=tuple(directions),
+        reports=tuple(reports),
+        loss=report,
+        max_plane_spacing=tuple(spacings),
+    )

@@ -107,6 +107,15 @@ class TestPartitionCommand:
             == 3
         )
 
+    def test_plane_volume_over_budget_exits_3(self, tmp_path, capsys):
+        # 3 cells x 10^8 planes: refused by the volume budget, not OOM-killed
+        grid = tmp_path / "three.asc"
+        grid.write_text("NCOLS 3\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n1 2 3\n")
+        code = run(["partition", grid, tmp_path / "p", "--planes", "100000000"])
+        assert code == 3
+        assert "volume budget" in capsys.readouterr().err
+        assert not list(tmp_path.glob("p_*"))
+
 
 class TestCorrectCommand:
     def test_scale_one_on_constant_grid(self, tmp_path):
@@ -240,6 +249,22 @@ class TestSimulateCommand:
         assert run(["simulate", cfg, out]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line,key",
+        [
+            ("noise = nan", "noise"),
+            ("sigma_floors = 0,nan,10", "sigma_floors"),
+            ("planes = 64,32.7,8", "planes"),
+        ],
+    )
+    def test_bad_numeric_value_exits_3_naming_the_key(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(f"terrain = ramp\nrows = 8\ncols = 8\n{line}\n")
+        out = tmp_path / "run"
+        assert run(["simulate", cfg, out]) == 3
+        assert f"{key} must" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "run_a"
         out_b = tmp_path / "run_b"
@@ -249,6 +274,25 @@ class TestSimulateCommand:
         assert names_a == sorted(p.name for p in out_b.iterdir())
         for name in names_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+class TestHostileInputs:
+    def test_huge_header_exits_2(self, tmp_path, capsys):
+        grid = tmp_path / "huge.asc"
+        grid.write_text(
+            "NCOLS 1000000\nNROWS 1000000\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n1 2 3\n"
+        )
+        assert run(["slope", grid, tmp_path / "s.asc", tmp_path / "d.asc"]) == 2
+        assert "value count mismatch" in capsys.readouterr().err
+
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(path):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr("terraslope.cli.read_ascii_grid", exhausted)
+        argv = ["slope", FIXTURES / "terrain.asc", tmp_path / "s.asc", tmp_path / "d.asc"]
+        assert run(argv) == 3
+        assert "out of memory: Unable to allocate" in capsys.readouterr().err
 
 
 class TestUsageAndHelp:

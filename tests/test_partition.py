@@ -16,6 +16,8 @@ from terraslope import (
     slope_guided_partition,
 )
 
+from terraslope.partition import VOLUME_BUDGET_BYTES, _check_volume
+
 from conftest import NODATA
 from oracles import scalar_partition, scalar_split
 
@@ -162,6 +164,12 @@ class TestPixelRange:
         with pytest.raises(ValueError):
             pixel_range(h, s, 0.0)
 
+    def test_nan_floor_rejected(self):
+        h = HeightGrid(np.array([[1.0]]))
+        s = HeightGrid(np.array([[1.0]]))
+        with pytest.raises(ValueError, match="sigma_floor"):
+            pixel_range(h, s, float("nan"))
+
     def test_invalid_pixels_masked(self):
         h = HeightGrid(np.array([[1.0, NODATA]]), nodata=NODATA)
         s = HeightGrid(np.array([[1.0, 1.0]]), nodata=NODATA)
@@ -263,6 +271,29 @@ class TestEqualPartition:
     def test_rejects_small_plane_count(self):
         with pytest.raises(ValueError):
             equal_partition(single_pixel_ranges(0.0, 1.0), 1)
+
+
+class TestVolumeBudget:
+    def test_budget_edge(self):
+        per_pixel = VOLUME_BUDGET_BYTES // 8
+        _check_volume((1, 1), per_pixel)  # exactly at the budget: allowed
+        with pytest.raises(ValueError, match="volume budget"):
+            equal_partition(single_pixel_ranges(0.0, 1.0), per_pixel + 1)
+
+    def test_huge_plane_count_rejected_before_allocation(self):
+        # 3 pixels x 10^8 planes would need 2.2 GiB per volume array
+        ranges = PixelRanges(
+            low=np.zeros((1, 3)),
+            high=np.ones((1, 3)),
+            sigma=np.full((1, 3), 0.5),
+            mask=np.ones((1, 3), bool),
+        )
+        h = HeightGrid(np.full((1, 3), 0.5))
+        factors = SlopeFactors(rise=np.ones((1, 3)), drop=np.ones((1, 3)))
+        with pytest.raises(ValueError, match="volume budget"):
+            equal_partition(ranges, 100_000_000)
+        with pytest.raises(ValueError, match="volume budget"):
+            slope_guided_partition(h, ranges, factors, 100_000_000)
 
 
 class TestReductionInvariant:

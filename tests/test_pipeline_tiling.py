@@ -1,0 +1,70 @@
+"""The row-tiled pipeline against the whole-volume reference, bit for bit."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from terraslope import HeightGrid, TerrainSpec, default_stage_configs, generate_terrain
+from terraslope import simulate
+from terraslope.simulate import ABLATION_ARMS, run_pipeline
+
+from conftest import NODATA
+from oracles import reference_pipeline
+
+
+def fractal(rows, cols, seed=5):
+    return generate_terrain(
+        TerrainSpec(rows=rows, cols=cols, kind="fractal", amplitude=200.0, seed=seed)
+    )
+
+
+def with_holes(gt, share=0.15, seed=3):
+    holes = np.random.default_rng(seed).random(gt.shape) < share
+    holes.flat[0] = False
+    return HeightGrid(np.where(holes, NODATA, gt.values), nodata=NODATA)
+
+
+GRIDS = {
+    # 64 planes x 512 cols give 4-row stage-1 tiles: 18 rows end in a partial tile
+    "18x512": lambda: fractal(18, 512),
+    "1x300": lambda: fractal(1, 300),
+    "300x1": lambda: fractal(300, 1),
+    "nodata-40x33": lambda: with_holes(fractal(40, 33)),
+}
+
+
+def assert_identical(result, expected):
+    for name in ("heights", "slopes"):
+        for got, want in zip(getattr(result, name), getattr(expected, name), strict=True):
+            assert np.array_equal(got.values, want.values), name
+    for got, want in zip(result.directions, expected.directions, strict=True):
+        assert np.array_equal(got.codes, want.codes)
+        assert np.array_equal(got.mask, want.mask)
+    assert result.reports == expected.reports
+    assert result.loss == expected.loss
+    assert result.max_plane_spacing == expected.max_plane_spacing
+
+
+@pytest.mark.parametrize("one_row_tiles", [False, True], ids=["default-tiles", "one-row-tiles"])
+@pytest.mark.parametrize("grid", list(GRIDS))
+@pytest.mark.parametrize("arm", ABLATION_ARMS, ids=[a[0] for a in ABLATION_ARMS])
+def test_matches_whole_volume_reference(arm, grid, one_row_tiles, monkeypatch):
+    if one_row_tiles:
+        monkeypatch.setattr(simulate, "TILE_BYTES", 1)
+    _, use_partition, use_correction = arm
+    stages = tuple(
+        replace(c, use_slope_partition=use_partition, use_height_correction=use_correction)
+        for c in default_stage_configs()
+    )
+    gt = GRIDS[grid]()
+    valid = gt.values[gt.mask]
+    global_range = (float(valid.min()), float(valid.max()) + 1e-9)
+    result = run_pipeline(gt, global_range, stages, seed=11)
+    assert_identical(result, reference_pipeline(gt, global_range, stages, seed=11))
+
+
+def test_default_tiles_split_the_wide_grid():
+    # guards the premise of the "18x512" case: several tiles, the last partial
+    tile_rows = simulate.TILE_BYTES // (8 * 512 * 64)
+    assert 1 < tile_rows < 18 and 18 % tile_rows != 0

@@ -112,6 +112,16 @@ class TestReadAsciiGrid:
         with pytest.raises(GridFormatError, match="value count mismatch"):
             read_ascii_grid(path)
 
+    def test_huge_header_over_short_body_is_a_count_mismatch(self, tmp_path):
+        # 10^12 declared cells: the body count must fail before any allocation
+        path = tmp_path / "g.asc"
+        path.write_text(
+            "NCOLS 1000000\nNROWS 1000000\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n"
+            "1 2 3\n"
+        )
+        with pytest.raises(GridFormatError, match="declares 1000000000000 values, body has 3"):
+            read_ascii_grid(path)
+
     def test_non_numeric_token_with_line_number(self, tmp_path):
         path = tmp_path / "g.asc"
         path.write_text(

@@ -50,6 +50,12 @@ class TestStageConfig:
         with pytest.raises(ValueError):
             StageConfig(plane_count=8, noise=-1.0)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="noise"):
+            StageConfig(plane_count=8, noise=float("nan"))
+        with pytest.raises(ValueError, match="sigma_floor"):
+            StageConfig(plane_count=8, sigma_floor=float("nan"))
+
     def test_default_schedule(self):
         stages = default_stage_configs()
         assert [s.plane_count for s in stages] == [64, 32, 8]
@@ -157,6 +163,9 @@ class TestRunPipeline:
             run_pipeline(gt, (0.0, 1.0), stages)
         with pytest.raises(ValueError, match="3 stage"):
             run_pipeline(gt, (0.0, 10.0), stages[:2])
+        huge = (replace(stages[0], plane_count=100_000_000),) + stages[1:]
+        with pytest.raises(ValueError, match="volume budget"):
+            run_pipeline(gt, (0.0, 10.0), huge)
 
     def test_constant_terrain_near_zero_error(self):
         gt = HeightGrid(np.full((16, 16), 42.0))
