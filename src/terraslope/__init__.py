@@ -65,15 +65,7 @@ from .simulate import (
     write_ablation_csv,
     write_run_directory,
 )
-from .slope import (
-    NeighborhoodExtract,
-    SlopeFactors,
-    extract_3x3,
-    slope_direction_map,
-    slope_factor_maps,
-    slope_factors,
-    slope_map,
-)
+from .slope import SlopeFactors, slope_direction_map, slope_factor_maps, slope_map
 
 __version__ = "0.1.0"
 
@@ -90,7 +82,6 @@ __all__ = [
     "HypothesisPlanes",
     "LossReport",
     "Mvs3dReport",
-    "NeighborhoodExtract",
     "PixelRanges",
     "ProbabilityVolume",
     "SimulationResult",
@@ -105,7 +96,6 @@ __all__ = [
     "equal_partition",
     "evaluate",
     "expected_height",
-    "extract_3x3",
     "fit_scale",
     "format_report",
     "generate_terrain",
@@ -120,7 +110,6 @@ __all__ = [
     "run_pipeline",
     "slope_direction_map",
     "slope_factor_maps",
-    "slope_factors",
     "slope_guided_partition",
     "slope_map",
     "write_ablation_csv",

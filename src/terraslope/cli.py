@@ -36,6 +36,7 @@ from .simulate import (
     StageConfig,
     TerrainSpec,
     ablation_report,
+    default_stage_configs,
     generate_terrain,
     run_pipeline,
     write_ablation_csv,
@@ -69,18 +70,13 @@ def _pgm_sibling(path: str) -> Path:
 def cmd_slope(args: argparse.Namespace) -> int:
     grid = read_ascii_grid(args.input)
     slope = slope_map(grid)
-    direction = slope_direction_map(grid)
+    direction = direction_as_grid(slope_direction_map(grid), like=grid)
     write_ascii_grid(slope, args.out_slope)
-    write_ascii_grid(direction_as_grid(direction, like=grid), args.out_dir)
+    write_ascii_grid(direction, args.out_dir)
     if args.pgm is not None:
         lo, hi = args.pgm
         render_pgm(slope, _pgm_sibling(args.out_slope), lo, hi)
-        render_pgm(
-            direction_as_grid(direction, like=grid),
-            _pgm_sibling(args.out_dir),
-            0.0,
-            8.0,
-        )
+        render_pgm(direction, _pgm_sibling(args.out_dir), 0.0, 8.0)
     return EXIT_OK
 
 
@@ -202,18 +198,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_DEFAULT_STAGES = default_stage_configs()
+#: Stage keys default to :func:`~terraslope.simulate.default_stage_configs`.
+#: ``amplitude`` keeps its own 200: ``TerrainSpec`` defaults to 100, and
+#: aligning the two would change the outputs of existing configs.
 _CONFIG_DEFAULTS: dict[str, str | None] = {
     "amplitude": "200",
     "roughness": "0.5",
     "seed": "0",
     "range_low": None,
     "range_high": None,
-    "planes": "64,32,8",
-    "sigma_floors": "0,80,10",
-    "temperature": "2.0",
-    "noise": "3.0",
-    "slope_partition": "true",
-    "height_correction": "true",
+    "planes": ",".join(str(stage.plane_count) for stage in _DEFAULT_STAGES),
+    "sigma_floors": ",".join(str(stage.sigma_floor) for stage in _DEFAULT_STAGES),
+    "temperature": str(_DEFAULT_STAGES[0].temperature),
+    "noise": str(_DEFAULT_STAGES[0].noise),
+    "slope_partition": str(_DEFAULT_STAGES[0].use_slope_partition),
+    "height_correction": str(_DEFAULT_STAGES[0].use_height_correction),
     "ablation_seeds": "0,1,2,3,4,5,6,7,8,9",
 }
 _CONFIG_REQUIRED = ("terrain", "rows", "cols")

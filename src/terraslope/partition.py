@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import HeightGrid
+from .raster import HeightGrid, _freeze
 from .slope import SlopeFactors
 
 _PROB_SUM_TOL = 1e-9
@@ -46,14 +46,6 @@ def _check_volume(shape: tuple[int, int], plane_count: int) -> None:
             f"a {rows}x{cols}x{plane_count} plane volume needs {nbytes / 2**20:.0f} MiB, "
             f"over the {VOLUME_BUDGET_BYTES // 2**20} MiB volume budget"
         )
-
-
-def _frozen_array(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(arr, dtype=dtype))
-    if out is arr:
-        out = out.copy()
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -86,8 +78,8 @@ class HypothesisPlanes:
             diffs = np.diff(planes[mask], axis=-1)
             if diffs.size and diffs.min() < 0:
                 raise ValueError("planes must be non-decreasing within each pixel")
-        object.__setattr__(self, "planes", _frozen_array(planes))
-        object.__setattr__(self, "mask", _frozen_array(mask, dtype=bool))
+        object.__setattr__(self, "planes", _freeze(planes))
+        object.__setattr__(self, "mask", _freeze(mask))
 
     @property
     def plane_count(self) -> int:
@@ -124,8 +116,8 @@ class ProbabilityVolume:
                     f"probabilities must sum to 1 per valid pixel "
                     f"(worst deviation {err:.3e})"
                 )
-        object.__setattr__(self, "probs", _frozen_array(probs))
-        object.__setattr__(self, "mask", _frozen_array(mask, dtype=bool))
+        object.__setattr__(self, "probs", _freeze(probs))
+        object.__setattr__(self, "mask", _freeze(mask))
 
     @property
     def plane_count(self) -> int:
@@ -164,10 +156,10 @@ class PixelRanges:
             scale = np.maximum(1.0, np.abs(sigma[mask]))
             if (width_err > 1e-9 * scale).any():
                 raise ValueError("range width must equal 2 * sigma")
-        object.__setattr__(self, "low", _frozen_array(low))
-        object.__setattr__(self, "high", _frozen_array(high))
-        object.__setattr__(self, "sigma", _frozen_array(sigma))
-        object.__setattr__(self, "mask", _frozen_array(mask, dtype=bool))
+        object.__setattr__(self, "low", _freeze(low))
+        object.__setattr__(self, "high", _freeze(high))
+        object.__setattr__(self, "sigma", _freeze(sigma))
+        object.__setattr__(self, "mask", _freeze(mask))
 
     @property
     def shape(self) -> tuple[int, int]:

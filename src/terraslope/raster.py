@@ -312,10 +312,12 @@ def write_ascii_grid(grid: HeightGrid, path: str | os.PathLike) -> None:
         fh.write(f"YLLCORNER {_format_value(grid.yllcorner)}\n")
         fh.write(f"CELLSIZE {_format_value(grid.cell_size)}\n")
         fh.write(f"NODATA_VALUE {nodata_token}\n")
-        for r in range(grid.rows):
+        # Python floats format faster than numpy scalars.  Convert one row at
+        # a time: a whole-grid list would hold a float object per cell.
+        for values, valid in zip(grid.values, mask):
             row = [
-                _format_value(grid.values[r, c]) if mask[r, c] else nodata_token
-                for c in range(grid.cols)
+                _format_value(v) if ok else nodata_token
+                for v, ok in zip(values.tolist(), valid.tolist())
             ]
             fh.write(" ".join(row))
             fh.write("\n")

@@ -16,6 +16,14 @@ Window policy, shared by every 3x3 operation in this package:
 
 Both rules keep the computed slope a conservative, zero-biased estimate at
 borders and next to holes.
+
+Slope, direction and slope factors fold the nine shifted views of one
+padded grid with ``np.maximum``/``np.minimum``.  There, invalid cells are
+filled with a value that can never win the fold: -inf for the maximum,
++inf for the minimum.  Every window holds its own finite center, so this
+gives the same extremum, and the same first position attaining it, as
+substituting the center value.  :func:`window_stack` builds the windows
+themselves, for the weighted sum of :mod:`terraslope.correction`.
 """
 
 from __future__ import annotations
@@ -31,42 +39,16 @@ _OFFSETS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
 
 
 @dataclass(frozen=True)
-class NeighborhoodExtract:
-    """One pixel's 3x3 window in row-major order.
-
-    ``neighbors[4]`` always equals ``center``.  ``valid_flags[k]`` is False
-    where the window position was out of bounds or hit a nodata cell and was
-    therefore filled by the padding rules.
-    """
-
-    center: float
-    neighbors: np.ndarray
-    valid_flags: np.ndarray
-
-    def __post_init__(self) -> None:
-        neighbors = np.asarray(self.neighbors, dtype=np.float64)
-        flags = np.asarray(self.valid_flags, dtype=bool)
-        if neighbors.shape != (9,) or flags.shape != (9,):
-            raise ValueError("window must hold exactly 9 values and 9 flags")
-        if neighbors[4] != self.center:
-            raise ValueError("window position 4 must equal the center value")
-        if not flags[4]:
-            raise ValueError("center flag must be True")
-        object.__setattr__(self, "neighbors", neighbors)
-        object.__setattr__(self, "valid_flags", flags)
-
-
-@dataclass(frozen=True)
 class SlopeFactors:
     """Upward and downward height differences within a 3x3 window.
 
     ``rise`` is |neighborhood max - center|, ``drop`` is
-    |neighborhood min - center|.  Fields are scalars for a single window or
-    2D arrays for a whole grid.  Both are zero on a locally constant plane.
+    |neighborhood min - center|, both (rows, cols) arrays.  Both are zero on
+    a locally constant plane.
     """
 
-    rise: float | np.ndarray
-    drop: float | np.ndarray
+    rise: np.ndarray
+    drop: np.ndarray
 
 
 def window_stack(grid: HeightGrid) -> np.ndarray:
@@ -90,32 +72,23 @@ def window_stack(grid: HeightGrid) -> np.ndarray:
     return stack
 
 
-def extract_3x3(grid: HeightGrid, row: int, col: int) -> NeighborhoodExtract:
-    """Extract the 3x3 window centered on a valid pixel.
+def _window_views(grid: HeightGrid, fill: float) -> list[np.ndarray]:
+    """The nine row-major shifted views of ``grid``'s 3x3 windows.
 
-    Raises:
-        IndexError: (row, col) out of bounds.
-        ValueError: center pixel is invalid.
+    View ``k`` holds window position ``k`` of every pixel after replicate
+    padding, with ``fill`` in place of every invalid cell.
     """
-    if not (0 <= row < grid.rows and 0 <= col < grid.cols):
-        raise IndexError(f"({row}, {col}) outside {grid.rows}x{grid.cols} grid")
-    valid = grid.mask
-    if not valid[row, col]:
-        raise ValueError(f"center pixel ({row}, {col}) is invalid")
-    center = float(grid.values[row, col])
-    neighbors = np.empty(9, dtype=np.float64)
-    flags = np.empty(9, dtype=bool)
-    for k, (dr, dc) in enumerate(_OFFSETS):
-        r, c = row + dr, col + dc
-        in_bounds = 0 <= r < grid.rows and 0 <= c < grid.cols
-        rr = min(max(r, 0), grid.rows - 1)
-        cc = min(max(c, 0), grid.cols - 1)
-        if valid[rr, cc]:
-            neighbors[k] = grid.values[rr, cc]
-        else:
-            neighbors[k] = center
-        flags[k] = in_bounds and bool(valid[r, c])
-    return NeighborhoodExtract(center=center, neighbors=neighbors, valid_flags=flags)
+    rows, cols = grid.shape
+    padded = np.pad(np.where(grid.mask, grid.values, fill), 1, mode="edge")
+    return [padded[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols] for dr, dc in _OFFSETS]
+
+
+def _fold(views: list[np.ndarray], ufunc: np.ufunc) -> np.ndarray:
+    """Elementwise ``ufunc`` (``np.maximum`` or ``np.minimum``) over ``views``."""
+    out = views[0].copy()
+    for view in views[1:]:
+        ufunc(out, view, out=out)
+    return out
 
 
 def slope_map(grid: HeightGrid) -> HeightGrid:
@@ -124,8 +97,7 @@ def slope_map(grid: HeightGrid) -> HeightGrid:
     Invalid pixels propagate nodata.  The result shares dimensions, cell
     size, and sentinel with the input.
     """
-    stack = window_stack(grid)
-    slope = np.abs(stack.max(axis=2) - grid.values)
+    slope = np.abs(_fold(_window_views(grid, -np.inf), np.maximum) - grid.values)
     slope[~grid.mask] = grid.nodata
     return grid.with_values(slope)
 
@@ -138,21 +110,15 @@ def slope_direction_map(grid: HeightGrid) -> SlopeDirectionGrid:
     index wins ties and the code is ``8 - index``, which maps the window
     corners/edges onto the 0..8 direction table.
     """
-    stack = window_stack(grid)
-    peak = stack.max(axis=2)
-    center_is_peak = stack[:, :, 4] == peak
-    first_argmax = np.argmax(stack == peak[:, :, None], axis=2)
-    codes = np.where(center_is_peak, 4, 8 - first_argmax)
+    views = _window_views(grid, -np.inf)
+    peak = _fold(views, np.maximum)
+    codes = np.full(grid.shape, 4, dtype=np.int64)
+    # Highest index first, so the smallest index attaining the peak is written last.
+    for k in range(8, -1, -1):
+        codes[views[k] == peak] = 8 - k
     mask = grid.mask
-    codes = np.where(mask, codes, 4)
+    codes[(views[4] == peak) | ~mask] = 4
     return SlopeDirectionGrid(codes=codes, mask=mask)
-
-
-def slope_factors(extract: NeighborhoodExtract) -> SlopeFactors:
-    """Rise/drop slope factors of a single 3x3 window."""
-    rise = float(abs(extract.neighbors.max() - extract.center))
-    drop = float(abs(extract.neighbors.min() - extract.center))
-    return SlopeFactors(rise=rise, drop=drop)
 
 
 def slope_factor_maps(grid: HeightGrid) -> SlopeFactors:
@@ -161,9 +127,8 @@ def slope_factor_maps(grid: HeightGrid) -> SlopeFactors:
     Returns a :class:`SlopeFactors` whose fields are (rows, cols) arrays.
     Entries at invalid pixels are zero; consumers mask with ``grid.mask``.
     """
-    stack = window_stack(grid)
-    rise = np.abs(stack.max(axis=2) - grid.values)
-    drop = np.abs(stack.min(axis=2) - grid.values)
+    rise = np.abs(_fold(_window_views(grid, -np.inf), np.maximum) - grid.values)
+    drop = np.abs(_fold(_window_views(grid, np.inf), np.minimum) - grid.values)
     invalid = ~grid.mask
     rise[invalid] = 0.0
     drop[invalid] = 0.0

@@ -84,6 +84,23 @@ def brute_direction(values, nodata):
     return out
 
 
+def brute_factors(values, nodata):
+    """Per-pixel (rise, drop): |window max - center| and |window min - center|;
+    both 0 at nodata cells."""
+    rows = len(values)
+    cols = len(values[0])
+    rise = [[0.0] * cols for _ in range(rows)]
+    drop = [[0.0] * cols for _ in range(rows)]
+    for r in range(rows):
+        for c in range(cols):
+            if values[r][c] == nodata:
+                continue
+            win = window_values(values, nodata, r, c)
+            rise[r][c] = abs(max(win) - values[r][c])
+            drop[r][c] = abs(min(win) - values[r][c])
+    return rise, drop
+
+
 def scalar_split(total, drop, rise):
     """Plane-count split between lower/upper subrange for one pixel."""
     if drop + rise == 0:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from terraslope import read_ascii_grid
+from terraslope import default_stage_configs, read_ascii_grid, run_pipeline
 from terraslope.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -227,6 +227,19 @@ class TestSimulateCommand:
         lines = (out / "ablation.csv").read_text().splitlines()
         assert lines[0] == "config,mae,rmse,lt_2.5,lt_7.5"
         assert len(lines) == 5
+
+    def test_stage_keys_default_to_default_stage_configs(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(gt, global_range, stages, seed=0):
+            seen.append(stages)
+            return run_pipeline(gt, global_range, stages, seed=seed)
+
+        monkeypatch.setattr("terraslope.cli.run_pipeline", capture)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("terrain = ramp\nrows = 6\ncols = 5\n")
+        assert run(["simulate", cfg, tmp_path / "run"]) == 0
+        assert seen == [default_stage_configs()]
 
     def test_unknown_config_key_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "bad.txt"

@@ -1,60 +1,34 @@
-"""Slope magnitude, direction codes, and slope factors vs brute force."""
+"""3x3 windows, slope magnitude, direction codes, and slope factors vs brute force."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terraslope import (
-    HeightGrid,
-    extract_3x3,
-    slope_direction_map,
-    slope_factor_maps,
-    slope_factors,
-    slope_map,
-)
+from terraslope import HeightGrid, slope_direction_map, slope_factor_maps, slope_map
+from terraslope.slope import window_stack
 
 from conftest import NODATA, random_grid
-from oracles import brute_direction, brute_slope
+from oracles import brute_direction, brute_factors, brute_slope
 
 
 def ramp_grid(rows=5, cols=6):
     return HeightGrid(2.0 * np.tile(np.arange(cols, dtype=float), (rows, 1)))
 
 
-class TestExtract3x3:
-    def test_interior_pixel_all_valid(self):
-        g = ramp_grid()
-        w = extract_3x3(g, 2, 2)
-        assert w.valid_flags.all()
-        assert w.center == 4.0
-        assert w.neighbors.tolist() == [2, 4, 6, 2, 4, 6, 2, 4, 6]
+class TestWindowStack:
+    def test_interior_pixel(self):
+        assert window_stack(ramp_grid())[2, 2].tolist() == [2, 4, 6, 2, 4, 6, 2, 4, 6]
 
-    def test_corner_replicates_and_flags(self):
-        g = ramp_grid()
-        w = extract_3x3(g, 0, 0)
-        # 5 positions fall outside the grid at a corner.
-        assert (~w.valid_flags).sum() == 5
-        assert w.neighbors.tolist() == [0, 0, 2, 0, 0, 2, 0, 0, 2]
+    def test_corner_replicates(self):
+        assert window_stack(ramp_grid())[0, 0].tolist() == [0, 0, 2, 0, 0, 2, 0, 0, 2]
 
     def test_invalid_neighbor_uses_center(self):
         values = np.zeros((3, 3))
         values[1, 1] = 7.0
         values[0, 0] = NODATA
-        g = HeightGrid(values, nodata=NODATA)
-        w = extract_3x3(g, 1, 1)
-        assert w.neighbors[0] == 7.0
-        assert not w.valid_flags[0]
-        assert w.valid_flags[1:].all()
-
-    def test_invalid_center_rejected(self):
-        g = HeightGrid(np.array([[NODATA, 1.0]]), nodata=NODATA)
-        with pytest.raises(ValueError, match="invalid"):
-            extract_3x3(g, 0, 0)
-
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(IndexError):
-            extract_3x3(ramp_grid(), 99, 0)
+        window = window_stack(HeightGrid(values, nodata=NODATA))[1, 1]
+        assert window.tolist() == [7, 0, 0, 0, 7, 0, 0, 0, 0]
 
 
 class TestSlopeMap:
@@ -139,29 +113,17 @@ class TestSlopeDirectionMap:
 
 class TestSlopeFactors:
     def test_constant_window(self):
-        g = HeightGrid(np.ones((3, 3)))
-        f = slope_factors(extract_3x3(g, 1, 1))
-        assert f.rise == 0.0 and f.drop == 0.0
+        f = slope_factor_maps(HeightGrid(np.ones((3, 3))))
+        assert f.rise[1, 1] == 0.0 and f.drop[1, 1] == 0.0
 
     def test_direct_arithmetic(self):
         values = np.array([[10.0, 14, 7], [10, 10, 10], [10, 10, 10]])
-        f = slope_factors(extract_3x3(HeightGrid(values), 1, 1))
-        assert f.rise == 4.0 and f.drop == 3.0
+        f = slope_factor_maps(HeightGrid(values))
+        assert f.rise[1, 1] == 4.0 and f.drop[1, 1] == 3.0
 
     def test_ramp_window(self):
-        f = slope_factors(extract_3x3(ramp_grid(), 2, 2))
-        assert f.rise == 2.0 and f.drop == 2.0
-
-    def test_factor_maps_match_per_pixel(self, rng):
-        g = random_grid(rng, 6, 6, nodata_fraction=0.2)
-        maps = slope_factor_maps(g)
-        for r in range(6):
-            for c in range(6):
-                if not g.mask[r, c]:
-                    continue
-                f = slope_factors(extract_3x3(g, r, c))
-                assert maps.rise[r, c] == f.rise
-                assert maps.drop[r, c] == f.drop
+        f = slope_factor_maps(ramp_grid())
+        assert f.rise[2, 2] == 2.0 and f.drop[2, 2] == 2.0
 
 
 class TestOracleEquivalence:
@@ -179,6 +141,32 @@ class TestOracleEquivalence:
             np.testing.assert_array_equal(
                 got_dir.codes[g.mask], expected_dir[g.mask]
             )
+
+    def test_all_window_maps_with_ties_and_sentinel_above_data(self):
+        # Integer heights make ties, so the first-argmax rule is exercised; a
+        # +9999 sentinel would win any maximum it leaked into.
+        rng = np.random.default_rng(11)
+        for i in range(200):
+            rows = int(rng.integers(1, 9))
+            cols = int(rng.integers(1, 9))
+            if i % 2:
+                values = rng.integers(-3, 4, size=(rows, cols)).astype(float)
+            else:
+                values = rng.uniform(-50, 50, size=(rows, cols))
+            nodata = 9999.0 if i % 4 < 2 else NODATA
+            holes = rng.random((rows, cols)) < 0.3
+            holes.flat[rng.integers(0, rows * cols)] = False
+            values[holes] = nodata
+            g = HeightGrid(values, nodata=nodata)
+            cells = values.tolist()
+            rise, drop = brute_factors(cells, nodata)
+            factors = slope_factor_maps(g)
+            np.testing.assert_array_equal(slope_map(g).values, brute_slope(cells, nodata))
+            np.testing.assert_array_equal(
+                slope_direction_map(g).codes, brute_direction(cells, nodata)
+            )
+            np.testing.assert_array_equal(factors.rise, rise)
+            np.testing.assert_array_equal(factors.drop, drop)
 
 
 class TestInvariances:
