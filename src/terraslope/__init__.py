@@ -18,11 +18,12 @@ should go.  The package provides
 
 from .correction import BASE_WEIGHTS, GaussianKernel, correct, fit_scale
 from .losses import (
-    DEFAULT_STAGE_WEIGHTS,
     LossReport,
     direction_loss,
     height_loss,
+    loss_report,
     overall_loss,
+    stage_weights,
 )
 from .metrics import (
     DEFAULT_THRESHOLDS,
@@ -72,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AblationRow",
     "BASE_WEIGHTS",
-    "DEFAULT_STAGE_WEIGHTS",
     "DEFAULT_THRESHOLDS",
     "DIRECTION_LABELS",
     "EvalReport",
@@ -100,6 +100,7 @@ __all__ = [
     "format_report",
     "generate_terrain",
     "height_loss",
+    "loss_report",
     "mvs3d_report",
     "oracle_matcher",
     "overall_loss",
@@ -112,6 +113,7 @@ __all__ = [
     "slope_factor_maps",
     "slope_guided_partition",
     "slope_map",
+    "stage_weights",
     "write_ablation_csv",
     "write_ascii_grid",
     "write_report_csv",

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -159,8 +160,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     plane_counts = _parse_int_list(config["planes"], "planes")
     floors = _parse_float_list(config["sigma_floors"], "sigma_floors")
-    if len(plane_counts) != 3 or len(floors) != 3:
-        raise ValueError("planes and sigma_floors must list exactly 3 values")
+    if len(plane_counts) != len(floors):
+        raise ValueError(
+            f"planes and sigma_floors must list one value per stage, "
+            f"got {len(plane_counts)} and {len(floors)}"
+        )
     stages = tuple(
         StageConfig(
             plane_count=m,
@@ -199,13 +203,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 _DEFAULT_STAGES = default_stage_configs()
-#: Stage keys default to :func:`~terraslope.simulate.default_stage_configs`.
-#: ``amplitude`` keeps its own 200: ``TerrainSpec`` defaults to 100, and
-#: aligning the two would change the outputs of existing configs.
+_TERRAIN_DEFAULTS = {field.name: field.default for field in fields(TerrainSpec)}
+#: Stage keys default to :func:`~terraslope.simulate.default_stage_configs`
+#: and terrain keys to the ``TerrainSpec`` field defaults.  ``amplitude``
+#: keeps its own 200: ``TerrainSpec`` defaults to 100, and aligning the two
+#: would change the outputs of existing configs.
 _CONFIG_DEFAULTS: dict[str, str | None] = {
     "amplitude": "200",
-    "roughness": "0.5",
-    "seed": "0",
+    "roughness": str(_TERRAIN_DEFAULTS["roughness"]),
+    "seed": str(_TERRAIN_DEFAULTS["seed"]),
     "range_low": None,
     "range_high": None,
     "planes": ",".join(str(stage.plane_count) for stage in _DEFAULT_STAGES),

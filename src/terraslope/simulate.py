@@ -7,25 +7,27 @@ matcher is the real machinery -- partition, height correction, slope
 computation, losses, and metrics -- so A/B experiments isolate exactly the
 partition and correction contributions.
 
-The pipeline runs three stages.  Stage 1 sweeps equally spaced planes over
-the global height range shared by all pixels; stages 2 and 3 recenter a
-per-pixel range on the previous estimate, sized by the distribution spread
-(with a per-stage floor), and optionally reallocate planes by local slope.
-Each stage streams its hypothesis volume in row tiles (see
-:func:`run_pipeline`), so memory grows with the grid, not with grid times
-plane count.
+The pipeline is a fold over any number of stages, one per
+:class:`StageConfig`; the default schedule has three.  The first stage
+sweeps equally spaced planes over the global height range shared by all
+pixels; every later stage recenters a per-pixel range on the previous
+estimate, sized by the distribution spread (with a per-stage floor), and
+optionally reallocates planes by local slope.  Each stage streams its
+hypothesis volume in row tiles (see :func:`run_pipeline`), so memory grows
+with the grid, not with grid times plane count.
 
 Paired runs are comparable seed-for-seed: the matcher noise field depends
-only on the run seed and the stage index, never on the configuration, so
-toggling partition or correction changes nothing else (common random
-numbers).
+only on the run seed, the stage count and the stage index, never on the
+configuration, so toggling partition or correction changes nothing else
+(common random numbers).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -82,13 +84,14 @@ class StageConfig:
     def __post_init__(self) -> None:
         if self.plane_count < 2:
             raise ValueError(f"plane_count must be >= 2, got {self.plane_count}")
-        if not (self.temperature > 0):
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        # Written so that NaN fails: every comparison with NaN is False.
-        if not (self.noise >= 0):
-            raise ValueError(f"noise must be >= 0, got {self.noise}")
-        if not (self.sigma_floor >= 0):
-            raise ValueError(f"sigma_floor must be >= 0, got {self.sigma_floor}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        if not (math.isfinite(self.sigma_floor) and self.sigma_floor >= 0):
+            raise ValueError(
+                f"sigma_floor must be finite and >= 0, got {self.sigma_floor}"
+            )
 
 
 def default_stage_configs(
@@ -96,7 +99,7 @@ def default_stage_configs(
     noise: float = 3.0,
     use_slope_partition: bool = True,
     use_height_correction: bool = True,
-) -> tuple[StageConfig, StageConfig, StageConfig]:
+) -> tuple[StageConfig, ...]:
     """Three-stage schedule with the default plane counts and floors."""
     return tuple(
         StageConfig(
@@ -129,8 +132,10 @@ class TerrainSpec:
             raise ValueError(
                 f"unsupported terrain kind {self.kind!r}; choose from {TERRAIN_KINDS}"
             )
-        if not (self.amplitude >= 0):
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not math.isfinite(self.roughness):
+            raise ValueError(f"roughness must be finite, got {self.roughness}")
 
 
 @dataclass(frozen=True)
@@ -377,17 +382,21 @@ def _stage_std(sweep: _StageSweep, height: HeightGrid) -> HeightGrid:
 def run_pipeline(
     gt: HeightGrid,
     global_range: tuple[float, float],
-    stages: tuple[StageConfig, StageConfig, StageConfig],
+    stages: Sequence[StageConfig],
     seed: int = 0,
 ) -> SimulationResult:
-    """Run the three-stage coarse-to-fine estimation against ``gt``.
+    """Run the coarse-to-fine estimation against ``gt``, one stage per config.
 
-    Stage 1 partitions the global range equally for every pixel; stages 2
-    and 3 recenter per-pixel ranges on the previous stage's height (spread
-    floored by ``sigma_floor``) and partition them equally or slope-guided
-    per their config.  Each stage matches with the oracle, regresses the
-    expected height, optionally applies Gaussian correction, and derives
-    slope and direction maps.
+    The stage count is ``len(stages)``; :func:`default_stage_configs` gives
+    three.  The first stage partitions the global range equally for every
+    pixel; each later stage recenters per-pixel ranges on the previous
+    stage's height (spread floored by ``sigma_floor``) and partitions them
+    equally or slope-guided per its config.  Each stage matches with the
+    oracle, regresses the expected height, optionally applies Gaussian
+    correction, and derives slope and direction maps.  Stage ``k``
+    (0-based) of a run with seed ``s`` draws its matcher noise with seed
+    ``len(stages) * s + k``, so no two (seed, stage) pairs of one schedule
+    share a noise field.
 
     Memory: no stage holds its (rows, cols, M) plane or probability volume
     whole.  Row tiles of about :data:`TILE_BYTES` of planes stream through
@@ -403,16 +412,15 @@ def run_pipeline(
     Identical (gt, global_range, stages, seed) yield bit-identical results.
 
     Raises:
-        ValueError: bad range, ground truth outside the range, a stage
-            list that is not exactly three configs, or a stage whose
-            single-row volume (cols * M) is over the partition module's
-            ``VOLUME_BUDGET_BYTES``.
+        ValueError: bad range, ground truth outside the range, an empty
+            stage list, or a stage whose single-row volume (cols * M) is
+            over the partition module's ``VOLUME_BUDGET_BYTES``.
     """
     low, high = float(global_range[0]), float(global_range[1])
     if not (low < high):
         raise ValueError(f"global range must satisfy low < high, got [{low}, {high}]")
-    if len(stages) != 3:
-        raise ValueError(f"expected exactly 3 stage configs, got {len(stages)}")
+    if not stages:
+        raise ValueError("at least one stage config required")
     valid_values = gt.values[gt.mask]
     if valid_values.size == 0:
         raise ValueError("ground truth has no valid pixel")
@@ -450,7 +458,7 @@ def run_pipeline(
                 kernel, grids = _equal_planes, (ranges.low, ranges.high)
                 plane_mask = ranges.mask
         target = gt.values + matcher_noise(
-            gt.shape, cfg.noise, seed=3 * seed + stage_index
+            gt.shape, cfg.noise, seed=len(stages) * seed + stage_index
         )
         sweep = _StageSweep(
             kernel, grids, cfg.plane_count, target, plane_mask & gt.mask, cfg.temperature
@@ -471,26 +479,18 @@ def run_pipeline(
         spacings.append(float(widest_gap[plane_mask].max()) if plane_mask.any() else 0.0)
 
     pseudo_gt_dir = slope_direction_map(gt)
-    gt_stack = [gt] * 3
-    pgt_dirs = [pseudo_gt_dir] * 3
-    stage_pairs = tuple(
-        (losses.stage_height_loss(h, gt), losses.stage_direction_loss(d, pseudo_gt_dir))
-        for h, d in zip(heights, directions)
-    )
-    h_loss = losses.height_loss(heights, gt_stack)
-    d_loss = losses.direction_loss(directions, pgt_dirs)
-    report = losses.LossReport(
-        height_loss=h_loss,
-        direction_loss=d_loss,
-        overall=losses.overall_loss(h_loss, d_loss),
-        per_stage=stage_pairs,
+    loss = losses.loss_report(
+        [
+            (losses.stage_height_loss(h, gt), losses.stage_direction_loss(d, pseudo_gt_dir))
+            for h, d in zip(heights, directions)
+        ]
     )
     return SimulationResult(
         heights=tuple(heights),
         slopes=tuple(slopes),
         directions=tuple(directions),
         reports=tuple(reports),
-        loss=report,
+        loss=loss,
         max_plane_spacing=tuple(spacings),
     )
 
@@ -507,7 +507,7 @@ ABLATION_ARMS = (
 def ablation_report(
     gt: HeightGrid,
     global_range: tuple[float, float],
-    base_stages: tuple[StageConfig, StageConfig, StageConfig],
+    base_stages: Sequence[StageConfig],
     seeds: list[int],
 ) -> list[AblationRow]:
     """Paired A/B table over the four partition/correction combinations.

@@ -194,7 +194,7 @@ def scalar_metrics(est, gt, est_nodata, gt_nodata, thresholds):
 
 
 def reference_pipeline(gt, global_range, stages, seed=0):
-    """Three-stage coarse-to-fine run over whole (rows, cols, M) volumes."""
+    """Coarse-to-fine run over whole (rows, cols, M) volumes, one stage per config."""
     low, high = float(global_range[0]), float(global_range[1])
     heights, slopes, directions, reports, spacings = [], [], [], [], []
     planes = probs = height = None
@@ -218,7 +218,7 @@ def reference_pipeline(gt, global_range, stages, seed=0):
             else:
                 planes = equal_partition(ranges, cfg.plane_count)
         probs = oracle_matcher(
-            planes, gt, cfg.temperature, cfg.noise, seed=3 * seed + stage_index
+            planes, gt, cfg.temperature, cfg.noise, seed=len(stages) * seed + stage_index
         )
         height = expected_height(planes, probs)
         if cfg.use_height_correction:
@@ -235,8 +235,8 @@ def reference_pipeline(gt, global_range, stages, seed=0):
         (losses.stage_height_loss(h, gt), losses.stage_direction_loss(d, pseudo_gt_dir))
         for h, d in zip(heights, directions)
     )
-    h_loss = losses.height_loss(heights, [gt] * 3)
-    d_loss = losses.direction_loss(directions, [pseudo_gt_dir] * 3)
+    h_loss = losses.height_loss(heights, [gt] * len(stages))
+    d_loss = losses.direction_loss(directions, [pseudo_gt_dir] * len(stages))
     report = losses.LossReport(
         height_loss=h_loss,
         direction_loss=d_loss,

@@ -278,6 +278,39 @@ class TestSimulateCommand:
         assert f"{key} must" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_two_stage_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "terrain = fractal\nrows = 12\ncols = 12\nplanes = 16,8\nsigma_floors = 0,10\n"
+        )
+        out = tmp_path / "run"
+        assert run(["simulate", cfg, out]) == 0
+        for suffix in ("height.asc", "slope.asc", "dir.asc", "eval.csv"):
+            assert (out / f"stage1_{suffix}").exists()
+            assert (out / f"stage2_{suffix}").exists()
+        assert not list(out.glob("stage3_*"))
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split("=")[0] for line in printed] == ["stage1_mae", "stage2_mae"]
+
+    def test_mismatched_stage_lists_exit_3_naming_both_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text("terrain = ramp\nrows = 8\ncols = 8\nplanes = 16,8\n")
+        out = tmp_path / "run"
+        assert run(["simulate", cfg, out]) == 3
+        err = capsys.readouterr().err
+        assert "planes" in err and "sigma_floors" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines", ["planes =\n", "planes =\nsigma_floors =\n"], ids=["planes", "both"]
+    )
+    def test_empty_schedule_exits_3(self, tmp_path, lines):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(f"terrain = ramp\nrows = 8\ncols = 8\n{lines}")
+        out = tmp_path / "run"
+        assert run(["simulate", cfg, out]) == 3
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "run_a"
         out_b = tmp_path / "run_b"

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from terraslope import HeightGrid, direction_loss, height_loss, overall_loss
-from terraslope.losses import stage_height_loss
+from terraslope.losses import (
+    loss_report,
+    stage_direction_loss,
+    stage_height_loss,
+    stage_weights,
+)
 from terraslope.raster import SlopeDirectionGrid
 from terraslope.slope import slope_direction_map
 
@@ -107,6 +112,38 @@ class TestDirectionLoss:
             a = [slope_direction_map(random_grid(rng, 4, 4))] * 3
             b = [slope_direction_map(random_grid(rng, 4, 4))] * 3
             assert direction_loss(a, b) >= 0.0
+
+
+class TestStageWeights:
+    def test_default_three_stage_weights(self):
+        assert stage_weights(3) == (0.5, 1.0, 2.0)
+
+    def test_finest_weighs_two_and_each_coarser_half(self):
+        assert stage_weights(1) == (2.0,)
+        assert stage_weights(4) == (0.25, 0.5, 1.0, 2.0)
+
+    def test_defaults_follow_the_stage_count(self):
+        pred = [const_grid(1), const_grid(1)]
+        gt = [const_grid(0), const_grid(0)]
+        assert height_loss(pred, gt) == 1.0 + 2.0
+        assert direction_loss([const_dirs(2)] * 2, [const_dirs(0)] * 2) == 4.0 * 3.0
+
+
+class TestLossReport:
+    def test_totals_match_default_weighted_losses(self, rng):
+        pred = [random_grid(rng, 4, 4) for _ in range(4)]
+        gt = [random_grid(rng, 4, 4) for _ in range(4)]
+        pred_dirs = [slope_direction_map(g) for g in pred]
+        gt_dirs = [slope_direction_map(g) for g in gt]
+        per_stage = [
+            (stage_height_loss(p, g), stage_direction_loss(pd, gd))
+            for p, g, pd, gd in zip(pred, gt, pred_dirs, gt_dirs)
+        ]
+        report = loss_report(per_stage)
+        assert report.height_loss == height_loss(pred, gt)
+        assert report.direction_loss == direction_loss(pred_dirs, gt_dirs)
+        assert report.overall == overall_loss(report.height_loss, report.direction_loss)
+        assert report.per_stage == tuple(per_stage)
 
 
 class TestOverallLoss:

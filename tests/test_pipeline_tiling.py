@@ -64,6 +64,41 @@ def test_matches_whole_volume_reference(arm, grid, one_row_tiles, monkeypatch):
     assert_identical(result, reference_pipeline(gt, global_range, stages, seed=11))
 
 
+#: (plane_count, sigma_floor) per stage; the default schedule is 64/32/8
+SCHEDULES = {
+    "1-stage": ((64, 0.0),),
+    "2-stage": ((64, 0.0), (16, 10.0)),
+    "4-stage": ((64, 0.0), (32, 80.0), (16, 20.0), (8, 10.0)),
+}
+
+
+@pytest.mark.parametrize("one_row_tiles", [False, True], ids=["default-tiles", "one-row-tiles"])
+@pytest.mark.parametrize("grid", ["18x512", "nodata-40x33"])
+@pytest.mark.parametrize("arm", [ABLATION_ARMS[0], ABLATION_ARMS[-1]], ids=["baseline", "combined"])
+@pytest.mark.parametrize("schedule", list(SCHEDULES))
+def test_any_stage_count_matches_reference(schedule, arm, grid, one_row_tiles, monkeypatch):
+    if one_row_tiles:
+        monkeypatch.setattr(simulate, "TILE_BYTES", 1)
+    _, use_partition, use_correction = arm
+    base = default_stage_configs()[0]
+    stages = tuple(
+        replace(
+            base,
+            plane_count=m,
+            sigma_floor=floor,
+            use_slope_partition=use_partition,
+            use_height_correction=use_correction,
+        )
+        for m, floor in SCHEDULES[schedule]
+    )
+    gt = GRIDS[grid]()
+    valid = gt.values[gt.mask]
+    global_range = (float(valid.min()), float(valid.max()) + 1e-9)
+    result = run_pipeline(gt, global_range, stages, seed=11)
+    assert len(result.heights) == len(stages)
+    assert_identical(result, reference_pipeline(gt, global_range, stages, seed=11))
+
+
 def test_default_tiles_split_the_wide_grid():
     # guards the premise of the "18x512" case: several tiles, the last partial
     tile_rows = simulate.TILE_BYTES // (8 * 512 * 64)

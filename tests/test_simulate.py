@@ -18,6 +18,7 @@ from terraslope import (
     write_ablation_csv,
     write_run_directory,
 )
+from terraslope import simulate
 from terraslope.simulate import hill_count, matcher_noise
 
 from conftest import NODATA
@@ -56,6 +57,19 @@ class TestStageConfig:
         with pytest.raises(ValueError, match="sigma_floor"):
             StageConfig(plane_count=8, sigma_floor=float("nan"))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("noise", float("inf")),
+            ("sigma_floor", float("inf")),
+            ("temperature", float("inf")),
+            ("temperature", float("nan")),
+        ],
+    )
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StageConfig(plane_count=8, **{field: value})
+
     def test_default_schedule(self):
         stages = default_stage_configs()
         assert [s.plane_count for s in stages] == [64, 32, 8]
@@ -93,6 +107,12 @@ class TestGenerateTerrain:
         assert g.values.min() == 0.0
         assert g.values.max() == pytest.approx(120.0)
         assert np.isfinite(g.values).all()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["amplitude", "roughness"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TerrainSpec(rows=4, cols=4, kind="gaussian-hills", **{field: value})
 
     def test_unsupported_kind_rejected(self):
         with pytest.raises(ValueError, match="unsupported"):
@@ -161,11 +181,26 @@ class TestRunPipeline:
             run_pipeline(gt, (10.0, 10.0), stages)
         with pytest.raises(ValueError, match="outside"):
             run_pipeline(gt, (0.0, 1.0), stages)
-        with pytest.raises(ValueError, match="3 stage"):
-            run_pipeline(gt, (0.0, 10.0), stages[:2])
+        with pytest.raises(ValueError, match="at least one stage config"):
+            run_pipeline(gt, (0.0, 10.0), ())
         huge = (replace(stages[0], plane_count=100_000_000),) + stages[1:]
         with pytest.raises(ValueError, match="volume budget"):
             run_pipeline(gt, (0.0, 10.0), huge)
+
+    def test_noise_seeds_unique_across_run_seeds(self, monkeypatch):
+        # 3 * seed + k would give seed 0's stage 4 and seed 1's stage 1 seed 3
+        drawn = []
+
+        def record(shape, scale, seed):
+            drawn.append(seed)
+            return matcher_noise(shape, scale, seed)
+
+        monkeypatch.setattr(simulate, "matcher_noise", record)
+        gt = HeightGrid(np.arange(16.0).reshape(4, 4))
+        stages = tuple(StageConfig(plane_count=8, sigma_floor=2.0, noise=1.0) for _ in range(4))
+        for seed in (0, 1):
+            run_pipeline(gt, (0.0, 16.0), stages, seed=seed)
+        assert sorted(drawn) == list(range(8))
 
     def test_constant_terrain_near_zero_error(self):
         gt = HeightGrid(np.full((16, 16), 42.0))
