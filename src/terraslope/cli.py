@@ -31,7 +31,7 @@ import numpy as np
 
 from .correction import GaussianKernel, correct, fit_scale
 from .metrics import evaluate, format_report, write_report_csv
-from .partition import equal_partition, pixel_range, slope_guided_partition
+from .partition import _equal_planes, pixel_range, slope_guided_partition
 from .raster import GridFormatError, read_ascii_grid, render_pgm, write_ascii_grid
 from .simulate import (
     StageConfig,
@@ -92,6 +92,12 @@ def cmd_direction(args: argparse.Namespace) -> int:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     grid = read_ascii_grid(args.input)
+    if args.pixel is not None:
+        r, c = args.pixel
+        if not (0 <= r < grid.rows and 0 <= c < grid.cols):
+            raise ValueError(f"pixel ({r}, {c}) outside {grid.rows}x{grid.cols} grid")
+        if not grid.mask[r, c]:
+            raise ValueError(f"pixel ({r}, {c}) has no valid height")
     zero_sigma = grid.with_values(np.where(grid.mask, 0.0, grid.nodata))
     ranges = pixel_range(grid, zero_sigma, args.sigma_floor)
     factors = slope_factor_maps(grid)
@@ -107,13 +113,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
     write_ascii_grid(counts_low, args.out_prefix + "_lower_count.asc")
     write_ascii_grid(counts_high, args.out_prefix + "_upper_count.asc")
     if args.pixel is not None:
-        r, c = args.pixel
-        if not (0 <= r < grid.rows and 0 <= c < grid.cols):
-            raise ValueError(f"pixel ({r}, {c}) outside {grid.rows}x{grid.cols} grid")
-        if not grid.mask[r, c]:
-            raise ValueError(f"pixel ({r}, {c}) has no valid height")
         guided = planes.planes[r, c]
-        even = equal_partition(ranges, args.planes).planes[r, c]
+        even = _equal_planes(ranges.low[r, c], ranges.high[r, c], args.planes)
         print("slope_guided:", " ".join(f"{v:.6g}" for v in guided))
         print("equal:", " ".join(f"{v:.6g}" for v in even))
     return EXIT_OK
@@ -178,6 +179,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         for m, f in zip(plane_counts, floors)
     )
+    if args.ablation:
+        seeds = _parse_int_list(config["ablation_seeds"], "ablation_seeds")
+        if not seeds:
+            raise ValueError(
+                f"ablation_seeds must list at least one seed, got {config['ablation_seeds']!r}"
+            )
     gt = generate_terrain(spec)
     if (config["range_low"] is None) != (config["range_high"] is None):
         raise ValueError("range_low and range_high must be given together")
@@ -194,7 +201,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for i, report in enumerate(result.reports, start=1):
         print(f"stage{i}_mae={report.mae:.6f}")
     if args.ablation:
-        seeds = _parse_int_list(config["ablation_seeds"], "ablation_seeds")
         rows = ablation_report(gt, global_range, stages, seeds)
         write_ablation_csv(rows, Path(args.out_dir) / "ablation.csv")
         for row in rows:

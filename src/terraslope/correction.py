@@ -45,16 +45,29 @@ class GaussianKernel:
         return self.scale * BASE_WEIGHTS
 
 
+def _smooth(grid: HeightGrid, weights: np.ndarray) -> np.ndarray:
+    """Weighted sums of ``grid``'s 3x3 windows; nodata at invalid pixels.
+
+    :func:`correct` runs it on a whole grid; the pipeline in
+    :mod:`terraslope.simulate` runs it on row strips.  Output row ``r``
+    depends only on rows ``r-1 .. r+1``, and the matmul gives each row the
+    same bits whether it runs on the whole grid or on a strip.  So the
+    strip ``grid[a-1 : b+1]`` (clipped to the grid) yields rows ``a : b``
+    of the whole-grid result: at the grid's true top and bottom, the
+    strip's replicate padding is the grid's own.
+    """
+    smoothed = window_stack(grid) @ weights
+    smoothed[~grid.mask] = grid.nodata
+    return smoothed
+
+
 def correct(height: HeightGrid, kernel: GaussianKernel = GaussianKernel()) -> HeightGrid:
     """Smooth a height grid with the weighted 3x3 kernel.
 
     Windows use replicate padding at borders, and invalid neighbors
     contribute the center value; invalid pixels stay invalid.
     """
-    stack = window_stack(height)
-    smoothed = stack @ kernel.weights
-    smoothed[~height.mask] = height.nodata
-    return height.with_values(smoothed)
+    return height.with_values(_smooth(height, kernel.weights))
 
 
 def fit_scale(noisy: HeightGrid, target: HeightGrid) -> GaussianKernel:

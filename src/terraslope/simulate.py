@@ -13,8 +13,8 @@ sweeps equally spaced planes over the global height range shared by all
 pixels; every later stage recenters a per-pixel range on the previous
 estimate, sized by the distribution spread (with a per-stage floor), and
 optionally reallocates planes by local slope.  Each stage streams its
-hypothesis volume in row tiles (see :func:`run_pipeline`), so memory grows
-with the grid, not with grid times plane count.
+hypothesis volume once, in row tiles (see :func:`run_pipeline`), so memory
+grows with the grid, not with grid times plane count.
 
 Paired runs are comparable seed-for-seed: the matcher noise field depends
 only on the run seed, the stage count and the stage index, never on the
@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from . import losses
-from .correction import GaussianKernel, correct
+from .correction import GaussianKernel, _smooth
 from .metrics import DEFAULT_THRESHOLDS, EvalReport, evaluate, write_report_csv
 from .partition import (
     HypothesisPlanes,
@@ -347,8 +347,8 @@ class _StageSweep:
     one (M,) vector every pixel shares when ``grids`` is empty.  ``target``
     is the noisy ground truth the matcher fits and ``valid`` marks pixels
     with meaningful planes and a valid ground truth.  Iterating yields
-    ``(tile, planes, probs)`` per tile; it can be repeated, and each pass
-    recomputes the same values.
+    ``(tile, planes, probs)`` per tile, top to bottom; :func:`_stage_pass`
+    iterates once per stage.
     """
 
     kernel: Callable[..., np.ndarray]
@@ -370,13 +370,63 @@ class _StageSweep:
             yield tile, planes, probs
 
 
-def _stage_std(sweep: _StageSweep, height: HeightGrid) -> HeightGrid:
-    """:func:`~terraslope.partition.pixel_std` of a stage's volume, by tiles."""
-    sigma = np.empty(height.shape)
+def _stage_pass(
+    sweep: _StageSweep,
+    plane_mask: np.ndarray,
+    gt: HeightGrid,
+    smoothing: GaussianKernel | None,
+    with_sigma: bool,
+) -> tuple[HeightGrid, HeightGrid | None, float]:
+    """A stage's height, the spread around it and its widest plane gap, in one sweep.
+
+    The height is the expected height, smoothed by ``smoothing`` when given
+    (as :func:`~terraslope.correction.correct` would smooth the whole
+    grid).  With ``with_sigma``, the spread is
+    :func:`~terraslope.partition.pixel_std` of the volume around that
+    height; otherwise it is None.  The widest gap is the largest spacing
+    between consecutive planes of any pixel in ``plane_mask`` (0 if none).
+
+    Smoothed row ``r`` needs the estimates of rows ``r-1 .. r+1``, so with
+    smoothing each tile is held back until the next tile's estimate is in.
+    It is then smoothed from a strip with a one-row halo, and its spread is
+    taken while its planes and probabilities are still at hand.  Volume
+    memory is two tiles.
+    """
+    nodata = gt.nodata
+    estimate = np.empty(gt.shape)
+    height = estimate if smoothing is None else np.empty(gt.shape)
+    sigma = np.empty(gt.shape) if with_sigma else None
+    tile_gaps: list[float] = []
+
+    def settle(tile: slice, planes: np.ndarray, probs: np.ndarray) -> None:
+        if smoothing is not None:
+            lo, hi = max(tile.start - 1, 0), min(tile.stop + 1, gt.rows)
+            strip = HeightGrid(estimate[lo:hi], nodata=nodata)
+            height[tile] = _smooth(strip, smoothing.weights)[tile.start - lo : tile.stop - lo]
+        if sigma is not None:
+            sigma[tile] = _spread(probs, planes, height[tile])
+
+    held: list[tuple[slice, np.ndarray, np.ndarray]] = []
+    lag = 0 if smoothing is None else 1
     for tile, planes, probs in sweep:
-        sigma[tile] = _spread(probs, planes, height.values[tile])
-    sigma[~(sweep.valid & height.mask)] = height.nodata
-    return height.with_values(sigma)
+        est = _expectation(probs, planes)
+        est[~sweep.valid[tile]] = nodata
+        estimate[tile] = est
+        gaps = np.diff(planes, axis=-1).max(axis=-1)
+        gaps = np.broadcast_to(gaps, est.shape)[plane_mask[tile]]
+        if gaps.size:
+            tile_gaps.append(gaps.max())
+        held.append((tile, planes, probs))
+        if len(held) > lag:
+            settle(*held.pop(0))
+    for item in held:
+        settle(*item)
+
+    grid = HeightGrid(height, cell_size=gt.cell_size, nodata=nodata)
+    if sigma is not None:
+        sigma[~(sweep.valid & grid.mask)] = nodata
+        sigma = grid.with_values(sigma)
+    return grid, sigma, float(np.max(tile_gaps)) if tile_gaps else 0.0
 
 
 def run_pipeline(
@@ -398,16 +448,19 @@ def run_pipeline(
     ``len(stages) * s + k``, so no two (seed, stage) pairs of one schedule
     share a noise field.
 
-    Memory: no stage holds its (rows, cols, M) plane or probability volume
-    whole.  Row tiles of about :data:`TILE_BYTES` of planes stream through
-    the partition kernel, the matcher, the expected height and the plane
-    spacing; a second pass over the same tiles measures the spread around
-    the corrected height that sizes the next stage's ranges.  Volume memory
-    is one tile per stage, not rows * cols * M; the rest is a few
+    Memory and work: every stage is one pass over row tiles of about
+    :data:`TILE_BYTES` of planes, and no stage holds its (rows, cols, M)
+    plane or probability volume whole.  Each tile goes through the
+    partition kernel, the matcher, the expected height and the plane
+    spacing.  With correction on, a tile waits for the next tile's estimate,
+    then is smoothed from a strip with a one-row halo.  Every stage but the
+    last also takes, in the same pass, the spread around its final
+    (corrected or not) height that sizes the next stage's ranges.  Volume
+    memory is two tiles, not rows * cols * M; the rest is a few
     (rows, cols) grids.  The results equal, bit for bit, those of composing
-    the whole-volume functions (the partition module's ``equal_partition``,
-    ``slope_guided_partition``, ``expected_height`` and ``pixel_std``, and
-    :func:`oracle_matcher`).
+    the whole-grid functions (the partition module's ``equal_partition``,
+    ``slope_guided_partition``, ``expected_height`` and ``pixel_std``,
+    :func:`oracle_matcher` and :func:`~terraslope.correction.correct`).
 
     Identical (gt, global_range, stages, seed) yield bit-identical results.
 
@@ -439,15 +492,15 @@ def run_pipeline(
     reports: list[EvalReport] = []
     spacings: list[float] = []
 
-    sweep: _StageSweep | None = None
     height: HeightGrid | None = None
+    sigma: HeightGrid | None = None
 
     for stage_index, cfg in enumerate(stages):
         if stage_index == 0:
             kernel, grids = partial(_equal_planes, low, high), ()
             plane_mask = gt.mask
         else:
-            ranges = pixel_range(height, _stage_std(sweep, height), cfg.sigma_floor)
+            ranges = pixel_range(height, sigma, cfg.sigma_floor)
             if cfg.use_slope_partition:
                 factors = slope_factor_maps(height)
                 plane_mask, center, lo, hi, n_below = _guided_layout(
@@ -463,20 +516,18 @@ def run_pipeline(
         sweep = _StageSweep(
             kernel, grids, cfg.plane_count, target, plane_mask & gt.mask, cfg.temperature
         )
-        estimate = np.empty(gt.shape)
-        widest_gap = np.empty(gt.shape)
-        for tile, planes, probs in sweep:
-            estimate[tile] = _expectation(probs, planes)
-            widest_gap[tile] = np.diff(planes, axis=-1).max(axis=-1)
-        estimate[~sweep.valid] = gt.nodata
-        height = HeightGrid(estimate, cell_size=gt.cell_size, nodata=gt.nodata)
-        if cfg.use_height_correction:
-            height = correct(height, GaussianKernel(scale=1.0))
+        height, sigma, spacing = _stage_pass(
+            sweep,
+            plane_mask,
+            gt,
+            GaussianKernel(scale=1.0) if cfg.use_height_correction else None,
+            with_sigma=stage_index + 1 < len(stages),
+        )
         heights.append(height)
         slopes.append(slope_map(height))
         directions.append(slope_direction_map(height))
         reports.append(evaluate(height, gt, thresholds=DEFAULT_THRESHOLDS))
-        spacings.append(float(widest_gap[plane_mask].max()) if plane_mask.any() else 0.0)
+        spacings.append(spacing)
 
     pseudo_gt_dir = slope_direction_map(gt)
     loss = losses.loss_report(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from terraslope import default_stage_configs, read_ascii_grid, run_pipeline
+from terraslope.partition import equal_partition, pixel_range
 from terraslope.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -100,6 +101,32 @@ class TestPartitionCommand:
         out = capsys.readouterr().out
         assert out.startswith("slope_guided:")
         assert "equal:" in out
+
+    def test_equal_line_is_the_pixel_row_of_equal_partition(self, tmp_path, capsys):
+        args = ["--planes", "8", "--sigma-floor", "5", "--pixel", "3", "2"]
+        assert run(["partition", FIXTURES / "terrain.asc", tmp_path / "p", *args]) == 0
+        grid = read_ascii_grid(FIXTURES / "terrain.asc")
+        zero_sigma = grid.with_values(np.where(grid.mask, 0.0, grid.nodata))
+        even = equal_partition(pixel_range(grid, zero_sigma, 5.0), 8).planes[3, 2]
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[1] == "equal: " + " ".join(f"{v:.6g}" for v in even)
+
+    @pytest.mark.parametrize(
+        "pixel,cause",
+        [(["9999", "0"], "outside"), (["0", "-1"], "outside"), (["1", "1"], "no valid height")],
+    )
+    def test_bad_pixel_exits_3_before_any_output(self, tmp_path, capsys, pixel, cause):
+        grid = tmp_path / "hole.asc"
+        grid.write_text(
+            "NCOLS 3\nNROWS 3\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\nNODATA_value -9999\n"
+            "1 2 3\n4 -9999 6\n7 8 9\n"
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run(["partition", grid, out / "p", "--planes", "8", "--pixel", *pixel])
+        assert code == 3
+        assert cause in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_rejects_planes_below_two(self, tmp_path):
         assert (
@@ -309,6 +336,17 @@ class TestSimulateCommand:
         cfg.write_text(f"terrain = ramp\nrows = 8\ncols = 8\n{lines}")
         out = tmp_path / "run"
         assert run(["simulate", cfg, out]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["x", ",", "1,two"])
+    def test_bad_ablation_seeds_exit_3_before_any_output(self, tmp_path, capsys, seeds):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(f"terrain = ramp\nrows = 8\ncols = 8\nablation_seeds = {seeds}\n")
+        out = tmp_path / "run"
+        assert run(["simulate", cfg, out, "--ablation"]) == 3
+        captured = capsys.readouterr()
+        assert "ablation_seeds" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):

@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,21 @@ def with_holes(gt, share=0.15, seed=3):
     return HeightGrid(np.where(holes, NODATA, gt.values), nodata=NODATA)
 
 
+def with_nodata_row(gt, row):
+    values = gt.values.copy()
+    values[row] = NODATA
+    return HeightGrid(values, nodata=NODATA)
+
+
 GRIDS = {
     # 64 planes x 512 cols give 4-row stage-1 tiles: 18 rows end in a partial tile
     "18x512": lambda: fractal(18, 512),
+    # ... and 17 rows end in a single-row tile, whose smoothing halo is one row above
+    "17x512": lambda: fractal(17, 512),
+    # one tile whose smoothing strip meets the top and the bottom border at once
+    "2x40": lambda: fractal(2, 40),
+    # row 8 opens a stage-1 (4-row) and a stage-2 (8-row) tile and holds no data
+    "nodata-row-18x512": lambda: with_nodata_row(fractal(18, 512), 8),
     "1x300": lambda: fractal(1, 300),
     "300x1": lambda: fractal(300, 1),
     "nodata-40x33": lambda: with_holes(fractal(40, 33)),
@@ -103,3 +117,30 @@ def test_default_tiles_split_the_wide_grid():
     # guards the premise of the "18x512" case: several tiles, the last partial
     tile_rows = simulate.TILE_BYTES // (8 * 512 * 64)
     assert 1 < tile_rows < 18 and 18 % tile_rows != 0
+
+
+@pytest.mark.parametrize("one_row_tiles", [False, True], ids=["default-tiles", "one-row-tiles"])
+@pytest.mark.parametrize("arm", ABLATION_ARMS, ids=[a[0] for a in ABLATION_ARMS])
+def test_each_stage_sweeps_its_volume_once(arm, one_row_tiles, monkeypatch):
+    if one_row_tiles:
+        monkeypatch.setattr(simulate, "TILE_BYTES", 1)
+    calls = []
+    oracle_probs = simulate._oracle_probs
+
+    def counting(*args):
+        calls.append(args)
+        return oracle_probs(*args)
+
+    monkeypatch.setattr(simulate, "_oracle_probs", counting)
+    _, use_partition, use_correction = arm
+    stages = tuple(
+        replace(c, use_slope_partition=use_partition, use_height_correction=use_correction)
+        for c in default_stage_configs()
+    )
+    gt = fractal(18, 512)
+    run_pipeline(gt, (0.0, 200.0 + 1e-9), stages, seed=11)
+    tiles = [
+        math.ceil(gt.rows / max(1, simulate.TILE_BYTES // (8 * gt.cols * cfg.plane_count)))
+        for cfg in stages
+    ]
+    assert len(calls) == sum(tiles)
