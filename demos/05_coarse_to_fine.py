@@ -14,6 +14,7 @@ from terraslope import (
     ablation_report,
     default_stage_configs,
     generate_terrain,
+    loss_report,
     run_pipeline,
     write_ablation_csv,
     write_run_directory,
@@ -34,8 +35,9 @@ for i, report in enumerate(result.reports, start=1):
         f"  stage {i}: MAE {report.mae:6.3f} m, RMSE {report.rmse:6.3f} m, "
         f"<2.5m {report.pct_below[2.5]:5.1f} %"
     )
-print(f"training criteria: height {result.loss.height_loss:.3f}, "
-      f"direction {result.loss.direction_loss:.3f}, overall {result.loss.overall:.3f}")
+loss = loss_report(result.heights, gt)
+print(f"training criteria: height {loss.height_loss:.3f}, "
+      f"direction {loss.direction_loss:.3f}, overall {loss.overall:.3f}")
 
 write_run_directory(result, gt, global_range, out_dir)
 print(f"stage grids and reports written to {out_dir}/\n")

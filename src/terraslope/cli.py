@@ -72,12 +72,14 @@ def cmd_slope(args: argparse.Namespace) -> int:
     grid = read_ascii_grid(args.input)
     slope = slope_map(grid)
     direction = direction_as_grid(slope_direction_map(grid), like=grid)
-    write_ascii_grid(slope, args.out_slope)
-    write_ascii_grid(direction, args.out_dir)
+    # The slope PGM is written first: render_pgm checks LO/HI before it
+    # writes, so bad bounds leave no output.
     if args.pgm is not None:
         lo, hi = args.pgm
         render_pgm(slope, _pgm_sibling(args.out_slope), lo, hi)
         render_pgm(direction, _pgm_sibling(args.out_dir), 0.0, 8.0)
+    write_ascii_grid(slope, args.out_slope)
+    write_ascii_grid(direction, args.out_dir)
     return EXIT_OK
 
 

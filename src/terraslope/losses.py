@@ -11,7 +11,8 @@ The criteria are:
   compared as plain real numbers.
 
 The overall criterion is a weighted sum of the two totals (default weights
-0.5 each).  Everything here is evaluation-only; nothing is differentiated.
+0.5 each); :func:`loss_report` derives all of them from per-stage heights.
+Everything here is evaluation-only; nothing is differentiated.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .raster import HeightGrid, SlopeDirectionGrid
+from .slope import slope_direction_map
 
 @dataclass(frozen=True)
 class LossReport:
@@ -149,13 +151,20 @@ def overall_loss(h: float, s: float, l1: float = 0.5, l2: float = 0.5) -> float:
     return l1 * h + l2 * s
 
 
-def loss_report(per_stage: Sequence[tuple[float, float]]) -> LossReport:
-    """The loss bundle of unweighted per-stage (height, direction) losses.
+def loss_report(heights: Sequence[HeightGrid], gt: HeightGrid) -> LossReport:
+    """The loss bundle of per-stage ``heights`` against one ground truth.
 
-    The totals weigh the stages by :func:`stage_weights` and equal, bit for
-    bit, :func:`height_loss` and :func:`direction_loss` with their default
-    weights; ``overall`` is :func:`overall_loss` of the two.
+    Each stage's direction map and the pseudo ground-truth direction map
+    are :func:`~terraslope.slope.slope_direction_map` of the stage height
+    and of ``gt``.  The totals weigh the stages by :func:`stage_weights` and
+    equal, bit for bit, :func:`height_loss` and :func:`direction_loss` with
+    their default weights; ``overall`` is :func:`overall_loss` of the two.
     """
+    pseudo_gt_dir = slope_direction_map(gt)
+    per_stage = [
+        (stage_height_loss(h, gt), stage_direction_loss(slope_direction_map(h), pseudo_gt_dir))
+        for h in heights
+    ]
     weights = stage_weights(len(per_stage))
     h_loss = _weighted_sum([h for h, _ in per_stage], weights)
     d_loss = _weighted_sum([d for _, d in per_stage], weights)

@@ -76,7 +76,7 @@ class HypothesisPlanes:
             )
         if mask.any():
             diffs = np.diff(planes[mask], axis=-1)
-            if diffs.size and diffs.min() < 0:
+            if diffs.size and not (diffs.min() >= 0):
                 raise ValueError("planes must be non-decreasing within each pixel")
         object.__setattr__(self, "planes", _freeze(planes))
         object.__setattr__(self, "mask", _freeze(mask))
@@ -129,8 +129,9 @@ class PixelRanges:
     """Per-pixel height search range [low, high] centered on an estimate.
 
     By construction ``high - low == 2 * sigma`` where sigma is the
-    (floored) per-pixel uncertainty.  ``cell_size``/``nodata`` carry the
-    metadata of the originating height grid.
+    (floored) per-pixel uncertainty; at valid pixels ``low``, ``high``, the
+    width and sigma are finite.  ``cell_size``/``nodata`` carry the metadata of
+    the originating height grid.
     """
 
     low: np.ndarray
@@ -148,11 +149,15 @@ class PixelRanges:
         if not (low.shape == high.shape == sigma.shape == mask.shape):
             raise ValueError("range component shapes must all match")
         if mask.any():
+            with np.errstate(over="ignore", invalid="ignore"):
+                width = high[mask] - low[mask]
+            if not (np.isfinite(width).all() and np.isfinite(sigma[mask]).all()):
+                raise ValueError("range bounds, width and sigma must be finite")
             if (sigma[mask] < 0).any():
                 raise ValueError("sigma must be non-negative")
             if (low[mask] > high[mask]).any():
                 raise ValueError("range low must not exceed high")
-            width_err = np.abs((high[mask] - low[mask]) - 2.0 * sigma[mask])
+            width_err = np.abs(width - 2.0 * sigma[mask])
             scale = np.maximum(1.0, np.abs(sigma[mask]))
             if (width_err > 1e-9 * scale).any():
                 raise ValueError("range width must equal 2 * sigma")
@@ -226,12 +231,13 @@ def pixel_range(
     to (near) certainty; set it from the refinement schedule.
 
     Raises:
-        ValueError: mismatched dimensions, negative sigma, or negative floor.
+        ValueError: mismatched dimensions, negative sigma, a negative or
+            non-finite floor, or a range too wide for float64.
     """
     if height.shape != sigma.shape:
         raise ValueError(f"height {height.shape} and sigma {sigma.shape} differ")
-    if not (sigma_floor >= 0):
-        raise ValueError(f"sigma_floor must be >= 0, got {sigma_floor}")
+    if not (np.isfinite(sigma_floor) and sigma_floor >= 0):
+        raise ValueError(f"sigma_floor must be finite and >= 0, got {sigma_floor}")
     mask = height.mask & sigma.mask
     if ((sigma.values < 0) & mask).any():
         raise ValueError("sigma values must be non-negative")

@@ -330,10 +330,11 @@ def render_pgm(grid: HeightGrid, path: str | os.PathLike, lo: float, hi: float) 
     clamping the normalized value to [0, 1]; invalid cells render as 0.
 
     Raises:
-        ValueError: if ``lo >= hi``.
+        ValueError: unless ``lo < hi`` and ``lo``, ``hi`` and ``hi - lo``
+            are finite.
     """
-    if not (lo < hi):
-        raise ValueError(f"requires lo < hi, got lo={lo}, hi={hi}")
+    if not (math.isfinite(float(hi) - float(lo)) and lo < hi):
+        raise ValueError(f"requires finite lo < hi with a finite hi - lo, got lo={lo}, hi={hi}")
     t = np.clip((grid.values - lo) / (hi - lo), 0.0, 1.0)
     pixels = np.floor(255.0 * t).astype(np.uint8)
     pixels[~grid.mask] = 0

@@ -16,6 +16,10 @@ optionally reallocates planes by local slope.  Each stage streams its
 hypothesis volume once, in row tiles (see :func:`run_pipeline`), so memory
 grows with the grid, not with grid times plane count.
 
+A run returns per-stage heights, evaluations and plane spacings only; the
+slope and direction maps and losses derived from the heights are computed
+where they are written (:func:`write_run_directory`).
+
 Paired runs are comparable seed-for-seed: the matcher noise field depends
 only on the run seed, the stage count and the stage index, never on the
 configuration, so toggling partition or correction changes nothing else
@@ -49,7 +53,6 @@ from .partition import (
 )
 from .raster import (
     HeightGrid,
-    SlopeDirectionGrid,
     atomic_output,
     render_pgm,
     write_ascii_grid,
@@ -140,29 +143,20 @@ class TerrainSpec:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Per-stage products of one pipeline run plus its evaluations.
+    """Per-stage heights of one pipeline run and their evaluations.
 
     ``max_plane_spacing`` is the largest gap between consecutive hypothesis
     planes of any valid pixel, per stage: the resolution limit of that
-    stage's sweep.
+    stage's sweep.  Slope and direction maps and the training losses are
+    functions of the heights; :func:`write_run_directory` derives them.
     """
 
     heights: tuple[HeightGrid, ...]
-    slopes: tuple[HeightGrid, ...]
-    directions: tuple[SlopeDirectionGrid, ...]
     reports: tuple[EvalReport, ...]
-    loss: losses.LossReport
     max_plane_spacing: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.heights)
-        if not (
-            len(self.slopes)
-            == len(self.directions)
-            == len(self.reports)
-            == len(self.max_plane_spacing)
-            == n
-        ):
+        if not (len(self.heights) == len(self.reports) == len(self.max_plane_spacing)):
             raise ValueError("per-stage sequences must have equal length")
 
 
@@ -443,7 +437,7 @@ def run_pipeline(
     stage's height (spread floored by ``sigma_floor``) and partitions them
     equally or slope-guided per its config.  Each stage matches with the
     oracle, regresses the expected height, optionally applies Gaussian
-    correction, and derives slope and direction maps.  Stage ``k``
+    correction, and evaluates the height against ``gt``.  Stage ``k``
     (0-based) of a run with seed ``s`` draws its matcher noise with seed
     ``len(stages) * s + k``, so no two (seed, stage) pairs of one schedule
     share a noise field.
@@ -487,8 +481,6 @@ def run_pipeline(
         _check_volume((1, gt.cols), cfg.plane_count)
 
     heights: list[HeightGrid] = []
-    slopes: list[HeightGrid] = []
-    directions: list[SlopeDirectionGrid] = []
     reports: list[EvalReport] = []
     spacings: list[float] = []
 
@@ -524,25 +516,11 @@ def run_pipeline(
             with_sigma=stage_index + 1 < len(stages),
         )
         heights.append(height)
-        slopes.append(slope_map(height))
-        directions.append(slope_direction_map(height))
         reports.append(evaluate(height, gt, thresholds=DEFAULT_THRESHOLDS))
         spacings.append(spacing)
 
-    pseudo_gt_dir = slope_direction_map(gt)
-    loss = losses.loss_report(
-        [
-            (losses.stage_height_loss(h, gt), losses.stage_direction_loss(d, pseudo_gt_dir))
-            for h, d in zip(heights, directions)
-        ]
-    )
     return SimulationResult(
-        heights=tuple(heights),
-        slopes=tuple(slopes),
-        directions=tuple(directions),
-        reports=tuple(reports),
-        loss=loss,
-        max_plane_spacing=tuple(spacings),
+        heights=tuple(heights), reports=tuple(reports), max_plane_spacing=tuple(spacings)
     )
 
 
@@ -620,28 +598,30 @@ def write_run_directory(
 
     Per stage N (1-based): ``stageN_height.asc``, ``stageN_slope.asc``,
     ``stageN_dir.asc`` plus PGM quick-looks of each, and ``stageN_eval.csv``
-    with that stage's metrics.  The ground truth is written as ``gt.asc``
-    and the loss bundle as ``loss.txt``.
+    with that stage's metrics.  The slope and direction maps are derived
+    from each stage's height here.  The ground truth is written as
+    ``gt.asc`` and :func:`~terraslope.losses.loss_report` of the heights
+    against it as ``loss.txt``.
     """
     os.makedirs(out_dir, exist_ok=True)
     lo, hi = global_range
     write_ascii_grid(gt, os.path.join(out_dir, "gt.asc"))
-    for i, (height, slope, direction, report) in enumerate(
-        zip(result.heights, result.slopes, result.directions, result.reports), start=1
-    ):
+    for i, (height, report) in enumerate(zip(result.heights, result.reports), start=1):
         write_ascii_grid(height, os.path.join(out_dir, f"stage{i}_height.asc"))
         render_pgm(height, os.path.join(out_dir, f"stage{i}_height.pgm"), lo, hi)
+        slope = slope_map(height)
         write_ascii_grid(slope, os.path.join(out_dir, f"stage{i}_slope.asc"))
         slope_hi = max(float(slope.values[slope.mask].max()), 1e-9) if slope.mask.any() else 1.0
         render_pgm(slope, os.path.join(out_dir, f"stage{i}_slope.pgm"), 0.0, slope_hi)
-        dir_grid = direction_as_grid(direction, like=height)
+        dir_grid = direction_as_grid(slope_direction_map(height), like=height)
         write_ascii_grid(dir_grid, os.path.join(out_dir, f"stage{i}_dir.asc"))
         render_pgm(dir_grid, os.path.join(out_dir, f"stage{i}_dir.pgm"), 0.0, 8.0)
         write_report_csv(report, os.path.join(out_dir, f"stage{i}_eval.csv"))
+    loss = losses.loss_report(result.heights, gt)
     with atomic_output(os.path.join(out_dir, "loss.txt"), "w", encoding="ascii") as fh:
-        fh.write(f"height_loss={result.loss.height_loss:.6f}\n")
-        fh.write(f"direction_loss={result.loss.direction_loss:.6f}\n")
-        fh.write(f"overall={result.loss.overall:.6f}\n")
-        for i, (h, d) in enumerate(result.loss.per_stage, start=1):
+        fh.write(f"height_loss={loss.height_loss:.6f}\n")
+        fh.write(f"direction_loss={loss.direction_loss:.6f}\n")
+        fh.write(f"overall={loss.overall:.6f}\n")
+        for i, (h, d) in enumerate(loss.per_stage, start=1):
             fh.write(f"stage{i}_height_loss={h:.6f}\n")
             fh.write(f"stage{i}_direction_loss={d:.6f}\n")

@@ -1,14 +1,15 @@
 """Independent brute-force reference implementations.
 
-Everything here except :func:`reference_pipeline` is written as plain
-per-pixel Python loops over scalar values, deliberately sharing no code with
-the library: these are the oracles the vectorized implementations are
-checked against.
+Everything here except :func:`reference_pipeline` and :func:`reference_loss`
+is written as plain per-pixel Python loops over scalar values, deliberately
+sharing no code with the library: these are the oracles the vectorized
+implementations are checked against.
 
 :func:`reference_pipeline` is the whole-volume form of
 ``simulate.run_pipeline``: it composes the public per-step functions, each
 building full (rows, cols, M) volumes.  The row-tiled pipeline must
-reproduce it bit for bit.
+reproduce it bit for bit.  :func:`reference_loss` composes the public
+stage-list losses, which ``losses.loss_report`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from terraslope.partition import (
     slope_guided_partition,
 )
 from terraslope.simulate import SimulationResult, oracle_matcher
-from terraslope.slope import slope_direction_map, slope_factor_maps, slope_map
+from terraslope.slope import slope_direction_map, slope_factor_maps
 
 
 def window_values(values, nodata, row, col):
@@ -196,7 +197,7 @@ def scalar_metrics(est, gt, est_nodata, gt_nodata, thresholds):
 def reference_pipeline(gt, global_range, stages, seed=0):
     """Coarse-to-fine run over whole (rows, cols, M) volumes, one stage per config."""
     low, high = float(global_range[0]), float(global_range[1])
-    heights, slopes, directions, reports, spacings = [], [], [], [], []
+    heights, reports, spacings = [], [], []
     planes = probs = height = None
     for stage_index, cfg in enumerate(stages):
         if stage_index == 0:
@@ -224,30 +225,27 @@ def reference_pipeline(gt, global_range, stages, seed=0):
         if cfg.use_height_correction:
             height = correct(height, GaussianKernel(scale=1.0))
         heights.append(height)
-        slopes.append(slope_map(height))
-        directions.append(slope_direction_map(height))
         reports.append(evaluate(height, gt, thresholds=DEFAULT_THRESHOLDS))
         gaps = np.diff(planes.planes[planes.mask], axis=-1)
         spacings.append(float(gaps.max()) if gaps.size else 0.0)
+    return SimulationResult(
+        heights=tuple(heights), reports=tuple(reports), max_plane_spacing=tuple(spacings)
+    )
 
+
+def reference_loss(heights, gt):
+    """The loss bundle of per-stage heights, composed from the public stage-list losses."""
+    directions = [slope_direction_map(h) for h in heights]
     pseudo_gt_dir = slope_direction_map(gt)
     stage_pairs = tuple(
         (losses.stage_height_loss(h, gt), losses.stage_direction_loss(d, pseudo_gt_dir))
         for h, d in zip(heights, directions)
     )
-    h_loss = losses.height_loss(heights, [gt] * len(stages))
-    d_loss = losses.direction_loss(directions, [pseudo_gt_dir] * len(stages))
-    report = losses.LossReport(
+    h_loss = losses.height_loss(heights, [gt] * len(heights))
+    d_loss = losses.direction_loss(directions, [pseudo_gt_dir] * len(heights))
+    return losses.LossReport(
         height_loss=h_loss,
         direction_loss=d_loss,
         overall=losses.overall_loss(h_loss, d_loss),
         per_stage=stage_pairs,
-    )
-    return SimulationResult(
-        heights=tuple(heights),
-        slopes=tuple(slopes),
-        directions=tuple(directions),
-        reports=tuple(reports),
-        loss=report,
-        max_plane_spacing=tuple(spacings),
     )

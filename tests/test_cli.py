@@ -51,6 +51,20 @@ class TestSlopeCommand:
         assert (tmp_path / "s.pgm").read_bytes().startswith(b"P5\n")
         assert (tmp_path / "d.pgm").exists()
 
+    # argparse reads "-inf" and "-1e308" as flags; "-1000...0" (1e308) is a number
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [("0", "inf"), ("nan", "1"), ("-1" + "0" * 308, "1e308")],
+        ids=["inf", "nan", "overflowing-width"],
+    )
+    def test_non_finite_pgm_range_exits_3_without_outputs(self, tmp_path, capsys, lo, hi):
+        out_s = tmp_path / "s.asc"
+        out_d = tmp_path / "d.asc"
+        code = run(["slope", FIXTURES / "terrain.asc", out_s, out_d, "--pgm", lo, hi])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_missing_input_exits_2_without_outputs(self, tmp_path):
         out_s = tmp_path / "s.asc"
         out_d = tmp_path / "d.asc"
@@ -133,6 +147,19 @@ class TestPartitionCommand:
             run(["partition", FIXTURES / "terrain.asc", tmp_path / "p", "--planes", "1"])
             == 3
         )
+
+    @pytest.mark.parametrize("floor", ["inf", "1e308"])
+    def test_unbounded_sigma_floor_exits_3_before_any_output(self, tmp_path, capsys, floor):
+        # inf is refused as a floor; 1e308 gives finite bounds whose width overflows
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run(
+            ["partition", FIXTURES / "terrain.asc", out / "p", "--planes", "8",
+             "--sigma-floor", floor, "--pixel", "0", "0"]
+        )
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_plane_volume_over_budget_exits_3(self, tmp_path, capsys):
         # 3 cells x 10^8 planes: refused by the volume budget, not OOM-killed
@@ -237,6 +264,16 @@ class TestRenderCommand:
             ["render", FIXTURES / "terrain.asc", tmp_path / "img.pgm", "--lo", "5", "--hi", "5"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "lo,hi", [("-inf", "inf"), ("0", "inf"), ("nan", "1"), ("-1e308", "1e308")]
+    )
+    def test_non_finite_range_exits_3_without_output(self, tmp_path, capsys, lo, hi):
+        out = tmp_path / "img.pgm"
+        code = run(["render", FIXTURES / "terrain.asc", out, f"--lo={lo}", f"--hi={hi}"])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestSimulateCommand:

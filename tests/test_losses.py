@@ -132,16 +132,16 @@ class TestStageWeights:
 class TestLossReport:
     def test_totals_match_default_weighted_losses(self, rng):
         pred = [random_grid(rng, 4, 4) for _ in range(4)]
-        gt = [random_grid(rng, 4, 4) for _ in range(4)]
+        gt = random_grid(rng, 4, 4)
         pred_dirs = [slope_direction_map(g) for g in pred]
-        gt_dirs = [slope_direction_map(g) for g in gt]
+        gt_dir = slope_direction_map(gt)
         per_stage = [
-            (stage_height_loss(p, g), stage_direction_loss(pd, gd))
-            for p, g, pd, gd in zip(pred, gt, pred_dirs, gt_dirs)
+            (stage_height_loss(p, gt), stage_direction_loss(pd, gt_dir))
+            for p, pd in zip(pred, pred_dirs)
         ]
-        report = loss_report(per_stage)
-        assert report.height_loss == height_loss(pred, gt)
-        assert report.direction_loss == direction_loss(pred_dirs, gt_dirs)
+        report = loss_report(pred, gt)
+        assert report.height_loss == height_loss(pred, [gt] * 4)
+        assert report.direction_loss == direction_loss(pred_dirs, [gt_dir] * 4)
         assert report.overall == overall_loss(report.height_loss, report.direction_loss)
         assert report.per_stage == tuple(per_stage)
 

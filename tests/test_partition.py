@@ -42,6 +42,12 @@ class TestTypes:
                 planes=np.array([[[3.0, 1.0]]]), mask=np.array([[True]])
             )
 
+    def test_nan_planes_rejected(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            HypothesisPlanes(
+                planes=np.array([[[np.nan, np.nan]]]), mask=np.array([[True]])
+            )
+
     def test_unsorted_planes_allowed_when_masked(self):
         p = HypothesisPlanes(planes=np.array([[[3.0, 1.0]]]), mask=np.array([[False]]))
         assert p.plane_count == 2
@@ -57,6 +63,33 @@ class TestTypes:
             ProbabilityVolume(
                 probs=np.array([[[1.5, -0.5]]]), mask=np.array([[True]])
             )
+
+    @pytest.mark.parametrize(
+        "low,high,sigma",
+        [
+            (-np.inf, np.inf, np.inf),  # 2 * sigma matches, NaN-blind
+            (np.nan, np.nan, 0.0),
+            (-1e308, 1e308, 1e308),  # finite bounds, overflowing width
+            (0.0, 0.0, np.inf),
+        ],
+    )
+    def test_range_must_be_finite(self, low, high, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            PixelRanges(
+                low=np.array([[low]]),
+                high=np.array([[high]]),
+                sigma=np.array([[sigma]]),
+                mask=np.array([[True]]),
+            )
+
+    def test_non_finite_range_allowed_when_masked(self):
+        r = PixelRanges(
+            low=np.array([[-np.inf]]),
+            high=np.array([[np.inf]]),
+            sigma=np.array([[np.inf]]),
+            mask=np.array([[False]]),
+        )
+        assert r.shape == (1, 1)
 
     def test_range_width_must_match_sigma(self):
         with pytest.raises(ValueError, match="2 \\* sigma"):
@@ -169,6 +202,13 @@ class TestPixelRange:
         s = HeightGrid(np.array([[1.0]]))
         with pytest.raises(ValueError, match="sigma_floor"):
             pixel_range(h, s, float("nan"))
+
+    @pytest.mark.parametrize("floor", [np.inf, 1e308])
+    def test_unbounded_floor_rejected(self, floor):
+        h = HeightGrid(np.array([[1.0]]))
+        s = HeightGrid(np.array([[1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            pixel_range(h, s, floor)
 
     def test_invalid_pixels_masked(self):
         h = HeightGrid(np.array([[1.0, NODATA]]), nodata=NODATA)

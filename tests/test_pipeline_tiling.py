@@ -1,18 +1,20 @@
 """The row-tiled pipeline against the whole-volume reference, bit for bit."""
 
-from dataclasses import replace
-
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from terraslope import HeightGrid, TerrainSpec, default_stage_configs, generate_terrain
-from terraslope import simulate
+from terraslope import losses, simulate, slope
+from terraslope.losses import loss_report
 from terraslope.simulate import ABLATION_ARMS, run_pipeline
+from terraslope.slope import slope_direction_map, slope_map
 
 from conftest import NODATA
-from oracles import reference_pipeline
+from oracles import reference_loss, reference_pipeline
 
 
 def fractal(rows, cols, seed=5):
@@ -48,15 +50,15 @@ GRIDS = {
 }
 
 
-def assert_identical(result, expected):
-    for name in ("heights", "slopes"):
-        for got, want in zip(getattr(result, name), getattr(expected, name), strict=True):
-            assert np.array_equal(got.values, want.values), name
-    for got, want in zip(result.directions, expected.directions, strict=True):
-        assert np.array_equal(got.codes, want.codes)
-        assert np.array_equal(got.mask, want.mask)
+def assert_identical(result, expected, gt):
+    for got, want in zip(result.heights, expected.heights, strict=True):
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(slope_map(got).values, slope_map(want).values)
+        got_dir, want_dir = slope_direction_map(got), slope_direction_map(want)
+        assert np.array_equal(got_dir.codes, want_dir.codes)
+        assert np.array_equal(got_dir.mask, want_dir.mask)
     assert result.reports == expected.reports
-    assert result.loss == expected.loss
+    assert loss_report(result.heights, gt) == reference_loss(expected.heights, gt)
     assert result.max_plane_spacing == expected.max_plane_spacing
 
 
@@ -75,7 +77,7 @@ def test_matches_whole_volume_reference(arm, grid, one_row_tiles, monkeypatch):
     valid = gt.values[gt.mask]
     global_range = (float(valid.min()), float(valid.max()) + 1e-9)
     result = run_pipeline(gt, global_range, stages, seed=11)
-    assert_identical(result, reference_pipeline(gt, global_range, stages, seed=11))
+    assert_identical(result, reference_pipeline(gt, global_range, stages, seed=11), gt)
 
 
 #: (plane_count, sigma_floor) per stage; the default schedule is 64/32/8
@@ -110,7 +112,7 @@ def test_any_stage_count_matches_reference(schedule, arm, grid, one_row_tiles, m
     global_range = (float(valid.min()), float(valid.max()) + 1e-9)
     result = run_pipeline(gt, global_range, stages, seed=11)
     assert len(result.heights) == len(stages)
-    assert_identical(result, reference_pipeline(gt, global_range, stages, seed=11))
+    assert_identical(result, reference_pipeline(gt, global_range, stages, seed=11), gt)
 
 
 def test_default_tiles_split_the_wide_grid():
@@ -144,3 +146,37 @@ def test_each_stage_sweeps_its_volume_once(arm, one_row_tiles, monkeypatch):
         for cfg in stages
     ]
     assert len(calls) == sum(tiles)
+
+
+@pytest.mark.parametrize("arm", ABLATION_ARMS, ids=[a[0] for a in ABLATION_ARMS])
+def test_runs_derive_no_slope_direction_or_loss(arm, monkeypatch, tmp_path):
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # rebind every copy, including the names other modules imported
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "terraslope"]
+    for fn in (slope.slope_map, slope.slope_direction_map, losses.loss_report):
+        wrapper = counting(fn)
+        for module in modules:
+            for name, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, name, wrapper)
+    _, use_partition, use_correction = arm
+    stages = tuple(
+        replace(c, use_slope_partition=use_partition, use_height_correction=use_correction)
+        for c in default_stage_configs()
+    )
+    gt = fractal(24, 24)
+    global_range = (0.0, 200.0 + 1e-9)
+    result = run_pipeline(gt, global_range, stages, seed=11)
+    simulate.ablation_report(gt, global_range, stages, seeds=[0])
+    assert calls == []
+    # the writer derives them, through the same rebound names
+    simulate.write_run_directory(result, gt, global_range, tmp_path)
+    assert sorted(set(calls)) == ["loss_report", "slope_direction_map", "slope_map"]

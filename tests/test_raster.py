@@ -234,3 +234,13 @@ class TestRenderPgm:
         g = HeightGrid(np.zeros((1, 1)))
         with pytest.raises(ValueError):
             render_pgm(g, tmp_path / "g.pgm", 5.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(-np.inf, np.inf), (0.0, np.nan), (np.float64(-1e308), np.float64(1e308))],
+    )
+    def test_rejects_non_finite_range(self, tmp_path, lo, hi):
+        g = HeightGrid(np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            render_pgm(g, tmp_path / "g.pgm", lo, hi)
+        assert not list(tmp_path.iterdir())
