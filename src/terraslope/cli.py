@@ -183,9 +183,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     if args.ablation:
         seeds = _parse_int_list(config["ablation_seeds"], "ablation_seeds")
-        if not seeds:
+        if not seeds or min(seeds) < 0:
             raise ValueError(
-                f"ablation_seeds must list at least one seed, got {config['ablation_seeds']!r}"
+                "ablation_seeds must list at least one seed, all >= 0, "
+                f"got {config['ablation_seeds']!r}"
             )
     gt = generate_terrain(spec)
     if (config["range_low"] is None) != (config["range_high"] is None):

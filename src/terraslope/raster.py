@@ -74,11 +74,11 @@ class HeightGrid:
 
     Attributes:
         values: (rows, cols) float64 array; read-only after construction.
-        cell_size: ground size of one cell in meters, > 0.
+        cell_size: ground size of one cell in meters, finite and > 0.
         nodata: sentinel marking invalid cells. Must be finite so that
             validity can be decided by exact equality.
-        xllcorner, yllcorner: world coordinates of the lower-left corner
-            (metadata only; carried through file round trips).
+        xllcorner, yllcorner: finite world coordinates of the lower-left
+            corner (metadata only; carried through file round trips).
 
     The grid origin is the top-left pixel; row index increases downward.
     """
@@ -95,6 +95,11 @@ class HeightGrid:
             raise ValueError(f"grid values must be 2D, got shape {values.shape}")
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError(f"grid must be at least 1x1, got {values.shape}")
+        if not all(map(math.isfinite, (self.cell_size, self.xllcorner, self.yllcorner))):
+            raise ValueError(
+                "cell_size, xllcorner and yllcorner must be finite, got "
+                f"{self.cell_size}, {self.xllcorner}, {self.yllcorner}"
+            )
         if not (self.cell_size > 0):
             raise ValueError(f"cell_size must be > 0, got {self.cell_size}")
         if not np.isfinite(self.nodata):
@@ -198,8 +203,9 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
     whitespace-separated cell values in row-major order, top row first.
 
     Raises:
-        GridFormatError: malformed header keyword, non-numeric token, or a
-            body whose value count does not match the declared dimensions.
+        GridFormatError: malformed header keyword, non-numeric token, a
+            non-finite header value, or a body whose value count does not
+            match the declared dimensions.
             Messages carry the 1-based line number.
     """
     with open(path, "r", encoding="ascii") as fh:
@@ -222,6 +228,10 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
             raise GridFormatError(
                 f"line {lineno + 1}: non-numeric value {tokens[1]!r} for '{key}'"
             ) from None
+        if not math.isfinite(header[key]):
+            raise GridFormatError(
+                f"line {lineno + 1}: '{key}' must be finite, got {tokens[1]!r}"
+            )
         if key in ("ncols", "nrows") and not header[key].is_integer():
             raise GridFormatError(
                 f"line {lineno + 1}: '{key}' must be an integer, got {tokens[1]!r}"

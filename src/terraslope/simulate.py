@@ -13,8 +13,9 @@ sweeps equally spaced planes over the global height range shared by all
 pixels; every later stage recenters a per-pixel range on the previous
 estimate, sized by the distribution spread (with a per-stage floor), and
 optionally reallocates planes by local slope.  Each stage streams its
-hypothesis volume once, in row tiles (see :func:`run_pipeline`), so memory
-grows with the grid, not with grid times plane count.
+hypothesis volume once, in row tiles, and settles every tile (smoothing and
+spread) one tile late (see :func:`run_pipeline`), so memory grows with the
+grid, not with grid times plane count.
 
 A run returns per-stage heights, evaluations and plane spacings only; the
 slope and direction maps and losses derived from the heights are computed
@@ -31,16 +32,16 @@ from __future__ import annotations
 import csv
 import math
 import os
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from . import losses
-from .correction import GaussianKernel, _smooth
+from .correction import BASE_WEIGHTS, _smooth
 from .metrics import DEFAULT_THRESHOLDS, EvalReport, evaluate, write_report_csv
 from .partition import (
+    VOLUME_BUDGET_BYTES,
     HypothesisPlanes,
     ProbabilityVolume,
     _check_volume,
@@ -139,6 +140,16 @@ class TerrainSpec:
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
         if not math.isfinite(self.roughness):
             raise ValueError(f"roughness must be finite, got {self.roughness}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # Every hill fills a whole-grid array.  The first test rejects only
+        # what the second would, before hill_count can overflow.
+        budget = VOLUME_BUDGET_BYTES // 8
+        if self.kind == "gaussian-hills" and (
+            8.0 * self.roughness > 2 * budget
+            or hill_count(self.roughness) * self.rows * self.cols > budget
+        ):
+            raise ValueError(f"roughness {self.roughness} puts hills * rows * cols over {budget}")
 
 
 @dataclass(frozen=True)
@@ -187,7 +198,7 @@ def _sinusoidal(spec: TerrainSpec) -> np.ndarray:
 
 def hill_count(roughness: float) -> int:
     """Number of bumps the gaussian-hills generator places."""
-    return max(1, int(round(8.0 * roughness)))
+    return int(round(max(8.0 * roughness, 1.0)))
 
 
 def _gaussian_hills(spec: TerrainSpec, rng: np.random.Generator) -> np.ndarray:
@@ -332,95 +343,70 @@ def oracle_matcher(
 TILE_BYTES = 2**20
 
 
-@dataclass(frozen=True)
-class _StageSweep:
-    """One stage's plane and probability volume, built one row tile at a time.
-
-    The planes of a tile are ``kernel(*(g[tile] for g in grids),
-    plane_count)``: (tile_rows, cols, M) planes from per-pixel inputs, or
-    one (M,) vector every pixel shares when ``grids`` is empty.  ``target``
-    is the noisy ground truth the matcher fits and ``valid`` marks pixels
-    with meaningful planes and a valid ground truth.  Iterating yields
-    ``(tile, planes, probs)`` per tile, top to bottom; :func:`_stage_pass`
-    iterates once per stage.
-    """
-
-    kernel: Callable[..., np.ndarray]
-    grids: tuple[np.ndarray, ...]
-    plane_count: int
-    target: np.ndarray
-    valid: np.ndarray
-    temperature: float
-
-    def __iter__(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-        rows, cols = self.target.shape
-        step = max(1, TILE_BYTES // (8 * cols * self.plane_count))
-        for start in range(0, rows, step):
-            tile = slice(start, min(start + step, rows))
-            planes = self.kernel(*(g[tile] for g in self.grids), self.plane_count)
-            probs = _oracle_probs(
-                planes, self.target[tile], self.temperature, self.valid[tile]
-            )
-            yield tile, planes, probs
-
-
 def _stage_pass(
-    sweep: _StageSweep,
-    plane_mask: np.ndarray,
+    planes_of: Callable[[slice], np.ndarray],
+    plane_count: int,
+    valid: np.ndarray,
+    target: np.ndarray,
+    temperature: float,
     gt: HeightGrid,
-    smoothing: GaussianKernel | None,
+    correct: bool,
     with_sigma: bool,
 ) -> tuple[HeightGrid, HeightGrid | None, float]:
     """A stage's height, the spread around it and its widest plane gap, in one sweep.
 
-    The height is the expected height, smoothed by ``smoothing`` when given
-    (as :func:`~terraslope.correction.correct` would smooth the whole
-    grid).  With ``with_sigma``, the spread is
-    :func:`~terraslope.partition.pixel_std` of the volume around that
-    height; otherwise it is None.  The widest gap is the largest spacing
-    between consecutive planes of any pixel in ``plane_mask`` (0 if none).
+    ``planes_of(tile)`` gives the planes of a row tile: (tile_rows, cols, M),
+    or one (M,) vector every pixel shares.  The matcher fits them to
+    ``target``; pixels outside ``valid``, a subset of ``gt.mask``, get nodata.
+    The height is the expected height, smoothed with the unit binomial kernel
+    when ``correct`` (as :func:`~terraslope.correction.correct` would smooth
+    the whole grid).  With ``with_sigma`` the spread is
+    :func:`~terraslope.partition.pixel_std` around that height, else None.
+    The widest gap is the largest spacing between consecutive planes of any
+    valid pixel (0 if none).
 
-    Smoothed row ``r`` needs the estimates of rows ``r-1 .. r+1``, so with
-    smoothing each tile is held back until the next tile's estimate is in.
-    It is then smoothed from a strip with a one-row halo, and its spread is
-    taken while its planes and probabilities are still at hand.  Volume
-    memory is two tiles.
+    Tiles hold about :data:`TILE_BYTES` of planes.  Smoothed row ``r`` needs
+    the estimates of rows ``r-1 .. r+1``, so every tile is settled one tile
+    late: once the next tile's estimate is in, it is smoothed from a strip
+    with a one-row halo and its spread is taken while its planes and
+    probabilities are still at hand.  Volume memory is two tiles.
     """
+    rows, cols = gt.shape
     nodata = gt.nodata
     estimate = np.empty(gt.shape)
-    height = estimate if smoothing is None else np.empty(gt.shape)
+    height = np.empty(gt.shape) if correct else estimate
     sigma = np.empty(gt.shape) if with_sigma else None
-    tile_gaps: list[float] = []
+    widest = 0.0
 
     def settle(tile: slice, planes: np.ndarray, probs: np.ndarray) -> None:
-        if smoothing is not None:
-            lo, hi = max(tile.start - 1, 0), min(tile.stop + 1, gt.rows)
+        if correct:
+            lo, hi = max(tile.start - 1, 0), min(tile.stop + 1, rows)
             strip = HeightGrid(estimate[lo:hi], nodata=nodata)
-            height[tile] = _smooth(strip, smoothing.weights)[tile.start - lo : tile.stop - lo]
+            height[tile] = _smooth(strip, BASE_WEIGHTS)[tile.start - lo : tile.stop - lo]
         if sigma is not None:
             sigma[tile] = _spread(probs, planes, height[tile])
 
-    held: list[tuple[slice, np.ndarray, np.ndarray]] = []
-    lag = 0 if smoothing is None else 1
-    for tile, planes, probs in sweep:
+    held = None
+    step = max(1, TILE_BYTES // (8 * cols * plane_count))
+    for start in range(0, rows, step):
+        tile = slice(start, min(start + step, rows))
+        planes = planes_of(tile)
+        probs = _oracle_probs(planes, target[tile], temperature, valid[tile])
         est = _expectation(probs, planes)
-        est[~sweep.valid[tile]] = nodata
+        est[~valid[tile]] = nodata
         estimate[tile] = est
         gaps = np.diff(planes, axis=-1).max(axis=-1)
-        gaps = np.broadcast_to(gaps, est.shape)[plane_mask[tile]]
-        if gaps.size:
-            tile_gaps.append(gaps.max())
-        held.append((tile, planes, probs))
-        if len(held) > lag:
-            settle(*held.pop(0))
-    for item in held:
-        settle(*item)
+        widest = max(widest, np.broadcast_to(gaps, est.shape)[valid[tile]].max(initial=0.0))
+        if held is not None:
+            settle(*held)
+        held = tile, planes, probs
+    settle(*held)
 
     grid = HeightGrid(height, cell_size=gt.cell_size, nodata=nodata)
     if sigma is not None:
-        sigma[~(sweep.valid & grid.mask)] = nodata
+        sigma[~valid] = nodata
         sigma = grid.with_values(sigma)
-    return grid, sigma, float(np.max(tile_gaps)) if tile_gaps else 0.0
+    return grid, sigma, float(widest)
 
 
 def run_pipeline(
@@ -446,15 +432,17 @@ def run_pipeline(
     :data:`TILE_BYTES` of planes, and no stage holds its (rows, cols, M)
     plane or probability volume whole.  Each tile goes through the
     partition kernel, the matcher, the expected height and the plane
-    spacing.  With correction on, a tile waits for the next tile's estimate,
-    then is smoothed from a strip with a one-row halo.  Every stage but the
-    last also takes, in the same pass, the spread around its final
-    (corrected or not) height that sizes the next stage's ranges.  Volume
-    memory is two tiles, not rows * cols * M; the rest is a few
-    (rows, cols) grids.  The results equal, bit for bit, those of composing
-    the whole-grid functions (the partition module's ``equal_partition``,
-    ``slope_guided_partition``, ``expected_height`` and ``pixel_std``,
-    :func:`oracle_matcher` and :func:`~terraslope.correction.correct`).
+    spacing, then waits for the next tile's estimate, in every arm.  Then,
+    with correction on, it is smoothed from a strip with a one-row halo,
+    and in every stage but the last, the spread around that final height,
+    which sizes the next stage's ranges, is taken.  Volume memory is two
+    tiles, not rows * cols * M; the rest is a few (rows, cols) grids.  A
+    stage sweeps only pixels where the previous height is valid, so the
+    stage masks nest within ``gt.mask``.  The results equal, bit for bit,
+    those of composing the whole-grid functions (the partition module's
+    ``equal_partition``, ``slope_guided_partition``, ``expected_height``
+    and ``pixel_std``, :func:`oracle_matcher` and
+    :func:`~terraslope.correction.correct`).
 
     Identical (gt, global_range, stages, seed) yield bit-identical results.
 
@@ -488,31 +476,30 @@ def run_pipeline(
     sigma: HeightGrid | None = None
 
     for stage_index, cfg in enumerate(stages):
+        m = cfg.plane_count
         if stage_index == 0:
-            kernel, grids = partial(_equal_planes, low, high), ()
-            plane_mask = gt.mask
+            valid, shared = gt.mask, _equal_planes(low, high, m)
+            planes_of = lambda tile: shared
         else:
             ranges = pixel_range(height, sigma, cfg.sigma_floor)
             if cfg.use_slope_partition:
                 factors = slope_factor_maps(height)
-                plane_mask, center, lo, hi, n_below = _guided_layout(
-                    height, ranges, factors, cfg.plane_count
-                )
-                kernel, grids = _guided_planes, (center, lo, hi, n_below)
+                valid, *grids = _guided_layout(height, ranges, factors, m)
+                planes_of = lambda tile: _guided_planes(*(g[tile] for g in grids), m)
             else:
-                kernel, grids = _equal_planes, (ranges.low, ranges.high)
-                plane_mask = ranges.mask
+                valid, lows, highs = ranges.mask, ranges.low, ranges.high
+                planes_of = lambda tile: _equal_planes(lows[tile], highs[tile], m)
         target = gt.values + matcher_noise(
             gt.shape, cfg.noise, seed=len(stages) * seed + stage_index
         )
-        sweep = _StageSweep(
-            kernel, grids, cfg.plane_count, target, plane_mask & gt.mask, cfg.temperature
-        )
         height, sigma, spacing = _stage_pass(
-            sweep,
-            plane_mask,
+            planes_of,
+            m,
+            valid,
+            target,
+            cfg.temperature,
             gt,
-            GaussianKernel(scale=1.0) if cfg.use_height_correction else None,
+            correct=cfg.use_height_correction,
             with_sigma=stage_index + 1 < len(stages),
         )
         heights.append(height)

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, outputs, and byte-stable reruns."""
 
+import time
 from pathlib import Path
 
 import numpy as np
@@ -375,7 +376,7 @@ class TestSimulateCommand:
         assert run(["simulate", cfg, out]) == 3
         assert not out.exists()
 
-    @pytest.mark.parametrize("seeds", ["x", ",", "1,two"])
+    @pytest.mark.parametrize("seeds", ["x", ",", "1,two", "0,-1"])
     def test_bad_ablation_seeds_exit_3_before_any_output(self, tmp_path, capsys, seeds):
         cfg = tmp_path / "bad.txt"
         cfg.write_text(f"terrain = ramp\nrows = 8\ncols = 8\nablation_seeds = {seeds}\n")
@@ -383,6 +384,17 @@ class TestSimulateCommand:
         assert run(["simulate", cfg, out, "--ablation"]) == 3
         captured = capsys.readouterr()
         assert "ablation_seeds" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--ablation"]], ids=["run", "ablation"])
+    def test_negative_seed_exits_3_before_any_output(self, tmp_path, capsys, flags):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text("terrain = ramp\nrows = 8\ncols = 8\nseed = -1\n")
+        out = tmp_path / "run"
+        assert run(["simulate", cfg, out, *flags]) == 3
+        captured = capsys.readouterr()
+        assert "seed must" in captured.err
         assert captured.out == ""
         assert not out.exists()
 
@@ -405,6 +417,30 @@ class TestHostileInputs:
         )
         assert run(["slope", grid, tmp_path / "s.asc", tmp_path / "d.asc"]) == 2
         assert "value count mismatch" in capsys.readouterr().err
+
+    def test_huge_hill_roughness_exits_3_at_once(self, tmp_path, capsys):
+        cfg = tmp_path / "hills.txt"
+        cfg.write_text("terrain = gaussian-hills\nrows = 16\ncols = 16\nroughness = 1e12\n")
+        out = tmp_path / "run"
+        start = time.perf_counter()
+        assert run(["simulate", cfg, out]) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert "roughness" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header", ["XLLCORNER nan", "YLLCORNER -inf", "CELLSIZE inf"])
+    def test_non_finite_metadata_exits_2(self, tmp_path, capsys, header):
+        key = header.split()[0]
+        lines = ["NCOLS 2", "NROWS 2", "XLLCORNER 0", "YLLCORNER 0", "CELLSIZE 1"]
+        lines = [header if line.split()[0] == key else line for line in lines]
+        grid = tmp_path / "meta.asc"
+        grid.write_text("\n".join(lines) + "\n1 2\n3 4\n")
+        argv = ["slope", grid, tmp_path / "s.asc", tmp_path / "d.asc", "--pgm", "0", "1"]
+        assert run(argv) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.asc"]
 
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(path):

@@ -80,6 +80,27 @@ def test_matches_whole_volume_reference(arm, grid, one_row_tiles, monkeypatch):
     assert_identical(result, reference_pipeline(gt, global_range, stages, seed=11), gt)
 
 
+@pytest.mark.parametrize("grid", ["nodata-40x33", "nodata-row-18x512"])
+@pytest.mark.parametrize("arm", ABLATION_ARMS, ids=[a[0] for a in ABLATION_ARMS])
+def test_stage_masks_nest(arm, grid):
+    # a stage sweeps only where the previous height is valid, so its valid
+    # pixels are a subset of the previous stage's and of the ground truth's
+    _, use_partition, use_correction = arm
+    stages = tuple(
+        replace(c, use_slope_partition=use_partition, use_height_correction=use_correction)
+        for c in default_stage_configs()
+    )
+    gt = GRIDS[grid]()
+    valid = gt.values[gt.mask]
+    global_range = (float(valid.min()), float(valid.max()) + 1e-9)
+    heights = run_pipeline(gt, global_range, stages, seed=11).heights
+    outer = gt.mask
+    for height in heights:
+        assert not (height.mask & ~outer).any()
+        outer = height.mask
+    assert not gt.mask.all()
+
+
 #: (plane_count, sigma_floor) per stage; the default schedule is 64/32/8
 SCHEDULES = {
     "1-stage": ((64, 0.0),),

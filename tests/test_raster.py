@@ -37,6 +37,12 @@ class TestHeightGrid:
         with pytest.raises(ValueError, match="non-finite"):
             HeightGrid(np.array([[1.0, np.inf]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["cell_size", "xllcorner", "yllcorner"])
+    def test_rejects_non_finite_metadata(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HeightGrid(np.zeros((2, 2)), **{field: value})
+
     def test_rejects_non_finite_sentinel(self):
         with pytest.raises(ValueError, match="sentinel"):
             HeightGrid(np.array([[1.0]]), nodata=np.nan)
@@ -120,6 +126,24 @@ class TestReadAsciiGrid:
             "1 2 3\n"
         )
         with pytest.raises(GridFormatError, match="declares 1000000000000 values, body has 3"):
+            read_ascii_grid(path)
+
+    @pytest.mark.parametrize(
+        "lineno,header",
+        [
+            (3, "XLLCORNER nan"),
+            (3, "XLLCORNER -inf"),
+            (4, "YLLCORNER inf"),
+            (5, "CELLSIZE inf"),
+            (5, "CELLSIZE nan"),
+        ],
+    )
+    def test_non_finite_header_value_with_line_number(self, tmp_path, lineno, header):
+        lines = ["NCOLS 2", "NROWS 2", "XLLCORNER 0", "YLLCORNER 0", "CELLSIZE 1"]
+        lines[lineno - 1] = header
+        path = tmp_path / "g.asc"
+        path.write_text("\n".join(lines) + "\n1 2\n3 4\n")
+        with pytest.raises(GridFormatError, match=f"line {lineno}: .* must be finite"):
             read_ascii_grid(path)
 
     def test_non_numeric_token_with_line_number(self, tmp_path):

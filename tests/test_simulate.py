@@ -22,6 +22,7 @@ from terraslope import (
     write_run_directory,
 )
 from terraslope import simulate
+from terraslope.partition import VOLUME_BUDGET_BYTES
 from terraslope.simulate import hill_count, matcher_noise
 
 from conftest import NODATA
@@ -120,6 +121,30 @@ class TestGenerateTerrain:
     def test_unsupported_kind_rejected(self):
         with pytest.raises(ValueError, match="unsupported"):
             TerrainSpec(rows=4, cols=4, kind="volcano")
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            TerrainSpec(rows=4, cols=4, seed=-1)
+
+    @pytest.mark.parametrize("roughness", [1e12, 1e308])
+    def test_rejects_hill_count_over_the_volume_budget(self, roughness):
+        with pytest.raises(ValueError, match="roughness"):
+            TerrainSpec(rows=16, cols=16, kind="gaussian-hills", roughness=roughness)
+
+    def test_hill_budget_edge(self):
+        cells = VOLUME_BUDGET_BYTES // 8
+        edge = cells // (128 * 128) / 8.0
+        assert hill_count(edge) * 128 * 128 == cells
+        TerrainSpec(rows=128, cols=128, kind="gaussian-hills", roughness=edge)
+        with pytest.raises(ValueError, match="roughness"):
+            TerrainSpec(rows=128, cols=128, kind="gaussian-hills", roughness=edge + 1 / 8)
+        # the budget binds gaussian hills only
+        TerrainSpec(rows=128, cols=128, kind="fractal", roughness=edge + 1 / 8)
+
+    @pytest.mark.parametrize("roughness", [-1e308, -1.0, 0.0, 0.0625])
+    def test_low_roughness_places_one_hill(self, roughness):
+        assert hill_count(roughness) == 1
+        TerrainSpec(rows=16, cols=16, kind="gaussian-hills", roughness=roughness)
 
 
 class TestOracleMatcher:
