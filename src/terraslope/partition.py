@@ -186,7 +186,8 @@ def _spread(probs: np.ndarray, planes: np.ndarray, center: np.ndarray) -> np.nda
     Shapes as in :func:`_expectation`; ``center`` is (rows, cols).
     """
     dev = planes - center[:, :, None]
-    var = np.einsum("rcm,rcm->rc", probs, dev * dev)
+    dev *= dev
+    var = np.einsum("rcm,rcm->rc", probs, dev)
     return np.sqrt(np.maximum(var, 0.0))
 
 

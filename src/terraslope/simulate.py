@@ -13,9 +13,10 @@ sweeps equally spaced planes over the global height range shared by all
 pixels; every later stage recenters a per-pixel range on the previous
 estimate, sized by the distribution spread (with a per-stage floor), and
 optionally reallocates planes by local slope.  Each stage streams its
-hypothesis volume once, in row tiles, and settles every tile (smoothing and
-spread) one tile late (see :func:`run_pipeline`), so memory grows with the
-grid, not with grid times plane count.
+hypothesis volume once, in row tiles, as two halves swept on two threads;
+within a half every tile is settled (smoothing and spread) one tile late,
+and the two tiles at the seam after the join (see :func:`run_pipeline`), so
+memory grows with the grid, not with grid times plane count.
 
 A run returns per-stage heights, evaluations and plane spacings only; the
 slope and direction maps and losses derived from the heights are computed
@@ -33,6 +34,7 @@ import csv
 import math
 import os
 from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -215,6 +217,9 @@ def _gaussian_hills(spec: TerrainSpec, rng: np.random.Generator) -> np.ndarray:
     return field
 
 
+# A huge roughness overflows the displacement; the span check reports it in
+# place of numpy's warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def _fractal(spec: TerrainSpec, rng: np.random.Generator) -> np.ndarray:
     """Midpoint-displacement terrain, rescaled to span [0, amplitude]."""
     size = 1
@@ -257,6 +262,10 @@ def _fractal(spec: TerrainSpec, rng: np.random.Generator) -> np.ndarray:
         step = half
     field = field[: spec.rows, : spec.cols]
     span = field.max() - field.min()
+    if not np.isfinite(span):
+        raise ValueError(
+            f"roughness {spec.roughness} drives the fractal displacement out of the finite range"
+        )
     if span == 0.0:
         return np.zeros_like(field)
     return (field - field.min()) / span * spec.amplitude
@@ -269,6 +278,10 @@ def generate_terrain(spec: TerrainSpec) -> HeightGrid:
     terrain spans exactly [0, amplitude]; gaussian-hills are non-negative
     and bounded by amplitude times the hill count; ramp and sinusoidal stay
     within [0, amplitude].
+
+    Raises:
+        ValueError: a fractal ``roughness`` whose midpoint displacement
+            leaves the finite float64 range.
     """
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "ramp":
@@ -288,7 +301,9 @@ def matcher_noise(shape: tuple[int, int], scale: float, seed: int) -> np.ndarray
     """Zero-mean Gaussian noise field, a pure function of (shape, scale, seed)."""
     if scale == 0.0:
         return np.zeros(shape, dtype=np.float64)
-    return scale * np.random.default_rng(seed).standard_normal(shape)
+    noise = np.random.default_rng(seed).standard_normal(shape)
+    noise *= scale
+    return noise
 
 
 def _oracle_probs(
@@ -365,18 +380,28 @@ def _stage_pass(
     The widest gap is the largest spacing between consecutive planes of any
     valid pixel (0 if none).
 
-    Tiles hold about :data:`TILE_BYTES` of planes.  Smoothed row ``r`` needs
-    the estimates of rows ``r-1 .. r+1``, so every tile is settled one tile
-    late: once the next tile's estimate is in, it is smoothed from a strip
-    with a one-row halo and its spread is taken while its planes and
-    probabilities are still at hand.  Volume memory is two tiles.
+    Tiles hold about :data:`TILE_BYTES` of planes.  The tile list is cut in
+    two halves at a tile boundary, the seam: the calling thread sweeps the
+    top half while one worker thread sweeps the bottom half.  Smoothed row
+    ``r`` needs the estimates of rows ``r-1 .. r+1``, so within a half every
+    tile is settled one tile late: once the next tile's estimate is in, it
+    is smoothed from a strip with a one-row halo and its spread is taken
+    while its planes and probabilities are still at hand.  The two tiles
+    that touch the seam need an estimate row from the other half; each half
+    hands its seam tile back unsettled, and they are settled after the
+    join.  Volume memory is up to two in-flight tiles per half, plus the
+    bottom half's seam tile, held from its first step.  A grid of one tile
+    is swept on the calling thread alone.
     """
     rows, cols = gt.shape
     nodata = gt.nodata
     estimate = np.empty(gt.shape)
     height = np.empty(gt.shape) if correct else estimate
     sigma = np.empty(gt.shape) if with_sigma else None
-    widest = 0.0
+    step = max(1, TILE_BYTES // (8 * cols * plane_count))
+    tiles = [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+    half = (len(tiles) + 1) // 2
+    seam = tiles[half - 1].stop
 
     def settle(tile: slice, planes: np.ndarray, probs: np.ndarray) -> None:
         if correct:
@@ -386,27 +411,75 @@ def _stage_pass(
         if sigma is not None:
             sigma[tile] = _spread(probs, planes, height[tile])
 
-    held = None
-    step = max(1, TILE_BYTES // (8 * cols * plane_count))
-    for start in range(0, rows, step):
-        tile = slice(start, min(start + step, rows))
-        planes = planes_of(tile)
-        probs = _oracle_probs(planes, target[tile], temperature, valid[tile])
-        est = _expectation(probs, planes)
-        est[~valid[tile]] = nodata
-        estimate[tile] = est
-        gaps = np.diff(planes, axis=-1).max(axis=-1)
-        widest = max(widest, np.broadcast_to(gaps, est.shape)[valid[tile]].max(initial=0.0))
-        if held is not None:
+    def sweep(part: list[slice]) -> tuple[float, list[tuple]]:
+        """Sweep ``part``; return its widest gap and its seam tiles, unsettled."""
+        widest = 0.0
+        at_seam = []
+
+        def release(tile: slice, planes: np.ndarray, probs: np.ndarray) -> None:
+            if seam in (tile.start, tile.stop):
+                at_seam.append((tile, planes, probs))
+            else:
+                settle(tile, planes, probs)
+
+        held = None
+        for tile in part:
+            planes = planes_of(tile)
+            probs = _oracle_probs(planes, target[tile], temperature, valid[tile])
+            est = _expectation(probs, planes)
+            est[~valid[tile]] = nodata
+            estimate[tile] = est
+            gaps = np.diff(planes, axis=-1).max(axis=-1)
+            widest = max(widest, np.broadcast_to(gaps, est.shape)[valid[tile]].max(initial=0.0))
+            if held is not None:
+                release(*held)
+            held = tile, planes, probs
+        release(*held)
+        return widest, at_seam
+
+    if len(tiles) == 1:
+        halves = [sweep(tiles)]
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            bottom = pool.submit(sweep, tiles[half:])
+            halves = [sweep(tiles[:half]), bottom.result()]
+    for _, at_seam in halves:
+        for held in at_seam:
             settle(*held)
-        held = tile, planes, probs
-    settle(*held)
+    widest = max(part_widest for part_widest, _ in halves)
 
     grid = HeightGrid(height, cell_size=gt.cell_size, nodata=nodata)
     if sigma is not None:
         sigma[~valid] = nodata
         sigma = grid.with_values(sigma)
     return grid, sigma, float(widest)
+
+
+def _stage_layout(
+    cfg: StageConfig,
+    global_range: tuple[float, float],
+    gt: HeightGrid,
+    height: HeightGrid | None,
+    sigma: HeightGrid | None,
+) -> tuple[np.ndarray, Callable[[slice], np.ndarray]]:
+    """A stage's valid mask and the ``planes_of`` callable of :func:`_stage_pass`.
+
+    The first stage (``height`` None) shares one (M,) vector of equal planes
+    over ``global_range`` among all of ``gt``'s valid pixels.  A later stage
+    recenters per-pixel ranges on the previous ``height`` and ``sigma`` and
+    slices its plane inputs per tile.  The ranges and slope factors die
+    here; only the grids the sweep reads outlive the call.
+    """
+    m = cfg.plane_count
+    if height is None:
+        shared = _equal_planes(*global_range, m)
+        return gt.mask, lambda tile: shared
+    ranges = pixel_range(height, sigma, cfg.sigma_floor)
+    if cfg.use_slope_partition:
+        valid, *grids = _guided_layout(height, ranges, slope_factor_maps(height), m)
+        return valid, lambda tile: _guided_planes(*(g[tile] for g in grids), m)
+    lows, highs = ranges.low, ranges.high
+    return ranges.mask, lambda tile: _equal_planes(lows[tile], highs[tile], m)
 
 
 def run_pipeline(
@@ -430,13 +503,19 @@ def run_pipeline(
 
     Memory and work: every stage is one pass over row tiles of about
     :data:`TILE_BYTES` of planes, and no stage holds its (rows, cols, M)
-    plane or probability volume whole.  Each tile goes through the
-    partition kernel, the matcher, the expected height and the plane
-    spacing, then waits for the next tile's estimate, in every arm.  Then,
-    with correction on, it is smoothed from a strip with a one-row halo,
-    and in every stage but the last, the spread around that final height,
-    which sizes the next stage's ranges, is taken.  Volume memory is two
-    tiles, not rows * cols * M; the rest is a few (rows, cols) grids.  A
+    plane or probability volume whole.  The tiles are cut into a top and a
+    bottom half, swept at once by the calling thread and one worker thread
+    (numpy releases the GIL); a grid of one tile starts no thread.  Each
+    tile goes through the partition kernel, the matcher, the expected
+    height and the plane spacing, then waits for the next tile's estimate,
+    in every arm.  Then, with correction on, it is smoothed from a strip
+    with a one-row halo, and in every stage but the last, the spread around
+    that final height, which sizes the next stage's ranges, is taken.  The
+    two tiles at the seam need a row of the other half, so they wait with
+    their planes and probabilities until both halves are done.  Volume
+    memory is up to two in-flight tiles per half, plus the bottom half's
+    seam tile held from its first step, not rows * cols * M; the rest is a few (rows, cols) grids.  A stage's
+    ranges and slope factors are freed before its sweep starts.  A
     stage sweeps only pixels where the previous height is valid, so the
     stage masks nest within ``gt.mask``.  The results equal, bit for bit,
     those of composing the whole-grid functions (the partition module's
@@ -464,6 +543,7 @@ def run_pipeline(
             f"ground truth spans [{valid_values.min():.3f}, "
             f"{valid_values.max():.3f}], outside the global range [{low}, {high}]"
         )
+    del valid_values
 
     for cfg in stages:
         _check_volume((1, gt.cols), cfg.plane_count)
@@ -476,25 +556,14 @@ def run_pipeline(
     sigma: HeightGrid | None = None
 
     for stage_index, cfg in enumerate(stages):
-        m = cfg.plane_count
-        if stage_index == 0:
-            valid, shared = gt.mask, _equal_planes(low, high, m)
-            planes_of = lambda tile: shared
-        else:
-            ranges = pixel_range(height, sigma, cfg.sigma_floor)
-            if cfg.use_slope_partition:
-                factors = slope_factor_maps(height)
-                valid, *grids = _guided_layout(height, ranges, factors, m)
-                planes_of = lambda tile: _guided_planes(*(g[tile] for g in grids), m)
-            else:
-                valid, lows, highs = ranges.mask, ranges.low, ranges.high
-                planes_of = lambda tile: _equal_planes(lows[tile], highs[tile], m)
-        target = gt.values + matcher_noise(
-            gt.shape, cfg.noise, seed=len(stages) * seed + stage_index
-        )
+        valid, planes_of = _stage_layout(cfg, (low, high), gt, height, sigma)
+        # the previous spread is dead once the ranges are laid out
+        sigma = None
+        target = matcher_noise(gt.shape, cfg.noise, seed=len(stages) * seed + stage_index)
+        target += gt.values
         height, sigma, spacing = _stage_pass(
             planes_of,
-            m,
+            cfg.plane_count,
             valid,
             target,
             cfg.temperature,
@@ -502,6 +571,8 @@ def run_pipeline(
             correct=cfg.use_height_correction,
             with_sigma=stage_index + 1 < len(stages),
         )
+        # free the sweep's inputs before the next stage lays out its own
+        del valid, planes_of, target
         heights.append(height)
         reports.append(evaluate(height, gt, thresholds=DEFAULT_THRESHOLDS))
         spacings.append(spacing)

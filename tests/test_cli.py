@@ -430,6 +430,17 @@ class TestHostileInputs:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("roughness", ["1e200", "-1e200"])
+    def test_fractal_overflow_exits_3_naming_roughness(self, tmp_path, capsys, roughness):
+        cfg = tmp_path / "fractal.txt"
+        cfg.write_text(f"terrain = fractal\nrows = 16\ncols = 16\nroughness = {roughness}\n")
+        out = tmp_path / "run"
+        assert run(["simulate", cfg, out]) == 3
+        captured = capsys.readouterr()
+        assert "roughness" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("header", ["XLLCORNER nan", "YLLCORNER -inf", "CELLSIZE inf"])
     def test_non_finite_metadata_exits_2(self, tmp_path, capsys, header):
         key = header.split()[0]

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -167,6 +168,103 @@ def test_each_stage_sweeps_its_volume_once(arm, one_row_tiles, monkeypatch):
         for cfg in stages
     ]
     assert len(calls) == sum(tiles)
+
+
+def record_sweep_threads(monkeypatch):
+    """Patch ``_oracle_probs`` to log (thread id, first row) of every tile it matches."""
+    calls = []
+    oracle_probs = simulate._oracle_probs
+
+    def recording(planes, target, temperature, valid):
+        # ``target`` is a row slice of the stage's target grid
+        row = (target.ctypes.data - target.base.ctypes.data) // target.strides[0]
+        calls.append((threading.get_ident(), row))
+        return oracle_probs(planes, target, temperature, valid)
+
+    monkeypatch.setattr(simulate, "_oracle_probs", recording)
+    return calls
+
+
+def test_bottom_half_runs_on_a_second_thread(monkeypatch):
+    monkeypatch.setattr(simulate, "TILE_BYTES", 1)
+    calls = record_sweep_threads(monkeypatch)
+    stages = default_stage_configs()
+    gt = fractal(18, 512)
+    run_pipeline(gt, (0.0, 200.0 + 1e-9), stages, seed=11)
+    # one-row tiles: rows 0..8 are the top half, rows 9..17 the bottom half
+    assert len(calls) == len(stages) * gt.rows
+    caller = threading.get_ident()
+    assert sorted(row for ident, row in calls if ident == caller) == sorted(
+        list(range(9)) * len(stages)
+    )
+    assert sorted(row for ident, row in calls if ident != caller) == sorted(
+        list(range(9, 18)) * len(stages)
+    )
+
+
+def test_one_tile_grid_runs_on_the_calling_thread(monkeypatch):
+    calls = record_sweep_threads(monkeypatch)
+    stages = default_stage_configs()
+    gt = GRIDS["2x40"]()
+    run_pipeline(gt, (0.0, 200.0 + 1e-9), stages, seed=11)
+    assert calls == [(threading.get_ident(), 0)] * len(stages)
+
+
+def test_concurrent_runs_match_sequential_runs():
+    gt = fractal(18, 512)
+    global_range = (0.0, 200.0 + 1e-9)
+    jobs = [
+        (
+            tuple(
+                replace(c, use_slope_partition=p, use_height_correction=k)
+                for c in default_stage_configs()
+            ),
+            seed,
+        )
+        for seed in (3, 4)
+        for _, p, k in ABLATION_ARMS
+    ]
+    expected = [run_pipeline(gt, global_range, stages, seed=seed) for stages, seed in jobs]
+    results = [None] * len(jobs)
+
+    def work(i):
+        stages, seed = jobs[i]
+        results[i] = run_pipeline(gt, global_range, stages, seed=seed)
+
+    # more runs than cores, each with its own worker, and frequent switches
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, expected, strict=True):
+        for got_height, want_height in zip(got.heights, want.heights, strict=True):
+            assert np.array_equal(got_height.values, want_height.values)
+        assert got.reports == want.reports
+        assert got.max_plane_spacing == want.max_plane_spacing
+
+
+def test_error_in_the_bottom_half_propagates_and_joins(monkeypatch):
+    monkeypatch.setattr(simulate, "TILE_BYTES", 1)
+    caller = threading.get_ident()
+    oracle_probs = simulate._oracle_probs
+
+    def failing(*args):
+        if threading.get_ident() != caller:
+            raise FloatingPointError("bottom half failed")
+        return oracle_probs(*args)
+
+    monkeypatch.setattr(simulate, "_oracle_probs", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="bottom half failed"):
+        run_pipeline(fractal(18, 512), (0.0, 200.0 + 1e-9), default_stage_configs(), seed=11)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("arm", ABLATION_ARMS, ids=[a[0] for a in ABLATION_ARMS])

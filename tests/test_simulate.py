@@ -1,5 +1,6 @@
 """Terrain generators, oracle matcher, and the coarse-to-fine pipeline."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -111,6 +112,18 @@ class TestGenerateTerrain:
         assert g.values.min() == 0.0
         assert g.values.max() == pytest.approx(120.0)
         assert np.isfinite(g.values).all()
+
+    @pytest.mark.parametrize("roughness", [1e200, -1e200])
+    def test_fractal_overflow_names_roughness_without_warnings(self, roughness):
+        spec = TerrainSpec(rows=16, cols=16, kind="fractal", roughness=roughness)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="roughness"):
+                generate_terrain(spec)
+
+    def test_fractal_large_finite_roughness_still_works(self):
+        g = generate_terrain(TerrainSpec(rows=16, cols=16, kind="fractal", roughness=1e30))
+        assert g.values.min() == 0.0 and g.values.max() == pytest.approx(100.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("field", ["amplitude", "roughness"])
