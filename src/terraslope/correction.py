@@ -17,6 +17,7 @@ Border and nodata handling match :mod:`terraslope.slope` exactly, so every
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,10 @@ class GaussianKernel:
     """
 
     scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.scale):
+            raise ValueError(f"kernel scale must be finite, got {self.scale}")
 
     @property
     def weights(self) -> np.ndarray:
@@ -66,8 +71,16 @@ def correct(height: HeightGrid, kernel: GaussianKernel = GaussianKernel()) -> He
 
     Windows use replicate padding at borders, and invalid neighbors
     contribute the center value; invalid pixels stay invalid.
+
+    Raises:
+        ValueError: a kernel scale that takes a smoothed height out of the
+            finite range.
     """
-    return height.with_values(_smooth(height, kernel.weights))
+    with np.errstate(over="ignore", invalid="ignore"):
+        smoothed = _smooth(height, kernel.weights)
+    if not np.isfinite(smoothed).all():
+        raise ValueError(f"kernel scale {kernel.scale} overflows the corrected height")
+    return height.with_values(smoothed)
 
 
 def fit_scale(noisy: HeightGrid, target: HeightGrid) -> GaussianKernel:
@@ -78,9 +91,10 @@ def fit_scale(noisy: HeightGrid, target: HeightGrid) -> GaussianKernel:
     ``<C, target> / <C, C>``.
 
     Raises:
-        ValueError: mismatched dimensions, no jointly valid pixel, or a
+        ValueError: mismatched dimensions, no jointly valid pixel, a
             base-smoothed input that is identically zero on the joint mask
-            (the scale is then unidentifiable).
+            (the scale is then unidentifiable), or dot products that leave
+            the finite range.
     """
     if noisy.shape != target.shape:
         raise ValueError(f"noisy {noisy.shape} and target {target.shape} differ")
@@ -90,7 +104,11 @@ def fit_scale(noisy: HeightGrid, target: HeightGrid) -> GaussianKernel:
         raise ValueError("no jointly valid pixel to fit on")
     c = smoothed.values[joint]
     t = target.values[joint]
-    cc = float(np.dot(c, c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cc = float(np.dot(c, c))
+        ct = float(np.dot(c, t))
+    if not (math.isfinite(cc) and math.isfinite(ct)):
+        raise ValueError("the scale fit overflows: its dot products are not finite")
     if cc == 0.0:
         raise ValueError("smoothed input is identically zero; scale is unidentifiable")
-    return GaussianKernel(scale=float(np.dot(c, t)) / cc)
+    return GaussianKernel(scale=ct / cc)

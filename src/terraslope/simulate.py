@@ -13,10 +13,8 @@ sweeps equally spaced planes over the global height range shared by all
 pixels; every later stage recenters a per-pixel range on the previous
 estimate, sized by the distribution spread (with a per-stage floor), and
 optionally reallocates planes by local slope.  Each stage streams its
-hypothesis volume once, in row tiles, as two halves swept on two threads;
-within a half every tile is settled (smoothing and spread) one tile late,
-and the two tiles at the seam after the join (see :func:`run_pipeline`), so
-memory grows with the grid, not with grid times plane count.
+hypothesis volume once, in row tiles (see :func:`_stage_pass`), so memory
+grows with the grid, not with grid times plane count.
 
 A run returns per-stage heights, evaluations and plane spacings only; the
 slope and direction maps and losses derived from the heights are computed
@@ -358,6 +356,14 @@ def oracle_matcher(
 TILE_BYTES = 2**20
 
 
+def _check_finite(values: np.ndarray, tile: slice, what: str) -> None:
+    """Raise a ``ValueError`` at the first non-finite cell of a row tile's ``values``."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ValueError(f"non-finite {what} {values[r, c]} at ({tile.start + r}, {c})")
+
+
 def _stage_pass(
     planes_of: Callable[[slice], np.ndarray],
     plane_count: int,
@@ -382,16 +388,18 @@ def _stage_pass(
 
     Tiles hold about :data:`TILE_BYTES` of planes.  The tile list is cut in
     two halves at a tile boundary, the seam: the calling thread sweeps the
-    top half while one worker thread sweeps the bottom half.  Smoothed row
-    ``r`` needs the estimates of rows ``r-1 .. r+1``, so within a half every
-    tile is settled one tile late: once the next tile's estimate is in, it
-    is smoothed from a strip with a one-row halo and its spread is taken
-    while its planes and probabilities are still at hand.  The two tiles
-    that touch the seam need an estimate row from the other half; each half
-    hands its seam tile back unsettled, and they are settled after the
-    join.  Volume memory is up to two in-flight tiles per half, plus the
-    bottom half's seam tile, held from its first step.  A grid of one tile
-    is swept on the calling thread alone.
+    top half downward while one worker thread sweeps the bottom half upward,
+    so each half runs toward the seam.  Smoothed row ``r`` needs the
+    estimates of rows ``r-1 .. r+1``, so every tile is settled one tile
+    late: once the next tile's estimate is in, it is smoothed from a strip
+    with a one-row halo and its spread is taken while its planes and
+    probabilities are still at hand.  A half's last tile touches the seam
+    and needs an estimate row from the other half, so each half returns it
+    unsettled, and the caller settles both after the join.  A grid of one
+    tile is swept on the calling thread alone.
+
+    Raises:
+        ValueError: a non-finite expected height or spread at a valid pixel.
     """
     rows, cols = gt.shape
     nodata = gt.nodata
@@ -401,56 +409,53 @@ def _stage_pass(
     step = max(1, TILE_BYTES // (8 * cols * plane_count))
     tiles = [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
     half = (len(tiles) + 1) // 2
-    seam = tiles[half - 1].stop
 
+    # An overflow leaves a non-finite value, which the checks report in
+    # place of numpy's warnings.  The worker thread does not inherit the
+    # caller's error state, so each function sets its own.
+    @np.errstate(over="ignore", invalid="ignore")
     def settle(tile: slice, planes: np.ndarray, probs: np.ndarray) -> None:
         if correct:
             lo, hi = max(tile.start - 1, 0), min(tile.stop + 1, rows)
             strip = HeightGrid(estimate[lo:hi], nodata=nodata)
             height[tile] = _smooth(strip, BASE_WEIGHTS)[tile.start - lo : tile.stop - lo]
         if sigma is not None:
-            sigma[tile] = _spread(probs, planes, height[tile])
+            spread = _spread(probs, planes, height[tile])
+            spread[~valid[tile]] = nodata
+            _check_finite(spread, tile, "height spread")
+            sigma[tile] = spread
 
-    def sweep(part: list[slice]) -> tuple[float, list[tuple]]:
-        """Sweep ``part``; return its widest gap and its seam tiles, unsettled."""
+    @np.errstate(over="ignore", invalid="ignore")
+    def sweep(part: list[slice]) -> tuple[float, tuple]:
+        """Sweep ``part``; return its widest gap and its last tile, unsettled."""
         widest = 0.0
-        at_seam = []
-
-        def release(tile: slice, planes: np.ndarray, probs: np.ndarray) -> None:
-            if seam in (tile.start, tile.stop):
-                at_seam.append((tile, planes, probs))
-            else:
-                settle(tile, planes, probs)
-
         held = None
         for tile in part:
             planes = planes_of(tile)
             probs = _oracle_probs(planes, target[tile], temperature, valid[tile])
             est = _expectation(probs, planes)
             est[~valid[tile]] = nodata
+            _check_finite(est, tile, "expected height")
             estimate[tile] = est
             gaps = np.diff(planes, axis=-1).max(axis=-1)
             widest = max(widest, np.broadcast_to(gaps, est.shape)[valid[tile]].max(initial=0.0))
             if held is not None:
-                release(*held)
+                settle(*held)
             held = tile, planes, probs
-        release(*held)
-        return widest, at_seam
+        return widest, held
 
     if len(tiles) == 1:
         halves = [sweep(tiles)]
     else:
         with ThreadPoolExecutor(max_workers=1) as pool:
-            bottom = pool.submit(sweep, tiles[half:])
+            bottom = pool.submit(sweep, tiles[half:][::-1])
             halves = [sweep(tiles[:half]), bottom.result()]
-    for _, at_seam in halves:
-        for held in at_seam:
-            settle(*held)
+    for _, held in halves:
+        settle(*held)
     widest = max(part_widest for part_widest, _ in halves)
 
     grid = HeightGrid(height, cell_size=gt.cell_size, nodata=nodata)
     if sigma is not None:
-        sigma[~valid] = nodata
         sigma = grid.with_values(sigma)
     return grid, sigma, float(widest)
 
@@ -501,34 +506,25 @@ def run_pipeline(
     ``len(stages) * s + k``, so no two (seed, stage) pairs of one schedule
     share a noise field.
 
-    Memory and work: every stage is one pass over row tiles of about
-    :data:`TILE_BYTES` of planes, and no stage holds its (rows, cols, M)
-    plane or probability volume whole.  The tiles are cut into a top and a
-    bottom half, swept at once by the calling thread and one worker thread
-    (numpy releases the GIL); a grid of one tile starts no thread.  Each
-    tile goes through the partition kernel, the matcher, the expected
-    height and the plane spacing, then waits for the next tile's estimate,
-    in every arm.  Then, with correction on, it is smoothed from a strip
-    with a one-row halo, and in every stage but the last, the spread around
-    that final height, which sizes the next stage's ranges, is taken.  The
-    two tiles at the seam need a row of the other half, so they wait with
-    their planes and probabilities until both halves are done.  Volume
-    memory is up to two in-flight tiles per half, plus the bottom half's
-    seam tile held from its first step, not rows * cols * M; the rest is a few (rows, cols) grids.  A stage's
-    ranges and slope factors are freed before its sweep starts.  A
-    stage sweeps only pixels where the previous height is valid, so the
-    stage masks nest within ``gt.mask``.  The results equal, bit for bit,
-    those of composing the whole-grid functions (the partition module's
-    ``equal_partition``, ``slope_guided_partition``, ``expected_height``
-    and ``pixel_std``, :func:`oracle_matcher` and
+    Memory: every stage is one pass over row tiles of about
+    :data:`TILE_BYTES` of planes (:func:`_stage_pass` describes the sweep),
+    so volume memory is a few tiles, not rows * cols * M; the rest is a few
+    (rows, cols) grids.  A stage's ranges and slope factors are freed before
+    its sweep starts.  A stage sweeps only pixels where the previous height
+    is valid, so the stage masks nest within ``gt.mask``.  The results
+    equal, bit for bit, those of composing the whole-grid functions (the
+    partition module's ``equal_partition``, ``slope_guided_partition``,
+    ``expected_height`` and ``pixel_std``, :func:`oracle_matcher` and
     :func:`~terraslope.correction.correct`).
 
     Identical (gt, global_range, stages, seed) yield bit-identical results.
 
     Raises:
         ValueError: bad range, ground truth outside the range, an empty
-            stage list, or a stage whose single-row volume (cols * M) is
-            over the partition module's ``VOLUME_BUDGET_BYTES``.
+            stage list, a stage whose single-row volume (cols * M) is
+            over the partition module's ``VOLUME_BUDGET_BYTES``, or a stage
+            whose expected height or spread overflows at a valid pixel
+            (the message names the stage).
     """
     low, high = float(global_range[0]), float(global_range[1])
     if not (low < high):
@@ -561,16 +557,19 @@ def run_pipeline(
         sigma = None
         target = matcher_noise(gt.shape, cfg.noise, seed=len(stages) * seed + stage_index)
         target += gt.values
-        height, sigma, spacing = _stage_pass(
-            planes_of,
-            cfg.plane_count,
-            valid,
-            target,
-            cfg.temperature,
-            gt,
-            correct=cfg.use_height_correction,
-            with_sigma=stage_index + 1 < len(stages),
-        )
+        try:
+            height, sigma, spacing = _stage_pass(
+                planes_of,
+                cfg.plane_count,
+                valid,
+                target,
+                cfg.temperature,
+                gt,
+                correct=cfg.use_height_correction,
+                with_sigma=stage_index + 1 < len(stages),
+            )
+        except ValueError as exc:
+            raise ValueError(f"stage {stage_index + 1}: {exc}") from exc
         # free the sweep's inputs before the next stage lays out its own
         del valid, planes_of, target
         heights.append(height)

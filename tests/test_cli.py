@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, outputs, and byte-stable reruns."""
 
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -440,6 +441,47 @@ class TestHostileInputs:
         assert "roughness" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, stage, value",
+        [
+            ("temperature = 1e-320", 1, "expected height"),
+            ("amplitude = 1e300", 1, "height spread"),
+            ("sigma_floors = 0,1e200,10", 2, "height spread"),
+        ],
+    )
+    def test_non_finite_stage_exits_3_naming_the_stage(self, tmp_path, capsys, line, stage, value):
+        cfg = tmp_path / "overflow.txt"
+        cfg.write_text(f"terrain = fractal\nrows = 16\ncols = 16\n{line}\n")
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate", cfg, out]) == 3
+        captured = capsys.readouterr()
+        assert f"stage {stage}: non-finite {value}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, cause",
+        [
+            (["--scale=inf"], "scale must be finite"),
+            (["--scale=nan"], "scale must be finite"),
+            (["--scale=1e308"], "scale 1e+308 overflows"),
+            (["--fit-target", "huge"], "scale fit overflows"),
+        ],
+    )
+    def test_hostile_correction_scale_exits_3_without_output(self, tmp_path, capsys, flags, cause):
+        grid = tmp_path / "huge.asc"
+        grid.write_text("NCOLS 2\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n1e308 1e308\n")
+        flags = [grid if flag == "huge" else flag for flag in flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["correct", grid, tmp_path / "out.asc", *flags]) == 3
+        captured = capsys.readouterr()
+        assert cause in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.asc"]
 
     @pytest.mark.parametrize("header", ["XLLCORNER nan", "YLLCORNER -inf", "CELLSIZE inf"])
     def test_non_finite_metadata_exits_2(self, tmp_path, capsys, header):

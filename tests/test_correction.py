@@ -18,6 +18,11 @@ class TestKernel:
             -0.7, rel=1e-15
         )
 
+    @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="scale must be finite"):
+            GaussianKernel(scale=scale)
+
     def test_pattern_ratios(self):
         w = GaussianKernel(scale=3.0).weights
         np.testing.assert_allclose(w / 3.0, BASE_WEIGHTS)
@@ -86,6 +91,12 @@ class TestCorrect:
         assert out[interior, interior].var() <= noise[interior, interior].var()
 
 
+    def test_overflowing_scale_rejected(self):
+        # warnings are errors in this suite, so an unsilenced overflow fails too
+        with pytest.raises(ValueError, match="scale 1e\\+308 overflows"):
+            correct(HeightGrid(np.full((2, 3), 100.0)), GaussianKernel(scale=1e308))
+
+
 class TestFitScale:
     def test_self_fit_is_one(self, rng):
         g = random_grid(rng, 6, 6)
@@ -128,6 +139,11 @@ class TestFitScale:
         target = HeightGrid(np.ones((3, 3)))
         with pytest.raises(ValueError, match="unidentifiable"):
             fit_scale(zeros, target)
+
+    def test_overflowing_dot_products_rejected(self):
+        huge = HeightGrid(np.full((1, 2), 1e308))
+        with pytest.raises(ValueError, match="scale fit overflows"):
+            fit_scale(huge, huge)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

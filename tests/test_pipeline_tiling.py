@@ -3,6 +3,9 @@
 import math
 import sys
 import threading
+import warnings
+import weakref
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -202,6 +205,25 @@ def test_bottom_half_runs_on_a_second_thread(monkeypatch):
     )
 
 
+def test_each_thread_holds_at_most_one_earlier_tile(monkeypatch):
+    monkeypatch.setattr(simulate, "TILE_BYTES", 1)
+    earlier = defaultdict(list)
+    alive = []
+    oracle_probs = simulate._oracle_probs
+
+    def tracking(*args):
+        # each stage starts a fresh worker, whose id may repeat an earlier one
+        refs = earlier[threading.get_ident()]
+        alive.append(sum(ref() is not None for ref in refs))
+        probs = oracle_probs(*args)
+        refs.append(weakref.ref(probs))
+        return probs
+
+    monkeypatch.setattr(simulate, "_oracle_probs", tracking)
+    run_pipeline(fractal(18, 512), (0.0, 200.0 + 1e-9), default_stage_configs(), seed=11)
+    assert max(alive) == 1
+
+
 def test_one_tile_grid_runs_on_the_calling_thread(monkeypatch):
     calls = record_sweep_threads(monkeypatch)
     stages = default_stage_configs()
@@ -265,6 +287,27 @@ def test_error_in_the_bottom_half_propagates_and_joins(monkeypatch):
     with pytest.raises(FloatingPointError, match="bottom half failed"):
         run_pipeline(fractal(18, 512), (0.0, 200.0 + 1e-9), default_stage_configs(), seed=11)
     assert threading.active_count() == before
+
+
+def test_overflow_in_the_bottom_half_names_the_stage(monkeypatch):
+    monkeypatch.setattr(simulate, "TILE_BYTES", 1)
+    caller = threading.get_ident()
+    oracle_probs = simulate._oracle_probs
+
+    def overflowing(*args):
+        probs = oracle_probs(*args)
+        if threading.get_ident() != caller:
+            probs *= 1e308
+            probs *= 1e308
+        return probs
+
+    monkeypatch.setattr(simulate, "_oracle_probs", overflowing)
+    # the worker sets its own error state: no warning, and the bottom half's
+    # first tile is the grid's last row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^stage 1: non-finite expected height nan at \(17, 0\)$"):
+            run_pipeline(fractal(18, 512), (0.0, 200.0 + 1e-9), default_stage_configs(), seed=11)
 
 
 @pytest.mark.parametrize("arm", ABLATION_ARMS, ids=[a[0] for a in ABLATION_ARMS])
