@@ -9,7 +9,10 @@ File formats:
 
 * ESRI ASCII grid (``.asc``) -- human-readable, parsed/written here with a
   fixed 6-significant-digit text precision so round trips preserve values
-  to better than 1e-5 relative error.
+  to better than 1e-5 relative error.  Each body row is parsed or
+  formatted in one pass (``float`` over its tokens, one ``%`` format per
+  row); a token-by-token loop runs only to report a malformed body with
+  its line number.
 * Binary PGM (``P5``) -- quick-look 8-bit rendering of any grid.
 
 All types are immutable after construction (arrays are marked read-only),
@@ -24,6 +27,7 @@ import tempfile
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -263,12 +267,44 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
     if rows < 1 or cols < 1:
         raise GridFormatError(f"invalid dimensions {rows}x{cols} in header")
 
-    # Values collect in a growable buffer and the grid array is made only
-    # after the body count matched, so a header that declares a huge grid
-    # over a short body fails on the count instead of on the allocation.
+    # Values collect in a growable buffer, one row of tokens at a time, and
+    # the grid array is made only after the body count matched, so a header
+    # that declares a huge grid over a short body fails on the count instead
+    # of on the allocation.  Any fault sends the body to the token loop,
+    # which names its line.
     expected = rows * cols
+    body = lines[lineno:]
     values = array("d")
-    for body_line, line in enumerate(lines[lineno:], start=lineno + 1):
+    try:
+        for line in body:
+            values.extend(map(float, line.split()))
+            if len(values) > expected:
+                break
+    except ValueError:
+        pass
+    else:
+        flat = np.frombuffer(values, dtype=np.float64)
+        # The sentinel is finite, so a non-finite value is never nodata.
+        if len(values) == expected and np.isfinite(flat).all():
+            return HeightGrid(
+                flat.reshape(rows, cols),
+                cell_size=header["cellsize"],
+                nodata=nodata,
+                xllcorner=header["xllcorner"],
+                yllcorner=header["yllcorner"],
+            )
+    _raise_body_error(body, lineno + 1, expected)
+
+
+def _raise_body_error(body: list[str], first_line: int, expected: int) -> NoReturn:
+    """Raise the line-numbered error for the first faulty token of ``body``.
+
+    Only called on a body that :func:`read_ascii_grid` already rejected:
+    re-reading it token by token finds a non-numeric token, a non-finite
+    value or the value past ``expected``, in file order.
+    """
+    count = 0
+    for body_line, line in enumerate(body, start=first_line):
         for token in line.split():
             try:
                 v = float(token)
@@ -276,34 +312,29 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
                 raise GridFormatError(
                     f"line {body_line}: non-numeric token {token!r}"
                 ) from None
-            if not math.isfinite(v) and v != nodata:
+            if not math.isfinite(v):
                 raise GridFormatError(
                     f"line {body_line}: non-finite value {token!r}"
                 )
-            if len(values) >= expected:
+            if count >= expected:
                 raise GridFormatError(
                     f"line {body_line}: value count mismatch, expected "
                     f"{expected} values"
                 )
-            values.append(v)
-    if len(values) != expected:
-        raise GridFormatError(
-            f"value count mismatch: header declares {expected} values, "
-            f"body has {len(values)}"
-        )
-
-    return HeightGrid(
-        np.frombuffer(values, dtype=np.float64).reshape(rows, cols),
-        cell_size=header["cellsize"],
-        nodata=nodata,
-        xllcorner=header["xllcorner"],
-        yllcorner=header["yllcorner"],
+            count += 1
+    raise GridFormatError(
+        f"value count mismatch: header declares {expected} values, "
+        f"body has {count}"
     )
 
 
+#: Text format of every written number, header and body alike.  6
+#: significant digits keep round-trip error below 1e-5 relative.
+_VALUE_FORMAT = "%.6g"
+
+
 def _format_value(v: float) -> str:
-    # 6 significant digits keeps round-trip error below 1e-5 relative.
-    return f"{v:.6g}"
+    return _VALUE_FORMAT % v
 
 
 def write_ascii_grid(grid: HeightGrid, path: str | os.PathLike) -> None:
@@ -313,24 +344,25 @@ def write_ascii_grid(grid: HeightGrid, path: str | os.PathLike) -> None:
     with the exact token used in the NODATA_VALUE header line, so the
     validity mask survives a round trip.
     """
-    nodata_token = _format_value(grid.nodata)
-    mask = grid.mask
+    values = grid.values
+    if grid.nodata == 0.0:
+        # A zero sentinel also marks cells holding the other signed zero;
+        # write those as the sentinel's own token too.
+        values = np.where(grid.mask, values, grid.nodata)
+    row_format = " ".join([_VALUE_FORMAT] * grid.cols) + "\n"
     with atomic_output(path, "w", encoding="ascii") as fh:
         fh.write(f"NCOLS {grid.cols}\n")
         fh.write(f"NROWS {grid.rows}\n")
         fh.write(f"XLLCORNER {_format_value(grid.xllcorner)}\n")
         fh.write(f"YLLCORNER {_format_value(grid.yllcorner)}\n")
         fh.write(f"CELLSIZE {_format_value(grid.cell_size)}\n")
-        fh.write(f"NODATA_VALUE {nodata_token}\n")
-        # Python floats format faster than numpy scalars.  Convert one row at
-        # a time: a whole-grid list would hold a float object per cell.
-        for values, valid in zip(grid.values, mask):
-            row = [
-                _format_value(v) if ok else nodata_token
-                for v, ok in zip(values.tolist(), valid.tolist())
-            ]
-            fh.write(" ".join(row))
-            fh.write("\n")
+        fh.write(f"NODATA_VALUE {_format_value(grid.nodata)}\n")
+        # A nodata cell holds exactly the sentinel, so it formats to the
+        # NODATA_VALUE token.  Python floats format faster than numpy
+        # scalars; one row at a time keeps a float object per cell of one
+        # row alive, not of the whole grid.
+        for row in values:
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def render_pgm(grid: HeightGrid, path: str | os.PathLike, lo: float, hi: float) -> None:

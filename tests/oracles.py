@@ -143,6 +143,26 @@ def naive_correct(values, nodata, scale):
     return out
 
 
+def cell_loop_ascii_text(grid):
+    """ESRI ASCII grid text of ``grid``, formatting each cell on its own.
+
+    Every number goes through ``f"{v:.6g}"``; a cell that compares equal to
+    the sentinel is written as the NODATA_VALUE token.
+    """
+    token = f"{grid.nodata:.6g}"
+    lines = [
+        f"NCOLS {grid.cols}",
+        f"NROWS {grid.rows}",
+        f"XLLCORNER {grid.xllcorner:.6g}",
+        f"YLLCORNER {grid.yllcorner:.6g}",
+        f"CELLSIZE {grid.cell_size:.6g}",
+        f"NODATA_VALUE {token}",
+    ]
+    for row in grid.values.tolist():
+        lines.append(" ".join(token if v == grid.nodata else f"{v:.6g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def golden_section_minimize(f, lo, hi, tol=1e-9):
     """Golden-section search for a unimodal scalar minimum on [lo, hi]."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0

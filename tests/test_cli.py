@@ -448,6 +448,7 @@ class TestHostileInputs:
             ("temperature = 1e-320", 1, "expected height"),
             ("amplitude = 1e300", 1, "height spread"),
             ("sigma_floors = 0,1e200,10", 2, "height spread"),
+            ("noise = 1e308", 1, "expected height"),
         ],
     )
     def test_non_finite_stage_exits_3_naming_the_stage(self, tmp_path, capsys, line, stage, value):

@@ -37,8 +37,16 @@ def test_simulate_run_directory_and_ablation(tmp_path):
         (["slope", "IN/terrain.asc", "OUT/slope.asc", "OUT/dir.asc"], ["dir.asc", "slope.asc"]),
         (["eval", "IN/est.asc", "IN/gt.asc", "--csv", "OUT/eval.csv"], ["eval.csv"]),
         (["correct", "IN/noisy.asc", "OUT/corrected.asc", "--scale", "1.25"], ["corrected.asc"]),
+        (
+            ["direction", "IN/terrain.asc", "OUT/direction.asc", "--pgm"],
+            ["direction.asc", "direction.pgm"],
+        ),
+        (
+            ["partition", "IN/terrain.asc", "OUT/planes8", "--planes", "8"],
+            ["planes8_lower_count.asc", "planes8_upper_count.asc"],
+        ),
     ],
-    ids=["slope", "eval", "correct"],
+    ids=["slope", "eval", "correct", "direction", "partition"],
 )
 def test_tool_outputs(argv, written, tmp_path):
     """IN/ names a fixture, OUT/ a file in the test's own directory."""

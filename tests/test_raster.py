@@ -1,5 +1,7 @@
 """Grid construction, ASCII-grid round trips, and PGM rendering."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,12 @@ from terraslope import (
     write_ascii_grid,
 )
 
+from terraslope.raster import _format_value
+
 from conftest import NODATA, random_grid
+from oracles import cell_loop_ascii_text
+
+HEADER_2X2 = "NCOLS 2\nNROWS 2\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n"
 
 
 class TestHeightGrid:
@@ -153,6 +160,112 @@ class TestReadAsciiGrid:
         )
         with pytest.raises(GridFormatError, match="line 7"):
             read_ascii_grid(path)
+
+
+class TestBodyErrors:
+    """Each malformed body names the line of its first faulty token."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "NCOLS 2\nNROWS 3\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n"
+                "NODATA_VALUE -9999\n1 2\n3 -9999\ninf 6\n",
+                "line 9: non-finite value 'inf'",
+            ),
+            (HEADER_2X2 + "1 2\n3 4 5\n", "line 7: value count mismatch, expected 4 values"),
+            (HEADER_2X2 + "1 2\n3 4\n5\n", "line 8: value count mismatch, expected 4 values"),
+            (HEADER_2X2 + "1 2\n3 x\n", "line 7: non-numeric token 'x'"),
+            (HEADER_2X2 + "1\n2\n3\nx\n", "line 9: non-numeric token 'x'"),
+            # The first fault in file order wins, whatever its kind.
+            (HEADER_2X2 + "1 nan\n3 x\n", "line 6: non-finite value 'nan'"),
+            (HEADER_2X2 + "1 2\n3 4 5 x\n", "line 7: value count mismatch, expected 4 values"),
+            (HEADER_2X2 + "1 -inf\n", "line 6: non-finite value '-inf'"),
+        ],
+        ids=[
+            "inf-row-3",
+            "one-too-many",
+            "extra-line",
+            "bad-token",
+            "bad-token-later-row",
+            "non-finite-before-bad-token",
+            "excess-before-bad-token",
+            "non-finite-in-short-body",
+        ],
+    )
+    def test_message_names_the_line(self, tmp_path, text, message):
+        path = tmp_path / "g.asc"
+        path.write_text(text)
+        with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
+            read_ascii_grid(path)
+
+    def test_tokens_read_back_with_the_bits_of_float(self, tmp_path):
+        tokens = ["+5", "-0", "1e3", "-3.40282e+38", "0.1", "5e-324", "1_0", "-9999"]
+        path = tmp_path / "g.asc"
+        path.write_text(
+            "NCOLS 4\nNROWS 2\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n"
+            "NODATA_VALUE -3.40282e+38\n"
+            + " ".join(tokens[:4]) + "\n" + " ".join(tokens[4:]) + "\n"
+        )
+        g = read_ascii_grid(path)
+        expected = np.array([float(t) for t in tokens])
+        assert g.values.ravel().view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert np.signbit(g.values[0, 1])
+        assert g.mask.ravel().tolist() == [True, True, True, False, True, True, True, True]
+
+
+class TestWriteAsciiGridBytes:
+    """The writer's bytes equal a per-cell ``.6g`` format of every value."""
+
+    def body_tokens(self, grid, tmp_path):
+        path = tmp_path / "g.asc"
+        write_ascii_grid(grid, path)
+        text = path.read_text(encoding="ascii")
+        assert text == cell_loop_ascii_text(grid)
+        return [line.split() for line in text.splitlines()[6:]]
+
+    def test_pinned_values(self, tmp_path):
+        values = [-0.0, 5e-324, 0.1, 123456.5, 1e16, -9999.0]
+        g = HeightGrid(np.array([values]), nodata=NODATA)
+        tokens = self.body_tokens(g, tmp_path)[0]
+        assert tokens == [_format_value(v) for v in values]
+        assert tokens == ["-0", "4.94066e-324", "0.1", "123456", "1e+16", "-9999"]
+
+    def test_custom_sentinel_and_all_nodata_row(self, tmp_path):
+        sentinel = -3.40282e38
+        g = HeightGrid(
+            np.array([[1.5, sentinel, -2.25], [sentinel, sentinel, sentinel]]),
+            nodata=sentinel,
+            cell_size=2.5,
+            xllcorner=-1e7,
+            yllcorner=0.125,
+        )
+        assert self.body_tokens(g, tmp_path) == [
+            ["1.5", "-3.40282e+38", "-2.25"],
+            ["-3.40282e+38"] * 3,
+        ]
+        assert "NODATA_VALUE -3.40282e+38\n" in (tmp_path / "g.asc").read_text()
+
+    def test_zero_sentinel_writes_either_signed_zero_as_its_token(self, tmp_path):
+        g = HeightGrid(np.array([[-0.0, 0.0, 1.0]]), nodata=0.0)
+        assert self.body_tokens(g, tmp_path) == [["0", "0", "1"]]
+        g = HeightGrid(np.array([[-0.0, 0.0, 1.0]]), nodata=-0.0)
+        assert self.body_tokens(g, tmp_path) == [["-0", "-0", "1"]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=24
+        ),
+        cols=st.integers(1, 6),
+        holes=st.integers(0, 2**24 - 1),
+    )
+    def test_matches_cell_loop_on_any_finite_values(self, tmp_path_factory, values, cols, holes):
+        cols = min(cols, len(values))
+        rows = len(values) // cols
+        grid = np.array(values[: rows * cols]).reshape(rows, cols)
+        grid.ravel()[[bool(holes >> i & 1) for i in range(grid.size)]] = NODATA
+        self.body_tokens(HeightGrid(grid, nodata=NODATA), tmp_path_factory.mktemp("w"))
 
 
 class TestRoundTrip:
