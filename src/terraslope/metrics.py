@@ -59,7 +59,8 @@ def evaluate(
     """Score an estimated DSM against ground truth.
 
     Raises:
-        ValueError: mismatched dimensions or an empty joint-valid set.
+        ValueError: mismatched dimensions, an empty joint-valid set, or an
+            error statistic beyond the float64 range.
     """
     if est.shape != gt.shape:
         raise ValueError(f"estimate {est.shape} and ground truth {gt.shape} differ")
@@ -67,13 +68,23 @@ def evaluate(
     n = int(joint.sum())
     if n == 0:
         raise ValueError("no jointly valid grid cell to evaluate")
-    err = np.abs(est.values[joint] - gt.values[joint])
+    # An overflowing difference leaves an infinite error, and so an infinite
+    # mean, reported below in place of numpy's warnings.
+    with np.errstate(over="ignore"):
+        err = np.abs(est.values[joint] - gt.values[joint])
+    # The errors are non-negative, so once their sum is finite, so is any sum
+    # of two of them: the median cannot overflow.
+    with np.errstate(over="ignore"):
+        mae, mse = float(err.mean()), float((err * err).mean())
+    for what, value in (("absolute", mae), ("squared", mse)):
+        if not np.isfinite(value):
+            raise ValueError(f"mean {what} height error is beyond the float64 range")
     pct_below = {
         float(t): 100.0 * float((err < t).sum()) / n for t in thresholds
     }
     return EvalReport(
-        mae=float(err.mean()),
-        rmse=float(np.sqrt((err * err).mean())),
+        mae=mae,
+        rmse=float(np.sqrt(mse)),
         pct_below=pct_below,
         median_abs=float(np.median(err)),
         completeness=100.0 * est.valid_count / (est.rows * est.cols),

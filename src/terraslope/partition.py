@@ -13,10 +13,10 @@ sides keep at least one plane.
 
 The public functions build whole (rows, cols, M) volumes, so each checks
 rows * cols * M * 8 bytes against :data:`VOLUME_BUDGET_BYTES` before it
-allocates.  The plane formulas, expectation and spread live in private array
-kernels (``_equal_planes``, ``_guided_planes``, ``_expectation``,
-``_spread``); the public functions run them on whole grids and the
-coarse-to-fine pipeline in :mod:`terraslope.simulate` on row tiles.
+allocates.  The ranges, plane formulas, expectation and spread live in
+private kernels (``_pixel_range``, ``_equal_planes``, ``_guided_planes``,
+``_expectation``, ``_spread``); the public functions run them on whole grids
+and the coarse-to-fine pipeline in :mod:`terraslope.simulate` on row tiles.
 """
 
 from __future__ import annotations
@@ -239,6 +239,11 @@ def pixel_range(
         raise ValueError(f"height {height.shape} and sigma {sigma.shape} differ")
     if not (np.isfinite(sigma_floor) and sigma_floor >= 0):
         raise ValueError(f"sigma_floor must be finite and >= 0, got {sigma_floor}")
+    return _pixel_range(height, sigma, sigma_floor)
+
+
+def _pixel_range(height: HeightGrid, sigma: HeightGrid, sigma_floor: float) -> PixelRanges:
+    """:func:`pixel_range` after its argument checks, on any rows of the two grids."""
     mask = height.mask & sigma.mask
     if ((sigma.values < 0) & mask).any():
         raise ValueError("sigma values must be non-negative")
@@ -273,15 +278,13 @@ def _split_counts(
 
 
 def _guided_layout(
-    height: HeightGrid, ranges: PixelRanges, factors: SlopeFactors, plane_count: int
+    height: HeightGrid, ranges: PixelRanges, rise: np.ndarray, drop: np.ndarray, plane_count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Grid-level inputs of :func:`_guided_planes`.
 
     Returns the joint validity mask, the center, low and high of each pixel
     (0 where invalid) and the lower-subrange plane count.
     """
-    rise = np.broadcast_to(np.asarray(factors.rise, dtype=np.float64), height.shape)
-    drop = np.broadcast_to(np.asarray(factors.drop, dtype=np.float64), height.shape)
     mask = height.mask & ranges.mask
     center = np.where(mask, height.values, 0.0)
     low = np.where(mask, ranges.low, 0.0)
@@ -335,15 +338,25 @@ def slope_guided_partition(
     sampling goes to the side with the larger slope factor.
 
     Raises:
-        ValueError: plane_count < 2, mismatched shapes, or a volume over
+        ValueError: plane_count < 2, mismatched shapes, a slope factor that
+            is non-finite or negative at a valid pixel, or a volume over
             :data:`VOLUME_BUDGET_BYTES`.
     """
     if plane_count < 2:
         raise ValueError(f"plane_count must be >= 2, got {plane_count}")
     if height.shape != ranges.shape:
         raise ValueError(f"height {height.shape} and ranges {ranges.shape} differ")
+    rise = np.asarray(factors.rise, dtype=np.float64)
+    drop = np.asarray(factors.drop, dtype=np.float64)
+    for name, factor in (("rise", rise), ("drop", drop)):
+        if factor.shape != height.shape:
+            raise ValueError(f"{name} factors {factor.shape} and height {height.shape} differ")
+        bad = ~(np.isfinite(factor) & (factor >= 0)) & height.mask & ranges.mask
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            raise ValueError(f"{name} factor {factor[r, c]} at ({r}, {c}) is not finite and >= 0")
     _check_volume(height.shape, plane_count)
-    mask, center, low, high, n_below = _guided_layout(height, ranges, factors, plane_count)
+    mask, center, low, high, n_below = _guided_layout(height, ranges, rise, drop, plane_count)
     planes = _guided_planes(center, low, high, n_below, plane_count)
     return HypothesisPlanes(
         planes=planes, mask=mask, cell_size=height.cell_size, nodata=height.nodata

@@ -13,8 +13,9 @@ sweeps equally spaced planes over the global height range shared by all
 pixels; every later stage recenters a per-pixel range on the previous
 estimate, sized by the distribution spread (with a per-stage floor), and
 optionally reallocates planes by local slope.  Each stage streams its
-hypothesis volume once, in row tiles (see :func:`_stage_pass`), so memory
-grows with the grid, not with grid times plane count.
+hypothesis volume once, in row tiles (see :func:`_stage_pass`), and each
+tile lays out its own ranges and planes from its rows of the previous
+estimate, so memory grows with the grid, not with grid times plane count.
 
 A run returns per-stage heights, evaluations and plane spacings only; the
 slope and direction maps and losses derived from the heights are computed
@@ -31,7 +32,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -49,8 +50,8 @@ from .partition import (
     _expectation,
     _guided_layout,
     _guided_planes,
+    _pixel_range,
     _spread,
-    pixel_range,
 )
 from .raster import (
     HeightGrid,
@@ -367,27 +368,36 @@ def _check_finite(values: np.ndarray, tile: slice, what: str) -> None:
         raise ValueError(f"non-finite {what} {values[r, c]} at ({tile.start + r}, {c})")
 
 
+def _strip(values: np.ndarray, tile: slice, nodata: float) -> tuple[HeightGrid, slice]:
+    """``tile``'s rows and a one-row halo (clipped to the grid), and ``tile``'s place in them."""
+    lo, hi = max(tile.start - 1, 0), min(tile.stop + 1, values.shape[0])
+    return HeightGrid(values[lo:hi], nodata=nodata), slice(tile.start - lo, tile.stop - lo)
+
+
 def _stage_pass(
-    planes_of: Callable[[slice], np.ndarray],
-    plane_count: int,
-    valid: np.ndarray,
+    cfg: StageConfig,
+    prev: tuple[HeightGrid, HeightGrid] | None,
+    global_range: tuple[float, float],
     target: np.ndarray,
-    temperature: float,
     gt: HeightGrid,
-    correct: bool,
     with_sigma: bool,
 ) -> tuple[HeightGrid, HeightGrid | None, float]:
     """A stage's height, the spread around it and its widest plane gap, in one sweep.
 
-    ``planes_of(tile)`` gives the planes of a row tile: (tile_rows, cols, M),
-    or one (M,) vector every pixel shares.  The matcher fits them to
-    ``target``; pixels outside ``valid``, a subset of ``gt.mask``, get nodata.
-    The height is the expected height, smoothed with the unit binomial kernel
-    when ``correct`` (as :func:`~terraslope.correction.correct` would smooth
-    the whole grid).  With ``with_sigma`` the spread is
-    :func:`~terraslope.partition.pixel_std` around that height, else None.
-    The widest gap is the largest spacing between consecutive planes of any
-    valid pixel (0 if none).
+    Each row tile lays out its own planes.  The first stage (``prev`` None)
+    shares one (M,) vector of equal planes over ``global_range`` among
+    ``gt``'s valid pixels.  A later stage recenters the tile's rows of the
+    previous ``(height, sigma)`` as :func:`~terraslope.partition.pixel_range`
+    does and partitions them per ``cfg``, with slope factors taken, as the
+    smoothing is, from a strip with a one-row halo: each step is elementwise
+    or a 3x3 fold, so a tile gets the bits the whole grid would give it.
+    The matcher fits the planes to ``target``; pixels outside the layout get
+    nodata.  The height is the expected height, smoothed with the unit
+    binomial kernel when ``cfg.use_height_correction`` (as
+    :func:`~terraslope.correction.correct` would smooth the whole grid).
+    With ``with_sigma`` the spread is :func:`~terraslope.partition.pixel_std`
+    around that height, else None.  The widest gap is the largest spacing
+    between consecutive planes of any valid pixel (0 if none).
 
     Tiles hold about :data:`TILE_BYTES` of planes.  The tile list is cut in
     two halves at a tile boundary, the seam: the calling thread sweeps the
@@ -399,32 +409,48 @@ def _stage_pass(
     probabilities are still at hand.  A half's last tile touches the seam
     and needs an estimate row from the other half, so each half returns it
     unsettled, and the caller settles both after the join.  A grid of one
-    tile is swept on the calling thread alone.
+    tile is swept on the calling thread alone.  When both halves fail, the
+    top half's error is raised.
 
     Raises:
-        ValueError: a non-finite expected height or spread at a valid pixel.
+        ValueError: a range too wide for float64, or a non-finite expected
+            height or spread at a valid pixel.
     """
     rows, cols = gt.shape
     nodata = gt.nodata
+    m = cfg.plane_count
     estimate = np.empty(gt.shape)
-    height = np.empty(gt.shape) if correct else estimate
+    height = np.empty(gt.shape) if cfg.use_height_correction else estimate
     sigma = np.empty(gt.shape) if with_sigma else None
-    step = max(1, TILE_BYTES // (8 * cols * plane_count))
+    step = max(1, TILE_BYTES // (8 * cols * m))
     tiles = [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
     half = (len(tiles) + 1) // 2
+    shared = _equal_planes(*global_range, m) if prev is None else None
+
+    def layout(tile: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The planes of ``tile`` and the mask of the pixels it sweeps."""
+        if prev is None:
+            return shared, gt.values[tile] != nodata
+        center, spread = (grid.with_values(grid.values[tile]) for grid in prev)
+        ranges = _pixel_range(center, spread, cfg.sigma_floor)
+        if not cfg.use_slope_partition:
+            return _equal_planes(ranges.low, ranges.high, m), ranges.mask
+        strip, inner = _strip(prev[0].values, tile, nodata)
+        factors = slope_factor_maps(strip)
+        valid, *grids = _guided_layout(center, ranges, factors.rise[inner], factors.drop[inner], m)
+        return _guided_planes(*grids, m), valid
 
     # An overflow leaves a non-finite value, which the checks report in
     # place of numpy's warnings.  The worker thread does not inherit the
     # caller's error state, so each function sets its own.
     @np.errstate(over="ignore", invalid="ignore")
-    def settle(tile: slice, planes: np.ndarray, probs: np.ndarray) -> None:
-        if correct:
-            lo, hi = max(tile.start - 1, 0), min(tile.stop + 1, rows)
-            strip = HeightGrid(estimate[lo:hi], nodata=nodata)
-            height[tile] = _smooth(strip, BASE_WEIGHTS)[tile.start - lo : tile.stop - lo]
+    def settle(tile: slice, planes: np.ndarray, probs: np.ndarray, valid: np.ndarray) -> None:
+        if cfg.use_height_correction:
+            strip, inner = _strip(estimate, tile, nodata)
+            height[tile] = _smooth(strip, BASE_WEIGHTS)[inner]
         if sigma is not None:
             spread = _spread(probs, planes, height[tile])
-            spread[~valid[tile]] = nodata
+            spread[~valid] = nodata
             _check_finite(spread, tile, "height spread")
             sigma[tile] = spread
 
@@ -434,17 +460,17 @@ def _stage_pass(
         widest = 0.0
         held = None
         for tile in part:
-            planes = planes_of(tile)
-            probs = _oracle_probs(planes, target[tile], temperature, valid[tile])
+            planes, valid = layout(tile)
+            probs = _oracle_probs(planes, target[tile], cfg.temperature, valid)
             est = _expectation(probs, planes)
-            est[~valid[tile]] = nodata
+            est[~valid] = nodata
             _check_finite(est, tile, "expected height")
             estimate[tile] = est
             gaps = np.diff(planes, axis=-1).max(axis=-1)
-            widest = max(widest, np.broadcast_to(gaps, est.shape)[valid[tile]].max(initial=0.0))
+            widest = max(widest, np.broadcast_to(gaps, est.shape)[valid].max(initial=0.0))
             if held is not None:
                 settle(*held)
-            held = tile, planes, probs
+            held = tile, planes, probs, valid
         return widest, held
 
     if len(tiles) == 1:
@@ -457,37 +483,12 @@ def _stage_pass(
         settle(*held)
     widest = max(part_widest for part_widest, _ in halves)
 
+    del estimate  # HeightGrid copies its input: free each raw grid before the next copy
     grid = HeightGrid(height, cell_size=gt.cell_size, nodata=nodata)
+    del height
     if sigma is not None:
         sigma = grid.with_values(sigma)
     return grid, sigma, float(widest)
-
-
-def _stage_layout(
-    cfg: StageConfig,
-    global_range: tuple[float, float],
-    gt: HeightGrid,
-    height: HeightGrid | None,
-    sigma: HeightGrid | None,
-) -> tuple[np.ndarray, Callable[[slice], np.ndarray]]:
-    """A stage's valid mask and the ``planes_of`` callable of :func:`_stage_pass`.
-
-    The first stage (``height`` None) shares one (M,) vector of equal planes
-    over ``global_range`` among all of ``gt``'s valid pixels.  A later stage
-    recenters per-pixel ranges on the previous ``height`` and ``sigma`` and
-    slices its plane inputs per tile.  The ranges and slope factors die
-    here; only the grids the sweep reads outlive the call.
-    """
-    m = cfg.plane_count
-    if height is None:
-        shared = _equal_planes(*global_range, m)
-        return gt.mask, lambda tile: shared
-    ranges = pixel_range(height, sigma, cfg.sigma_floor)
-    if cfg.use_slope_partition:
-        valid, *grids = _guided_layout(height, ranges, slope_factor_maps(height), m)
-        return valid, lambda tile: _guided_planes(*(g[tile] for g in grids), m)
-    lows, highs = ranges.low, ranges.high
-    return ranges.mask, lambda tile: _equal_planes(lows[tile], highs[tile], m)
 
 
 def run_pipeline(
@@ -512,13 +513,13 @@ def run_pipeline(
     Memory: every stage is one pass over row tiles of about
     :data:`TILE_BYTES` of planes (:func:`_stage_pass` describes the sweep),
     so volume memory is a few tiles, not rows * cols * M; the rest is a few
-    (rows, cols) grids.  A stage's ranges and slope factors are freed before
-    its sweep starts.  A stage sweeps only pixels where the previous height
-    is valid, so the stage masks nest within ``gt.mask``.  The results
-    equal, bit for bit, those of composing the whole-grid functions (the
-    partition module's ``equal_partition``, ``slope_guided_partition``,
-    ``expected_height`` and ``pixel_std``, :func:`oracle_matcher` and
-    :func:`~terraslope.correction.correct`).
+    (rows, cols) grids.  Each tile lays out its own ranges and planes, so no
+    stage builds whole-grid ranges or slope factors.  A stage sweeps only
+    pixels where the previous height is valid, so the stage masks nest
+    within ``gt.mask``.  The results equal, bit for bit, those of composing
+    the whole-grid functions (the partition module's ``equal_partition``,
+    ``slope_guided_partition``, ``expected_height`` and ``pixel_std``,
+    :func:`oracle_matcher` and :func:`~terraslope.correction.correct`).
 
     Identical (gt, global_range, stages, seed) yield bit-identical results.
 
@@ -526,8 +527,8 @@ def run_pipeline(
         ValueError: bad range, ground truth outside the range, an empty
             stage list, a stage whose single-row volume (cols * M) is
             over the partition module's ``VOLUME_BUDGET_BYTES``, or a stage
-            whose expected height or spread overflows at a valid pixel
-            (the message names the stage).
+            whose search range, expected height or spread overflows at a
+            valid pixel (the message names the stage).
     """
     low, high = float(global_range[0]), float(global_range[1])
     if not (low < high):
@@ -551,30 +552,18 @@ def run_pipeline(
     reports: list[EvalReport] = []
     spacings: list[float] = []
 
-    height: HeightGrid | None = None
-    sigma: HeightGrid | None = None
-
+    prev: tuple[HeightGrid, HeightGrid] | None = None
     for stage_index, cfg in enumerate(stages):
-        valid, planes_of = _stage_layout(cfg, (low, high), gt, height, sigma)
-        # the previous spread is dead once the ranges are laid out
-        sigma = None
         target = matcher_noise(gt.shape, cfg.noise, seed=len(stages) * seed + stage_index)
         target += gt.values
         try:
             height, sigma, spacing = _stage_pass(
-                planes_of,
-                cfg.plane_count,
-                valid,
-                target,
-                cfg.temperature,
-                gt,
-                correct=cfg.use_height_correction,
-                with_sigma=stage_index + 1 < len(stages),
+                cfg, prev, (low, high), target, gt, with_sigma=stage_index + 1 < len(stages)
             )
         except ValueError as exc:
             raise ValueError(f"stage {stage_index + 1}: {exc}") from exc
-        # free the sweep's inputs before the next stage lays out its own
-        del valid, planes_of, target
+        del target
+        prev = height, sigma
         heights.append(height)
         reports.append(evaluate(height, gt, thresholds=DEFAULT_THRESHOLDS))
         spacings.append(spacing)

@@ -91,13 +91,28 @@ def _fold(views: list[np.ndarray], ufunc: np.ufunc) -> np.ndarray:
     return out
 
 
+def _check_overflow(diff: np.ndarray, grid: HeightGrid, what: str) -> None:
+    """Raise a ``ValueError`` at the first valid cell where the difference ``diff`` overflowed."""
+    bad = ~np.isfinite(diff) & grid.mask
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ValueError(
+            f"{what} at ({r}, {c}) overflows: a 3x3 height difference is beyond the float64 range"
+        )
+
+
+@np.errstate(over="ignore")
 def slope_map(grid: HeightGrid) -> HeightGrid:
     """Per-pixel slope: |3x3 neighborhood max - center|, in meters.
 
     Invalid pixels propagate nodata.  The result shares dimensions, cell
     size, and sentinel with the input.
+
+    Raises:
+        ValueError: a slope beyond the float64 range at a valid pixel.
     """
     slope = np.abs(_fold(_window_views(grid, -np.inf), np.maximum) - grid.values)
+    _check_overflow(slope, grid, "slope")
     slope[~grid.mask] = grid.nodata
     return grid.with_values(slope)
 
@@ -121,13 +136,19 @@ def slope_direction_map(grid: HeightGrid) -> SlopeDirectionGrid:
     return SlopeDirectionGrid(codes=codes, mask=mask)
 
 
+@np.errstate(over="ignore")
 def slope_factor_maps(grid: HeightGrid) -> SlopeFactors:
     """Rise/drop slope factors for every pixel of a grid.
 
     Returns a :class:`SlopeFactors` whose fields are (rows, cols) arrays.
     Entries at invalid pixels are zero; consumers mask with ``grid.mask``.
+
+    Raises:
+        ValueError: a factor beyond the float64 range at a valid pixel.
     """
     rise = np.abs(_fold(_window_views(grid, -np.inf), np.maximum) - grid.values)
+    # A drop from a to b overflows only where the rise from b to a does.
+    _check_overflow(rise, grid, "rise slope factor")
     drop = np.abs(_fold(_window_views(grid, np.inf), np.minimum) - grid.values)
     invalid = ~grid.mask
     rise[invalid] = 0.0

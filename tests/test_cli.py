@@ -463,6 +463,63 @@ class TestHostileInputs:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_range_overflow_exits_3_naming_the_stage(self, tmp_path, capsys):
+        cfg = tmp_path / "range.txt"
+        cfg.write_text("terrain = fractal\nrows = 16\ncols = 16\nsigma_floors = 0,1e308,10\n")
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate", cfg, out]) == 3
+        captured = capsys.readouterr()
+        assert "stage 2: range bounds, width and sigma must be finite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, est, gt, cause",
+        [
+            (
+                ["slope", "{}/est.asc", "{}/s.asc", "{}/d.asc", "--pgm", "0", "1"],
+                "1.7e308 -1.7e308",
+                None,
+                "slope at (0, 1) overflows",
+            ),
+            (
+                ["partition", "{}/est.asc", "{}/p", "--planes", "4", "--sigma-floor", "0"],
+                "1.7e308 -1.7e308",
+                None,
+                "rise slope factor at (0, 1) overflows",
+            ),
+            (
+                ["eval", "{}/est.asc", "{}/gt.asc", "--csv", "{}/e.csv"],
+                "1.7e308 -1.7e308",
+                "-1.7e308 1.7e308",
+                "mean absolute height error is beyond the float64 range",
+            ),
+            (
+                ["eval", "{}/est.asc", "{}/gt.asc", "--csv", "{}/e.csv"],
+                "1e200 1e200",
+                "0 0",
+                "mean squared height error is beyond the float64 range",
+            ),
+        ],
+        ids=["slope", "partition", "eval-difference", "eval-square"],
+    )
+    def test_overflowing_height_difference_exits_3_without_output(
+        self, tmp_path, capsys, argv, est, gt, cause
+    ):
+        header = "NCOLS 2\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n"
+        inputs = {"est.asc": est} if gt is None else {"est.asc": est, "gt.asc": gt}
+        for name, row in inputs.items():
+            (tmp_path / name).write_text(f"{header}{row}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([arg.format(tmp_path) for arg in argv]) == 3
+        captured = capsys.readouterr()
+        assert cause in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+
     @pytest.mark.parametrize(
         "flags, cause",
         [

@@ -121,6 +121,19 @@ class TestEvaluate:
                 assert r.pct_below[t] == pytest.approx(pct[t], abs=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "est, gt, what",
+        [
+            ([[1.7e308, -1.7e308]], [[-1.7e308, 1.7e308]], "absolute"),
+            ([[1.7e308, 1.7e308]], [[0.0, 0.0]], "absolute"),
+            ([[1e200, 1e200]], [[0.0, 0.0]], "squared"),
+        ],
+        ids=["difference", "sum", "square"],
+    )
+    def test_overflow_names_the_statistic(self, est, gt, what):
+        with pytest.raises(ValueError, match=f"^mean {what} height error is beyond the float64"):
+            evaluate(grid(est), grid(gt))
+
 class TestMvs3dReport:
     def test_perfect(self, rng):
         g = random_grid(rng, 4, 4)

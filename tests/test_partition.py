@@ -295,6 +295,46 @@ class TestSlopeGuidedPartition:
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
+
+class TestSlopeFactorChecks:
+    def setup_grid(self, holes=False):
+        values = np.arange(6, dtype=float).reshape(2, 3)
+        if holes:
+            values[1, 2] = NODATA
+        h = HeightGrid(values, nodata=NODATA)
+        return h, pixel_range(h, h.with_values(np.ones((2, 3))), 1.0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2, 3, 1)])
+    def test_shape_mismatch_names_both_shapes(self, shape):
+        h, ranges = self.setup_grid()
+        factors = SlopeFactors(rise=np.ones(shape), drop=np.ones(shape))
+        with pytest.raises(ValueError, match=rf"^rise factors \({shape[0]}, {shape[1]}.*\(2, 3\)"):
+            slope_guided_partition(h, ranges, factors, 4)
+
+    def test_drop_shape_checked_too(self):
+        h, ranges = self.setup_grid()
+        factors = SlopeFactors(rise=np.ones((2, 3)), drop=np.ones((1, 1)))
+        with pytest.raises(ValueError, match=r"^drop factors \(1, 1\) and height \(2, 3\) differ"):
+            slope_guided_partition(h, ranges, factors, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("field", ["rise", "drop"])
+    def test_bad_value_at_a_valid_pixel_rejected(self, field, bad):
+        h, ranges = self.setup_grid()
+        values = {"rise": np.ones((2, 3)), "drop": np.ones((2, 3))}
+        values[field][1, 0] = bad
+        with pytest.raises(ValueError, match=rf"^{field} factor {bad} at \(1, 0\) is not finite"):
+            slope_guided_partition(h, ranges, SlopeFactors(**values), 4)
+
+    def test_bad_value_at_an_invalid_pixel_accepted(self):
+        h, ranges = self.setup_grid(holes=True)
+        rise = np.ones((2, 3))
+        rise[1, 2] = np.nan
+        drop = np.ones((2, 3))
+        drop[1, 2] = -1.0
+        p = slope_guided_partition(h, ranges, SlopeFactors(rise=rise, drop=drop), 4)
+        assert p.mask.tolist() == [[True, True, True], [True, True, False]]
+
 class TestEqualPartition:
     def test_linspace(self):
         p = equal_partition(single_pixel_ranges(0.0, 10.0), 3)

@@ -342,3 +342,83 @@ def test_runs_derive_no_slope_direction_or_loss(arm, monkeypatch, tmp_path):
     # the writer derives them, through the same rebound names
     simulate.write_run_directory(result, gt, global_range, tmp_path)
     assert sorted(set(calls)) == ["loss_report", "slope_direction_map", "slope_map"]
+
+
+def overflowing_range_stages():
+    # a 1e308 floor puts every stage-2 range width beyond the float64 range
+    return tuple(
+        replace(cfg, sigma_floor=floor)
+        for cfg, floor in zip(default_stage_configs(), (0.0, 1e308, 10.0))
+    )
+
+
+@pytest.mark.parametrize("one_row_tiles", [False, True], ids=["default-tiles", "one-row-tiles"])
+def test_range_overflow_names_the_stage(one_row_tiles, monkeypatch):
+    if one_row_tiles:
+        monkeypatch.setattr(simulate, "TILE_BYTES", 1)
+    before = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ValueError, match=r"^stage 2: range bounds, width and sigma must be finite$"
+        ):
+            run_pipeline(fractal(18, 512), (0.0, 200.0 + 1e-9), overflowing_range_stages())
+    assert threading.active_count() == before
+
+
+def test_top_half_range_error_wins_whatever_the_timing(monkeypatch):
+    monkeypatch.setattr(simulate, "TILE_BYTES", 1)
+    caller = threading.get_ident()
+    bottom_failed = threading.Event()
+
+    def failing(height, sigma, sigma_floor):
+        if threading.get_ident() != caller:
+            bottom_failed.set()
+            raise ValueError("bottom half")
+        # the bottom half fails first, yet the top half's error is raised
+        assert bottom_failed.wait(timeout=30)
+        raise ValueError("top half")
+
+    monkeypatch.setattr(simulate, "_pixel_range", failing)
+    with pytest.raises(ValueError, match=r"^stage 2: top half$"):
+        run_pipeline(fractal(18, 512), (0.0, 200.0 + 1e-9), default_stage_configs(), seed=11)
+
+
+@pytest.mark.parametrize("one_row_tiles", [False, True], ids=["default-tiles", "one-row-tiles"])
+@pytest.mark.parametrize("grid", ["18x512", "nodata-40x33"])
+@pytest.mark.parametrize("arm", [ABLATION_ARMS[0], ABLATION_ARMS[-1]], ids=["baseline", "combined"])
+def test_each_tile_lays_out_its_own_planes(arm, grid, one_row_tiles, monkeypatch):
+    if one_row_tiles:
+        monkeypatch.setattr(simulate, "TILE_BYTES", 1)
+    ranges_rows, factor_rows = [], []
+    pixel_range, slope_factor_maps = simulate._pixel_range, simulate.slope_factor_maps
+
+    def recording_range(height, sigma, sigma_floor):
+        ranges_rows.append(height.rows)
+        return pixel_range(height, sigma, sigma_floor)
+
+    def recording_factors(grid):
+        factor_rows.append(grid.rows)
+        return slope_factor_maps(grid)
+
+    monkeypatch.setattr(simulate, "_pixel_range", recording_range)
+    monkeypatch.setattr(simulate, "slope_factor_maps", recording_factors)
+    _, use_partition, use_correction = arm
+    stages = tuple(
+        replace(c, use_slope_partition=use_partition, use_height_correction=use_correction)
+        for c in default_stage_configs()
+    )
+    gt = GRIDS[grid]()
+    valid = gt.values[gt.mask]
+    run_pipeline(gt, (float(valid.min()), float(valid.max()) + 1e-9), stages, seed=11)
+    # stages 2 and later: one call per tile, on the tile's rows (plus a
+    # one-row halo, clipped to the grid, for the slope factors)
+    tiles, strips = [], []
+    for cfg in stages[1:]:
+        step = max(1, simulate.TILE_BYTES // (8 * gt.cols * cfg.plane_count))
+        for start in range(0, gt.rows, step):
+            stop = min(start + step, gt.rows)
+            tiles.append(stop - start)
+            strips.append(min(stop + 1, gt.rows) - max(start - 1, 0))
+    assert sorted(ranges_rows) == sorted(tiles)
+    assert sorted(factor_rows) == (sorted(strips) if use_partition else [])

@@ -58,6 +58,10 @@ class TestSlopeMap:
         g = HeightGrid(np.ones((2, 2)), cell_size=12.5)
         assert slope_map(g).cell_size == 12.5
 
+    def test_overflow_names_the_cell(self):
+        with pytest.raises(ValueError, match=r"^slope at \(0, 1\) overflows"):
+            slope_map(HeightGrid(np.array([[1.7e308, -1.7e308]])))
+
 
 class TestSlopeDirectionMap:
     def test_constant_grid_all_vertical(self):
@@ -125,6 +129,17 @@ class TestSlopeFactors:
         f = slope_factor_maps(ramp_grid())
         assert f.rise[2, 2] == 2.0 and f.drop[2, 2] == 2.0
 
+
+    def test_overflow_names_the_factor_and_cell(self):
+        with pytest.raises(ValueError, match=r"^rise slope factor at \(0, 1\) overflows"):
+            slope_factor_maps(HeightGrid(np.array([[1.7e308, -1.7e308]])))
+
+    def test_overflow_at_an_invalid_pixel_is_ignored(self):
+        # the sentinel itself is the far end of the overflowing difference
+        g = HeightGrid(np.array([[1.7e308, -1.7e308]]), nodata=-1.7e308)
+        f = slope_factor_maps(g)
+        assert f.rise.tolist() == [[0.0, 0.0]] and f.drop.tolist() == [[0.0, 0.0]]
+        assert slope_map(g).values.tolist() == [[0.0, -1.7e308]]
 
 class TestOracleEquivalence:
     def test_random_grids_match_brute_force(self):
