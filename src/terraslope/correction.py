@@ -54,7 +54,8 @@ def _smooth(grid: HeightGrid, weights: np.ndarray) -> np.ndarray:
     """Weighted sums of ``grid``'s 3x3 windows; nodata at invalid pixels.
 
     :func:`correct` runs it on a whole grid; the pipeline in
-    :mod:`terraslope.simulate` runs it on row strips.  Output row ``r``
+    :mod:`terraslope.simulate` runs it on row strips, views that carry only
+    the ``values``, ``mask`` and ``nodata`` read here.  Output row ``r``
     depends only on rows ``r-1 .. r+1``, and the matmul gives each row the
     same bits whether it runs on the whole grid or on a strip.  So the
     strip ``grid[a-1 : b+1]`` (clipped to the grid) yields rows ``a : b``

@@ -157,8 +157,9 @@ class PixelRanges:
                 raise ValueError("sigma must be non-negative")
             if (low[mask] > high[mask]).any():
                 raise ValueError("range low must not exceed high")
+            # ``center +- sigma`` rounds at the bounds' magnitude, not sigma's.
             width_err = np.abs(width - 2.0 * sigma[mask])
-            scale = np.maximum(1.0, np.abs(sigma[mask]))
+            scale = np.maximum(1.0, np.maximum(np.abs(low[mask]), np.abs(high[mask])))
             if (width_err > 1e-9 * scale).any():
                 raise ValueError("range width must equal 2 * sigma")
         object.__setattr__(self, "low", _freeze(low))
@@ -223,6 +224,7 @@ def pixel_std(
     return height.with_values(sigma)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pixel_range(
     height: HeightGrid, sigma: HeightGrid, sigma_floor: float = 0.0
 ) -> PixelRanges:
@@ -239,19 +241,10 @@ def pixel_range(
         raise ValueError(f"height {height.shape} and sigma {sigma.shape} differ")
     if not (np.isfinite(sigma_floor) and sigma_floor >= 0):
         raise ValueError(f"sigma_floor must be finite and >= 0, got {sigma_floor}")
-    return _pixel_range(height, sigma, sigma_floor)
-
-
-def _pixel_range(height: HeightGrid, sigma: HeightGrid, sigma_floor: float) -> PixelRanges:
-    """:func:`pixel_range` after its argument checks, on any rows of the two grids."""
-    mask = height.mask & sigma.mask
-    if ((sigma.values < 0) & mask).any():
-        raise ValueError("sigma values must be non-negative")
-    spread = np.where(mask, np.maximum(sigma.values, sigma_floor), 0.0)
-    center = np.where(mask, height.values, 0.0)
+    mask, _, low, high, spread = _pixel_range(height, sigma, sigma_floor)
     return PixelRanges(
-        low=center - spread,
-        high=center + spread,
+        low=low,
+        high=high,
         sigma=spread,
         mask=mask,
         cell_size=height.cell_size,
@@ -259,38 +252,49 @@ def _pixel_range(height: HeightGrid, sigma: HeightGrid, sigma_floor: float) -> P
     )
 
 
-def _split_counts(
-    total: int, drop: np.ndarray, rise: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distribute ``total`` planes between the lower and upper subrange.
+def _pixel_range(height, sigma, sigma_floor: float) -> tuple[np.ndarray, ...]:
+    """:func:`pixel_range`'s arrays after its argument checks, on any rows of the two grids.
+
+    ``height`` and ``sigma`` need only ``values`` and ``mask``: whole
+    :class:`~terraslope.raster.HeightGrid`s, or row views of grids whose
+    values are already known to be finite or nodata.  Returns the joint
+    mask and the center, low, high and floored sigma of each pixel, all 0
+    where the mask is False.  The caller sets the error state: an
+    overflowing bound is reported, not warned about.
+
+    Raises:
+        ValueError: a negative sigma or a range too wide for float64 at a
+            valid pixel.
+    """
+    mask = height.mask & sigma.mask
+    if ((sigma.values < 0) & mask).any():
+        raise ValueError("sigma values must be non-negative")
+    spread = np.where(mask, np.maximum(sigma.values, sigma_floor), 0.0)
+    center = np.where(mask, height.values, 0.0)
+    low = center - spread
+    high = center + spread
+    # Both inputs are finite wherever the mask holds, so only an overflowing
+    # bound or width can be non-finite; masked-out cells are all 0.
+    if not np.isfinite(high - low).all():
+        raise ValueError("range bounds, width and sigma must be finite")
+    return mask, center, low, high, spread
+
+
+def _split_counts(total: int, drop: np.ndarray, rise: np.ndarray) -> np.ndarray:
+    """Number of planes, as float64, of the lower subrange out of ``total``.
 
     Lower share is proportional to ``drop``, upper to ``rise``; the lower
-    count rounds half-up and the upper takes the complement, so the total
-    is conserved exactly.  Zero-slope pixels split evenly (lower gets
+    count rounds half-up and the upper subrange takes the complement, so the
+    total is conserved exactly.  Zero-slope pixels split evenly (lower gets
     floor(total / 2)) and both sides are clamped to at least one plane.
+    Counts are whole numbers far below 2**53, so float64 holds them exactly
+    and :func:`_guided_planes` computes with them without conversions.
     """
     denom = drop + rise
     share = drop / np.where(denom > 0, denom, 1.0)
-    n_below = np.floor(total * share + 0.5).astype(np.int64)
+    n_below = np.floor(total * share + 0.5)
     n_below[denom == 0] = total // 2
-    n_below = np.clip(n_below, 1, total - 1)
-    return n_below, total - n_below
-
-
-def _guided_layout(
-    height: HeightGrid, ranges: PixelRanges, rise: np.ndarray, drop: np.ndarray, plane_count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Grid-level inputs of :func:`_guided_planes`.
-
-    Returns the joint validity mask, the center, low and high of each pixel
-    (0 where invalid) and the lower-subrange plane count.
-    """
-    mask = height.mask & ranges.mask
-    center = np.where(mask, height.values, 0.0)
-    low = np.where(mask, ranges.low, 0.0)
-    high = np.where(mask, ranges.high, 0.0)
-    n_below, _ = _split_counts(plane_count, drop, rise)
-    return mask, center, low, high, n_below
+    return np.clip(n_below, 1, total - 1, out=n_below)
 
 
 def _guided_planes(
@@ -300,9 +304,12 @@ def _guided_planes(
     n_below: np.ndarray,
     plane_count: int,
 ) -> np.ndarray:
-    """Slope-guided (rows, cols, M) planes from per-pixel 2D inputs."""
+    """Slope-guided (rows, cols, M) planes from per-pixel 2D inputs.
+
+    ``n_below`` is :func:`_split_counts`'s float64 lower-subrange count.
+    """
     n_above = plane_count - n_below
-    idx = np.arange(plane_count)
+    idx = np.arange(plane_count, dtype=np.float64)
     below_count = n_below[:, :, None]
     step_below = (center - low)[:, :, None] / below_count
     planes = idx * step_below
@@ -311,7 +318,7 @@ def _guided_planes(
     above_count = n_above[:, :, None]
     span_above = (high - center)[:, :, None]
     step_above = np.where(above_count > 1, span_above / np.maximum(above_count - 1, 1), 0.0)
-    upper = np.subtract(idx, below_count, dtype=np.float64)
+    upper = idx - below_count
     upper *= step_above
     upper += center[:, :, None]
 
@@ -356,8 +363,9 @@ def slope_guided_partition(
             r, c = np.argwhere(bad)[0]
             raise ValueError(f"{name} factor {factor[r, c]} at ({r}, {c}) is not finite and >= 0")
     _check_volume(height.shape, plane_count)
-    mask, center, low, high, n_below = _guided_layout(height, ranges, rise, drop, plane_count)
-    planes = _guided_planes(center, low, high, n_below, plane_count)
+    mask = height.mask & ranges.mask
+    center, low, high = (np.where(mask, v, 0.0) for v in (height.values, ranges.low, ranges.high))
+    planes = _guided_planes(center, low, high, _split_counts(plane_count, drop, rise), plane_count)
     return HypothesisPlanes(
         planes=planes, mask=mask, cell_size=height.cell_size, nodata=height.nodata
     )

@@ -9,10 +9,10 @@ File formats:
 
 * ESRI ASCII grid (``.asc``) -- human-readable, parsed/written here with a
   fixed 6-significant-digit text precision so round trips preserve values
-  to better than 1e-5 relative error.  Each body row is parsed or
-  formatted in one pass (``float`` over its tokens, one ``%`` format per
-  row); a token-by-token loop runs only to report a malformed body with
-  its line number.
+  to better than 1e-5 relative error.  The file is read a line at a
+  time, and each body row is parsed or formatted in one pass (``float``
+  over its tokens, one ``%`` format per row); a token-by-token loop
+  re-reads the body only to report a malformed one with its line number.
 * Binary PGM (``P5``) -- quick-look 8-bit rendering of any grid.
 
 All types are immutable after construction (arrays are marked read-only),
@@ -27,7 +27,7 @@ import tempfile
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -213,38 +213,37 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
             Messages carry the 1-based line number.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
+        header: dict[str, float] = {}
+        lineno = 0
+        for key in _HEADER_KEYS:
+            line = fh.readline()
+            if not line:
+                raise GridFormatError(f"line {lineno + 1}: missing header line '{key}'")
+            tokens = line.split()
+            if len(tokens) != 2 or tokens[0].lower() != key:
+                raise GridFormatError(
+                    f"line {lineno + 1}: expected header '{key} <value>', "
+                    f"got {line.strip()!r}"
+                )
+            try:
+                header[key] = float(tokens[1])
+            except ValueError:
+                raise GridFormatError(
+                    f"line {lineno + 1}: non-numeric value {tokens[1]!r} for '{key}'"
+                ) from None
+            if not math.isfinite(header[key]):
+                raise GridFormatError(
+                    f"line {lineno + 1}: '{key}' must be finite, got {tokens[1]!r}"
+                )
+            if key in ("ncols", "nrows") and not header[key].is_integer():
+                raise GridFormatError(
+                    f"line {lineno + 1}: '{key}' must be an integer, got {tokens[1]!r}"
+                )
+            lineno += 1
 
-    header: dict[str, float] = {}
-    lineno = 0
-    for key in _HEADER_KEYS:
-        if lineno >= len(lines):
-            raise GridFormatError(f"line {lineno + 1}: missing header line '{key}'")
-        tokens = lines[lineno].split()
-        if len(tokens) != 2 or tokens[0].lower() != key:
-            raise GridFormatError(
-                f"line {lineno + 1}: expected header '{key} <value>', "
-                f"got {lines[lineno].strip()!r}"
-            )
-        try:
-            header[key] = float(tokens[1])
-        except ValueError:
-            raise GridFormatError(
-                f"line {lineno + 1}: non-numeric value {tokens[1]!r} for '{key}'"
-            ) from None
-        if not math.isfinite(header[key]):
-            raise GridFormatError(
-                f"line {lineno + 1}: '{key}' must be finite, got {tokens[1]!r}"
-            )
-        if key in ("ncols", "nrows") and not header[key].is_integer():
-            raise GridFormatError(
-                f"line {lineno + 1}: '{key}' must be an integer, got {tokens[1]!r}"
-            )
-        lineno += 1
-
-    nodata = NODATA_DEFAULT
-    if lineno < len(lines):
-        tokens = lines[lineno].split()
+        nodata = NODATA_DEFAULT
+        body_start = fh.tell()
+        tokens = fh.readline().split()
         if tokens and tokens[0].lower() == "nodata_value":
             if len(tokens) != 2:
                 raise GridFormatError(
@@ -261,42 +260,45 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
                     f"line {lineno + 1}: NODATA_VALUE must be finite"
                 )
             lineno += 1
+            body_start = fh.tell()
+        else:
+            fh.seek(body_start)
 
-    cols = int(header["ncols"])
-    rows = int(header["nrows"])
-    if rows < 1 or cols < 1:
-        raise GridFormatError(f"invalid dimensions {rows}x{cols} in header")
+        cols = int(header["ncols"])
+        rows = int(header["nrows"])
+        if rows < 1 or cols < 1:
+            raise GridFormatError(f"invalid dimensions {rows}x{cols} in header")
 
-    # Values collect in a growable buffer, one row of tokens at a time, and
-    # the grid array is made only after the body count matched, so a header
-    # that declares a huge grid over a short body fails on the count instead
-    # of on the allocation.  Any fault sends the body to the token loop,
-    # which names its line.
-    expected = rows * cols
-    body = lines[lineno:]
-    values = array("d")
-    try:
-        for line in body:
-            values.extend(map(float, line.split()))
+        # Values collect in a growable buffer, one line of tokens at a time,
+        # and the grid array is made only after the body count matched, so a
+        # header that declares a huge grid over a short body fails on the
+        # count instead of on the allocation.  Any fault sends the body, read
+        # again from its start, to the token loop, which names its line.
+        expected = rows * cols
+        values = array("d")
+        for line in fh:
+            try:
+                values.extend(map(float, line.split()))
+            except ValueError:
+                break
             if len(values) > expected:
                 break
-    except ValueError:
-        pass
-    else:
-        flat = np.frombuffer(values, dtype=np.float64)
-        # The sentinel is finite, so a non-finite value is never nodata.
-        if len(values) == expected and np.isfinite(flat).all():
-            return HeightGrid(
-                flat.reshape(rows, cols),
-                cell_size=header["cellsize"],
-                nodata=nodata,
-                xllcorner=header["xllcorner"],
-                yllcorner=header["yllcorner"],
-            )
-    _raise_body_error(body, lineno + 1, expected)
+        else:
+            flat = np.frombuffer(values, dtype=np.float64)
+            # The sentinel is finite, so a non-finite value is never nodata.
+            if len(values) == expected and np.isfinite(flat).all():
+                return HeightGrid(
+                    flat.reshape(rows, cols),
+                    cell_size=header["cellsize"],
+                    nodata=nodata,
+                    xllcorner=header["xllcorner"],
+                    yllcorner=header["yllcorner"],
+                )
+        fh.seek(body_start)
+        _raise_body_error(fh, lineno + 1, expected)
 
 
-def _raise_body_error(body: list[str], first_line: int, expected: int) -> NoReturn:
+def _raise_body_error(body: Iterable[str], first_line: int, expected: int) -> NoReturn:
     """Raise the line-numbered error for the first faulty token of ``body``.
 
     Only called on a body that :func:`read_ascii_grid` already rejected:

@@ -35,6 +35,7 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +49,9 @@ from .partition import (
     _check_volume,
     _equal_planes,
     _expectation,
-    _guided_layout,
     _guided_planes,
     _pixel_range,
+    _split_counts,
     _spread,
 )
 from .raster import (
@@ -308,19 +309,63 @@ def matcher_noise(shape: tuple[int, int], scale: float, seed: int) -> np.ndarray
     return noise
 
 
+def _plane_max(values: np.ndarray) -> np.ndarray:
+    """``values.max(axis=-1)``, folded over slices of the plane axis.
+
+    numpy reduces a short last axis pixel by pixel.  The fold halves the
+    planes while more than 16 remain (the top half onto the bottom half, an
+    odd middle plane onto plane 0), which keeps runs of contiguous planes
+    long, and then takes the rest one plane slice at a time.  A maximum is
+    exact, so the order of the fold changes no value; only the sign of a
+    maximum that ties -0.0 with +0.0 can differ from the reduction's.
+    """
+    n = values.shape[-1]
+    scratch = None  # the first fold's result, which later folds overwrite
+    while n > 16:
+        half = n // 2
+        folded = np.maximum(values[..., :half], values[..., n - half : n], out=scratch)
+        if n % 2:
+            np.maximum(folded[..., 0], values[..., half], out=folded[..., 0])
+        values, n = folded, half
+        scratch = folded[..., : n // 2]
+    out = values[..., 0].copy()
+    for k in range(1, n):
+        np.maximum(out, values[..., k], out=out)
+    return out
+
+
+def _widest_gaps(planes: np.ndarray) -> np.ndarray:
+    """The widest gap between consecutive planes, folded over plane pairs.
+
+    Each difference is the one numpy's ``diff`` takes along the last axis
+    and a maximum is exact, so the fold gives the value of ``diff``'s
+    maximum; only the sign of a zero widest gap can depend on the order,
+    and a zero never wins against the sweep's running maximum, which
+    starts at 0.0.
+    """
+    gaps = np.empty(planes.shape[:-1])
+    step = np.empty_like(gaps)
+    np.subtract(planes[..., 1], planes[..., 0], out=gaps)
+    for k in range(2, planes.shape[-1]):
+        np.subtract(planes[..., k], planes[..., k - 1], out=step)
+        np.maximum(gaps, step, out=gaps)
+    return gaps
+
+
 def _oracle_probs(
     planes: np.ndarray, target: np.ndarray, temperature: float, valid: np.ndarray
 ) -> np.ndarray:
     """Softmax of ``-|plane - target| / temperature`` over the last axis.
 
     ``planes`` is (rows, cols, M) or one (M,) vector shared by every pixel;
-    pixels where ``valid`` is False get the uniform distribution.
+    pixels where ``valid`` is False get the uniform distribution.  Every
+    logit is ``|x| / -temperature <= -0.0``, so no +0.0 can tie the
+    maximum that :func:`_plane_max` folds, and the sum stays numpy's.
     """
     probs = planes - target[:, :, None]
     np.abs(probs, out=probs)
-    np.negative(probs, out=probs)
-    probs /= temperature
-    probs -= probs.max(axis=2, keepdims=True)
+    probs /= -temperature
+    probs -= _plane_max(probs)[:, :, None]
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=2, keepdims=True)
     probs[~valid] = 1.0 / probs.shape[2]
@@ -368,10 +413,33 @@ def _check_finite(values: np.ndarray, tile: slice, what: str) -> None:
         raise ValueError(f"non-finite {what} {values[r, c]} at ({tile.start + r}, {c})")
 
 
-def _strip(values: np.ndarray, tile: slice, nodata: float) -> tuple[HeightGrid, slice]:
+class _Rows(NamedTuple):
+    """Rows of a grid whose values are already finite or nodata, as views.
+
+    It holds what the tile layout and the smoothing read of a
+    :class:`~terraslope.raster.HeightGrid`, without the finiteness scan and
+    the copy a new grid would make of every tile.
+    """
+
+    values: np.ndarray
+    mask: np.ndarray
+    nodata: float
+
+    @property
+    def rows(self) -> int:
+        return self.values.shape[0]
+
+
+def _rows(values: np.ndarray, rows: slice, nodata: float) -> _Rows:
+    """``values[rows]`` and its validity mask."""
+    view = values[rows]
+    return _Rows(view, view != nodata, nodata)
+
+
+def _strip(values: np.ndarray, tile: slice, nodata: float) -> tuple[_Rows, slice]:
     """``tile``'s rows and a one-row halo (clipped to the grid), and ``tile``'s place in them."""
     lo, hi = max(tile.start - 1, 0), min(tile.stop + 1, values.shape[0])
-    return HeightGrid(values[lo:hi], nodata=nodata), slice(tile.start - lo, tile.stop - lo)
+    return _rows(values, slice(lo, hi), nodata), slice(tile.start - lo, tile.stop - lo)
 
 
 def _stage_pass(
@@ -397,7 +465,22 @@ def _stage_pass(
     :func:`~terraslope.correction.correct` would smooth the whole grid).
     With ``with_sigma`` the spread is :func:`~terraslope.partition.pixel_std`
     around that height, else None.  The widest gap is the largest spacing
-    between consecutive planes of any valid pixel (0 if none).
+    between consecutive planes of any valid pixel (0 if none); stage 1
+    takes it once from its shared vector.
+
+    Tiles are laid out and smoothed from :class:`_Rows` views of the rows
+    of ``prev`` and of the estimate, whose values are already finite or
+    nodata, so no tile builds or checks a grid of its own; the range checks
+    of ``pixel_range`` and the finiteness checks of the expected height and
+    the spread run on each tile.
+
+    The two maxima over the short plane axis, the softmax's largest logit
+    and the widest gap, are folds over plane slices (:func:`_plane_max`,
+    :func:`_widest_gaps`), which numpy runs faster than a reduction along
+    that axis.  A maximum and a difference are exact, so the fold order
+    changes no output bit.  The softmax sum, the expectation and spread
+    (``einsum``) and the smoothing matmul stay numpy's own reductions: a
+    sum's bits depend on its order.
 
     Tiles hold about :data:`TILE_BYTES` of planes.  The tile list is cut in
     two halves at a tile boundary, the seam: the calling thread sweeps the
@@ -431,14 +514,14 @@ def _stage_pass(
         """The planes of ``tile`` and the mask of the pixels it sweeps."""
         if prev is None:
             return shared, gt.values[tile] != nodata
-        center, spread = (grid.with_values(grid.values[tile]) for grid in prev)
-        ranges = _pixel_range(center, spread, cfg.sigma_floor)
+        height_rows, sigma_rows = (_rows(grid.values, tile, nodata) for grid in prev)
+        valid, center, low, high, _ = _pixel_range(height_rows, sigma_rows, cfg.sigma_floor)
         if not cfg.use_slope_partition:
-            return _equal_planes(ranges.low, ranges.high, m), ranges.mask
+            return _equal_planes(low, high, m), valid
         strip, inner = _strip(prev[0].values, tile, nodata)
         factors = slope_factor_maps(strip)
-        valid, *grids = _guided_layout(center, ranges, factors.rise[inner], factors.drop[inner], m)
-        return _guided_planes(*grids, m), valid
+        n_below = _split_counts(m, factors.drop[inner], factors.rise[inner])
+        return _guided_planes(center, low, high, n_below, m), valid
 
     # An overflow leaves a non-finite value, which the checks report in
     # place of numpy's warnings.  The worker thread does not inherit the
@@ -466,8 +549,8 @@ def _stage_pass(
             est[~valid] = nodata
             _check_finite(est, tile, "expected height")
             estimate[tile] = est
-            gaps = np.diff(planes, axis=-1).max(axis=-1)
-            widest = max(widest, np.broadcast_to(gaps, est.shape)[valid].max(initial=0.0))
+            if shared is None:
+                widest = max(widest, _widest_gaps(planes)[valid].max(initial=0.0))
             if held is not None:
                 settle(*held)
             held = tile, planes, probs, valid
@@ -481,7 +564,9 @@ def _stage_pass(
             halves = [sweep(tiles[:half]), bottom.result()]
     for _, held in halves:
         settle(*held)
-    widest = max(part_widest for part_widest, _ in halves)
+    # run_pipeline checks that gt has a valid pixel, so stage 1's widest gap
+    # is its shared vector's.
+    widest = _widest_gaps(shared) if shared is not None else max(w for w, _ in halves)
 
     del estimate  # HeightGrid copies its input: free each raw grid before the next copy
     grid = HeightGrid(height, cell_size=gt.cell_size, nodata=nodata)

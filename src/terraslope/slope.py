@@ -22,8 +22,16 @@ padded grid with ``np.maximum``/``np.minimum``.  There, invalid cells are
 filled with a value that can never win the fold: -inf for the maximum,
 +inf for the minimum.  Every window holds its own finite center, so this
 gives the same extremum, and the same first position attaining it, as
-substituting the center value.  :func:`window_stack` builds the windows
-themselves, for the weighted sum of :mod:`terraslope.correction`.
+substituting the center value.  A maximum or minimum is exact, so the
+order of a fold cannot change a value.  :func:`window_stack` builds the
+windows themselves, for the weighted sum of :mod:`terraslope.correction`;
+that sum stays one matmul, because a sum's bits depend on its order.
+Replicate padding is a plain copy of the edge cells, which moves no bit.
+
+:func:`window_stack` and :func:`slope_factor_maps` read only ``values`` and
+``mask`` of their grid, so the coarse-to-fine sweep of
+:mod:`terraslope.simulate` passes them row views of a grid it already
+checked instead of building a grid per row tile.
 """
 
 from __future__ import annotations
@@ -51,6 +59,23 @@ class SlopeFactors:
     drop: np.ndarray
 
 
+def _pad_edge(values: np.ndarray) -> np.ndarray:
+    """A 2D array with a one-cell border that repeats its edge cells.
+
+    The same bytes as numpy's ``pad`` in ``edge`` mode, by five plain
+    copies; ``pad`` costs about 30 us of Python per call, more than the
+    copies of a row tile.
+    """
+    rows, cols = values.shape
+    padded = np.empty((rows + 2, cols + 2), dtype=values.dtype)
+    padded[1:-1, 1:-1] = values
+    padded[0, 1:-1] = values[0]
+    padded[-1, 1:-1] = values[-1]
+    padded[:, 0] = padded[:, 1]
+    padded[:, -1] = padded[:, -2]
+    return padded
+
+
 def window_stack(grid: HeightGrid) -> np.ndarray:
     """(rows, cols, 9) stack of 3x3 windows under the shared border policy.
 
@@ -61,8 +86,8 @@ def window_stack(grid: HeightGrid) -> np.ndarray:
     """
     values = grid.values
     valid = grid.mask
-    padded = np.pad(values, 1, mode="edge")
-    padded_valid = np.pad(valid, 1, mode="edge")
+    padded = _pad_edge(values)
+    padded_valid = _pad_edge(valid)
     rows, cols = values.shape
     stack = np.empty((rows, cols, 9), dtype=np.float64)
     for k, (dr, dc) in enumerate(_OFFSETS):
@@ -78,8 +103,8 @@ def _window_views(grid: HeightGrid, fill: float) -> list[np.ndarray]:
     View ``k`` holds window position ``k`` of every pixel after replicate
     padding, with ``fill`` in place of every invalid cell.
     """
-    rows, cols = grid.shape
-    padded = np.pad(np.where(grid.mask, grid.values, fill), 1, mode="edge")
+    rows, cols = grid.values.shape
+    padded = _pad_edge(np.where(grid.mask, grid.values, fill))
     return [padded[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols] for dr, dc in _OFFSETS]
 
 

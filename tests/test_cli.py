@@ -163,6 +163,19 @@ class TestPartitionCommand:
         assert "finite" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    def test_small_floor_at_large_heights(self, tmp_path):
+        # center +- 0.001 rounds at the ulp of 1e8; the range check allows for it
+        grid = tmp_path / "high.asc"
+        grid.write_text(
+            "NCOLS 2\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n100000000 100000001\n"
+        )
+        prefix = tmp_path / "p"
+        code = run(["partition", grid, prefix, "--planes", "4", "--sigma-floor", "0.001"])
+        assert code == 0
+        lower = read_ascii_grid(str(prefix) + "_lower_count.asc")
+        upper = read_ascii_grid(str(prefix) + "_upper_count.asc")
+        assert (lower.values + upper.values).tolist() == [[4.0, 4.0]]
+
     def test_plane_volume_over_budget_exits_3(self, tmp_path, capsys):
         # 3 cells x 10^8 planes: refused by the volume budget, not OOM-killed
         grid = tmp_path / "three.asc"

@@ -216,6 +216,24 @@ class TestPixelRange:
         r = pixel_range(h, s, 0.0)
         assert r.mask.tolist() == [[True, False]]
 
+    def test_small_floor_at_a_large_height(self):
+        # height +- 0.001 rounds at the ulp of 1e8 (1.5e-8), far above 1e-9 * sigma
+        h = HeightGrid(np.array([[1e8, 1e8 + 1]]))
+        s = HeightGrid(np.zeros((1, 2)))
+        r = pixel_range(h, s, 0.001)
+        assert r.sigma.tolist() == [[0.001, 0.001]]
+        assert np.allclose(r.high - r.low, 0.002, rtol=0, atol=1e-7)
+
+    def test_width_check_scales_with_the_bounds_not_past_them(self):
+        # a wrong width at the same magnitude is still refused
+        with pytest.raises(ValueError, match="2 \\* sigma"):
+            PixelRanges(
+                low=np.array([[1e8 - 1.0]]),
+                high=np.array([[1e8 + 1.0]]),
+                sigma=np.array([[0.001]]),
+                mask=np.array([[True]]),
+            )
+
 
 class TestSlopeGuidedPartition:
     def run_single(self, center, low, high, rise, drop, m):

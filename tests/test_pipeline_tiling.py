@@ -422,3 +422,60 @@ def test_each_tile_lays_out_its_own_planes(arm, grid, one_row_tiles, monkeypatch
             strips.append(min(stop + 1, gt.rows) - max(start - 1, 0))
     assert sorted(ranges_rows) == sorted(tiles)
     assert sorted(factor_rows) == (sorted(strips) if use_partition else [])
+
+
+#: Odd plane counts per stage, with the default floors: the plane-max fold
+#: takes its one-slice tail on every count and halves 33 and 17 with an odd
+#: middle plane.
+ODD_SCHEDULES = {"3/5/2": (3, 5, 2), "9/7/3": (9, 7, 3), "33/17/5": (33, 17, 5)}
+
+
+@pytest.mark.parametrize("one_row_tiles", [False, True], ids=["default-tiles", "one-row-tiles"])
+@pytest.mark.parametrize("grid", ["17x512", "nodata-40x33"])
+@pytest.mark.parametrize("arm", ABLATION_ARMS, ids=[a[0] for a in ABLATION_ARMS])
+@pytest.mark.parametrize("schedule", list(ODD_SCHEDULES))
+def test_odd_plane_counts_match_reference(schedule, arm, grid, one_row_tiles, monkeypatch):
+    if one_row_tiles:
+        monkeypatch.setattr(simulate, "TILE_BYTES", 1)
+    _, use_partition, use_correction = arm
+    stages = tuple(
+        replace(
+            c,
+            plane_count=m,
+            use_slope_partition=use_partition,
+            use_height_correction=use_correction,
+        )
+        for c, m in zip(default_stage_configs(), ODD_SCHEDULES[schedule], strict=True)
+    )
+    gt = GRIDS[grid]()
+    valid = gt.values[gt.mask]
+    global_range = (float(valid.min()), float(valid.max()) + 1e-9)
+    result = run_pipeline(gt, global_range, stages, seed=11)
+    assert_identical(result, reference_pipeline(gt, global_range, stages, seed=11), gt)
+
+
+@pytest.mark.parametrize("arm", ABLATION_ARMS, ids=[a[0] for a in ABLATION_ARMS])
+def test_grid_constructions_do_not_grow_with_the_tile_count(arm, monkeypatch):
+    # tiles are laid out and smoothed from row views of grids already checked:
+    # a run builds and checks its stage grids, not one grid per tile
+    built = []
+    post_init = HeightGrid.__post_init__
+
+    def counting(grid):
+        built.append(None)
+        post_init(grid)
+
+    monkeypatch.setattr(HeightGrid, "__post_init__", counting)
+    _, use_partition, use_correction = arm
+    stages = tuple(
+        replace(c, use_slope_partition=use_partition, use_height_correction=use_correction)
+        for c in default_stage_configs()
+    )
+    gt = fractal(18, 512)
+    counts = []
+    for tile_bytes in (simulate.TILE_BYTES, 1):
+        monkeypatch.setattr(simulate, "TILE_BYTES", tile_bytes)
+        built.clear()
+        run_pipeline(gt, (0.0, 200.0 + 1e-9), stages, seed=11)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
