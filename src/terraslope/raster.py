@@ -9,10 +9,14 @@ File formats:
 
 * ESRI ASCII grid (``.asc``) -- human-readable, parsed/written here with a
   fixed 6-significant-digit text precision so round trips preserve values
-  to better than 1e-5 relative error.  The file is read a line at a
-  time, and each body row is parsed or formatted in one pass (``float``
-  over its tokens, one ``%`` format per row); a token-by-token loop
-  re-reads the body only to report a malformed one with its line number.
+  to better than 1e-5 relative error.  numpy's C text reader
+  (``np.loadtxt``) parses the body, at most NROWS + 1 lines of it, in one
+  call.  A body it refuses is read again a line at a time with ``float``
+  over each line's tokens: one with a token that only ``float`` accepts
+  (``1_0``), rows of differing lengths, a wrong value count or a
+  non-finite value.  A token-by-token loop re-reads the body only to
+  report a malformed one with its line number.  Each written row is one
+  ``%`` format.
 * Binary PGM (``P5``) -- quick-look 8-bit rendering of any grid.
 
 All types are immutable after construction (arrays are marked read-only),
@@ -23,11 +27,14 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import tempfile
+import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, NoReturn
+from itertools import islice
+from typing import Iterable, NoReturn, TextIO
 
 import numpy as np
 
@@ -207,95 +214,147 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
     whitespace-separated cell values in row-major order, top row first.
 
     Raises:
-        GridFormatError: malformed header keyword, non-numeric token, a
-            non-finite header value, or a body whose value count does not
-            match the declared dimensions.
+        GridFormatError: a byte that is not ASCII, a malformed header
+            keyword, a non-numeric token, a non-finite header value, or a
+            body whose value count does not match the declared dimensions.
             Messages carry the 1-based line number.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        header: dict[str, float] = {}
-        lineno = 0
-        for key in _HEADER_KEYS:
-            line = fh.readline()
-            if not line:
-                raise GridFormatError(f"line {lineno + 1}: missing header line '{key}'")
-            tokens = line.split()
-            if len(tokens) != 2 or tokens[0].lower() != key:
-                raise GridFormatError(
-                    f"line {lineno + 1}: expected header '{key} <value>', "
-                    f"got {line.strip()!r}"
-                )
-            try:
-                header[key] = float(tokens[1])
-            except ValueError:
-                raise GridFormatError(
-                    f"line {lineno + 1}: non-numeric value {tokens[1]!r} for '{key}'"
-                ) from None
-            if not math.isfinite(header[key]):
-                raise GridFormatError(
-                    f"line {lineno + 1}: '{key}' must be finite, got {tokens[1]!r}"
-                )
-            if key in ("ncols", "nrows") and not header[key].is_integer():
-                raise GridFormatError(
-                    f"line {lineno + 1}: '{key}' must be an integer, got {tokens[1]!r}"
-                )
-            lineno += 1
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header: dict[str, float] = {}
+            lineno = 0
+            for key in _HEADER_KEYS:
+                line = fh.readline()
+                if not line:
+                    raise GridFormatError(f"line {lineno + 1}: missing header line '{key}'")
+                tokens = line.split()
+                if len(tokens) != 2 or tokens[0].lower() != key:
+                    raise GridFormatError(
+                        f"line {lineno + 1}: expected header '{key} <value>', "
+                        f"got {line.strip()!r}"
+                    )
+                try:
+                    header[key] = float(tokens[1])
+                except ValueError:
+                    raise GridFormatError(
+                        f"line {lineno + 1}: non-numeric value {tokens[1]!r} for '{key}'"
+                    ) from None
+                if not math.isfinite(header[key]):
+                    raise GridFormatError(
+                        f"line {lineno + 1}: '{key}' must be finite, got {tokens[1]!r}"
+                    )
+                if key in ("ncols", "nrows") and not header[key].is_integer():
+                    raise GridFormatError(
+                        f"line {lineno + 1}: '{key}' must be an integer, got {tokens[1]!r}"
+                    )
+                lineno += 1
 
-        nodata = NODATA_DEFAULT
-        body_start = fh.tell()
-        tokens = fh.readline().split()
-        if tokens and tokens[0].lower() == "nodata_value":
-            if len(tokens) != 2:
-                raise GridFormatError(
-                    f"line {lineno + 1}: expected 'NODATA_VALUE <value>'"
-                )
-            try:
-                nodata = float(tokens[1])
-            except ValueError:
-                raise GridFormatError(
-                    f"line {lineno + 1}: non-numeric NODATA_VALUE {tokens[1]!r}"
-                ) from None
-            if not np.isfinite(nodata):
-                raise GridFormatError(
-                    f"line {lineno + 1}: NODATA_VALUE must be finite"
-                )
-            lineno += 1
+            nodata = NODATA_DEFAULT
             body_start = fh.tell()
-        else:
-            fh.seek(body_start)
+            tokens = fh.readline().split()
+            if tokens and tokens[0].lower() == "nodata_value":
+                if len(tokens) != 2:
+                    raise GridFormatError(
+                        f"line {lineno + 1}: expected 'NODATA_VALUE <value>'"
+                    )
+                try:
+                    nodata = float(tokens[1])
+                except ValueError:
+                    raise GridFormatError(
+                        f"line {lineno + 1}: non-numeric NODATA_VALUE {tokens[1]!r}"
+                    ) from None
+                if not np.isfinite(nodata):
+                    raise GridFormatError(
+                        f"line {lineno + 1}: NODATA_VALUE must be finite"
+                    )
+                lineno += 1
+                body_start = fh.tell()
+            else:
+                fh.seek(body_start)
 
-        cols = int(header["ncols"])
-        rows = int(header["nrows"])
-        if rows < 1 or cols < 1:
-            raise GridFormatError(f"invalid dimensions {rows}x{cols} in header")
+            cols = int(header["ncols"])
+            rows = int(header["nrows"])
+            if rows < 1 or cols < 1:
+                raise GridFormatError(f"invalid dimensions {rows}x{cols} in header")
 
-        # Values collect in a growable buffer, one line of tokens at a time,
-        # and the grid array is made only after the body count matched, so a
-        # header that declares a huge grid over a short body fails on the
-        # count instead of on the allocation.  Any fault sends the body, read
-        # again from its start, to the token loop, which names its line.
-        expected = rows * cols
-        values = array("d")
-        for line in fh:
-            try:
-                values.extend(map(float, line.split()))
-            except ValueError:
-                break
-            if len(values) > expected:
-                break
-        else:
-            flat = np.frombuffer(values, dtype=np.float64)
-            # The sentinel is finite, so a non-finite value is never nodata.
-            if len(values) == expected and np.isfinite(flat).all():
-                return HeightGrid(
-                    flat.reshape(rows, cols),
-                    cell_size=header["cellsize"],
-                    nodata=nodata,
-                    xllcorner=header["xllcorner"],
-                    yllcorner=header["yllcorner"],
-                )
-        fh.seek(body_start)
-        _raise_body_error(fh, lineno + 1, expected)
+            # numpy's C reader parses a well-formed body; whatever it refuses
+            # goes, read again from its start, to the line loop, and a body
+            # the line loop refuses too goes to the token loop, which names
+            # the line of its first fault.
+            expected = rows * cols
+            flat = _loadtxt_body(fh, rows, expected)
+            if flat is None:
+                fh.seek(body_start)
+                flat = _float_body(fh, expected)
+            if flat is None:
+                fh.seek(body_start)
+                _raise_body_error(fh, lineno + 1, expected)
+    except UnicodeDecodeError as exc:
+        raise GridFormatError(
+            f"not an ASCII file: byte {exc.object[exc.start]:#04x}"
+        ) from None
+    return HeightGrid(
+        flat.reshape(rows, cols),
+        cell_size=header["cellsize"],
+        nodata=nodata,
+        xllcorner=header["xllcorner"],
+        yllcorner=header["yllcorner"],
+    )
+
+
+def _loadtxt_body(fh: TextIO, rows: int, expected: int) -> np.ndarray | None:
+    """The body's values as parsed by ``np.loadtxt``, or None.
+
+    The result stands only if it holds exactly ``expected`` finite values
+    and no token follows them.  numpy's reader gives the bits of ``float``
+    on every token it accepts; it refuses some that ``float`` accepts
+    (``1_0``) and rows of differing lengths, so None means "use the line
+    loop", not "malformed".
+
+    The parse sees at most ``rows + 1`` lines, so a small header over a
+    huge body stops early.  The bound is an ``islice``, not ``max_rows``:
+    ``max_rows`` makes numpy allocate that many rows of the first row's
+    width before it reads, so a header declaring a huge grid would turn
+    into a huge allocation.
+    """
+    # islice takes no stop past sys.maxsize, which NROWS 1e300 would ask.
+    lines = islice(fh, min(rows, sys.maxsize - 1) + 1)
+    try:
+        with warnings.catch_warnings():
+            # An empty body makes loadtxt warn; the count check reports it.
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # The rest of the file must be blank: a body with blank lines between
+    # its rows can leave tokens past the rows + 1 lines read.
+    if values.size != expected or any(map(str.split, fh)):
+        return None
+    # The sentinel is finite, so a non-finite value is never nodata.
+    return values if np.isfinite(values).all() else None
+
+
+def _float_body(fh: Iterable[str], expected: int) -> np.ndarray | None:
+    """The body's values by ``float`` over each line's tokens, or None.
+
+    Values collect in a growable buffer, one line of tokens at a time, and
+    the loop stops once the count passes ``expected``, so a header that
+    declares a huge grid over a short body fails on the count instead of
+    on an allocation.  None on a non-numeric token, a wrong count or a
+    non-finite value.
+    """
+    values = array("d")
+    for line in fh:
+        try:
+            values.extend(map(float, line.split()))
+        except ValueError:
+            return None
+        if len(values) > expected:
+            return None
+    flat = np.frombuffer(values, dtype=np.float64)
+    if len(values) == expected and np.isfinite(flat).all():
+        return flat
+    return None
 
 
 def _raise_body_error(body: Iterable[str], first_line: int, expected: int) -> NoReturn:
@@ -379,7 +438,10 @@ def render_pgm(grid: HeightGrid, path: str | os.PathLike, lo: float, hi: float) 
     """
     if not (math.isfinite(float(hi) - float(lo)) and lo < hi):
         raise ValueError(f"requires finite lo < hi with a finite hi - lo, got lo={lo}, hi={hi}")
-    t = np.clip((grid.values - lo) / (hi - lo), 0.0, 1.0)
+    # A value far outside [lo, hi] may overflow to +-inf, which clips to 0
+    # or 1 like any other value past the range.
+    with np.errstate(over="ignore"):
+        t = np.clip((grid.values - lo) / (hi - lo), 0.0, 1.0)
     pixels = np.floor(255.0 * t).astype(np.uint8)
     pixels[~grid.mask] = 0
     with atomic_output(path, "wb") as fh:

@@ -163,6 +163,34 @@ def cell_loop_ascii_text(grid):
     return "\n".join(lines) + "\n"
 
 
+def split_float_body(lines, first_line, expected):
+    """Cell values of an ASCII grid body by ``float`` over ``str.split``.
+
+    ``lines`` are the body's lines as a text file yields them, the first
+    one numbered ``first_line``.  Returns the ``expected`` values as a list,
+    or the reader's message for the first fault in file order: a
+    non-numeric token, a non-finite value, one value too many, or too few.
+    """
+    values = []
+    for lineno, line in enumerate(lines, start=first_line):
+        for token in line.split():
+            try:
+                v = float(token)
+            except ValueError:
+                return f"line {lineno}: non-numeric token {token!r}"
+            if not math.isfinite(v):
+                return f"line {lineno}: non-finite value {token!r}"
+            if len(values) == expected:
+                return f"line {lineno}: value count mismatch, expected {expected} values"
+            values.append(v)
+    if len(values) != expected:
+        return (
+            f"value count mismatch: header declares {expected} values, "
+            f"body has {len(values)}"
+        )
+    return values
+
+
 def golden_section_minimize(f, lo, hi, tol=1e-9):
     """Golden-section search for a unimodal scalar minimum on [lo, hi]."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -290,6 +290,21 @@ class TestRenderCommand:
         assert "finite" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"NCOLS 2\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n1 \xc3\xa9\n",
+            b"NCOLS 2\nNROWS 1\nXLLC\xc3\xa9RNER 0\nYLLCORNER 0\nCELLSIZE 1\n1 2\n",
+        ],
+        ids=["body", "header"],
+    )
+    def test_non_ascii_byte_exits_2_without_output(self, tmp_path, capsys, text):
+        grid = tmp_path / "accent.asc"
+        grid.write_bytes(text)
+        assert run(["render", grid, tmp_path / "img.pgm", "--lo", "0", "--hi", "1"]) == 2
+        assert "file format error: not an ASCII file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["accent.asc"]
+
 
 class TestSimulateCommand:
     def test_run_directory_contents(self, tmp_path):
@@ -431,6 +446,13 @@ class TestHostileInputs:
         )
         assert run(["slope", grid, tmp_path / "s.asc", tmp_path / "d.asc"]) == 2
         assert "value count mismatch" in capsys.readouterr().err
+
+    def test_astronomical_row_count_exits_2(self, tmp_path, capsys):
+        grid = tmp_path / "huge.asc"
+        grid.write_text("NCOLS 1\nNROWS 1e300\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n1 2 3\n")
+        assert run(["slope", grid, tmp_path / "s.asc", tmp_path / "d.asc"]) == 2
+        assert "value count mismatch" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.asc"]
 
     def test_huge_hill_roughness_exits_3_at_once(self, tmp_path, capsys):
         cfg = tmp_path / "hills.txt"

@@ -1,10 +1,12 @@
 """Grid construction, ASCII-grid round trips, and PGM rendering."""
 
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from terraslope import (
@@ -16,10 +18,11 @@ from terraslope import (
     write_ascii_grid,
 )
 
+from terraslope import raster
 from terraslope.raster import _format_value
 
 from conftest import NODATA, random_grid
-from oracles import cell_loop_ascii_text
+from oracles import cell_loop_ascii_text, split_float_body
 
 HEADER_2X2 = "NCOLS 2\nNROWS 2\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n"
 
@@ -214,6 +217,109 @@ class TestBodyErrors:
         assert g.mask.ravel().tolist() == [True, True, True, False, True, True, True, True]
 
 
+#: Tokens ``float`` reads in its own way, or refuses.  numpy's reader
+#: refuses ``1_0``, which ``float`` reads as 10.
+ODD_TOKENS = ["+5", "-0", "1_0", "5e-324", "nan", "inf", "x"]
+#: Whitespace that ``str.split`` splits on but a text file does not end a
+#: line at.
+SEPARATORS = [" ", "\t", "\x0b", "\x0c", "\x1c", "  "]
+HEADER_NODATA = "NODATA_VALUE -9999\n"
+
+
+@st.composite
+def grid_texts(draw):
+    """(rows, cols, body lines, line ending) of a grid file, valid or not."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    count = max(0, rows * cols + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    token = st.one_of(number.map(repr), number.map(_format_value))
+    if draw(st.booleans()):
+        token = st.one_of(token, st.sampled_from(ODD_TOKENS))
+    tokens = draw(st.lists(token, min_size=count, max_size=count))
+    if draw(st.booleans()):
+        cuts = list(range(cols, count, cols))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, max(1, count - 1)))))
+    lines = [
+        draw(st.sampled_from(SEPARATORS)).join(tokens[a:b])
+        for a, b in zip([0, *cuts], [*cuts, count])
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " \t"])))
+    return rows, cols, lines, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+class TestNumpyBodyReader:
+    """``np.loadtxt`` parses a regular body; any other goes to the line loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_texts())
+    # Blank lines hold back the "5" from the rows + 1 lines numpy reads.
+    @example((2, 2, ["1 2 3 4", "", "", "5"], "\n"))
+    def test_matches_float_over_split(self, tmp_path_factory, text):
+        rows, cols, lines, newline = text
+        header = f"NCOLS {cols}\nNROWS {rows}\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n"
+        path = tmp_path_factory.mktemp("body") / "g.asc"
+        path.write_bytes((header + HEADER_NODATA + newline.join(lines) + newline).encode())
+        expected = split_float_body(lines, 7, rows * cols)
+        if isinstance(expected, str):
+            with pytest.raises(GridFormatError, match=f"^{re.escape(expected)}$"):
+                read_ascii_grid(path)
+        else:
+            values = read_ascii_grid(path).values
+            assert values.shape == (rows, cols)
+            want = np.array(expected, dtype=np.float64)
+            assert values.ravel().view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_regular_body_never_reaches_the_line_loop(self, tmp_path, monkeypatch, rng):
+        grid = random_grid(rng, 64, 64, lo=-1e4, hi=1e4, nodata_fraction=0.1)
+        path = tmp_path / "g.asc"
+        write_ascii_grid(grid, path)
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return loadtxt(*args, **kwargs)
+
+        def line_loop(*args):
+            raise AssertionError("a regular body reached the line loop")
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.setattr(raster, "_float_body", line_loop)
+        values = read_ascii_grid(path).values
+        assert len(calls) == 1
+        lines = path.read_text(encoding="ascii").splitlines()[6:]
+        want = np.array(split_float_body(lines, 7, 64 * 64))
+        assert values.ravel().view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_empty_body_raises_without_a_warning(self, tmp_path):
+        path = tmp_path / "g.asc"
+        path.write_text(HEADER_2X2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                GridFormatError,
+                match="^value count mismatch: header declares 4 values, body has 0$",
+            ):
+                read_ascii_grid(path)
+
+    def test_small_header_over_a_huge_body_stops_early(self, tmp_path):
+        path = tmp_path / "g.asc"
+        path.write_text(HEADER_2X2 + "1 2\n" * 200_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                GridFormatError, match="^line 8: value count mismatch, expected 4 values$"
+            ):
+                read_ascii_grid(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Parsing the 800 kB body whole would hold 3.2 MB of floats.
+        assert peak < 256 * 1024
+
+
 class TestWriteAsciiGridBytes:
     """The writer's bytes equal a per-cell ``.6g`` format of every value."""
 
@@ -366,6 +472,15 @@ class TestRenderPgm:
         render_pgm(g, path, 0.0, 20.0)
         pixels = self.read_pixels(path, 1, 24)[0].astype(int)
         assert (np.diff(pixels) >= 0).all()
+
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1.0), (0.0, 1e-300)])
+    def test_overflowing_values_clip_without_a_warning(self, tmp_path, lo, hi):
+        g = HeightGrid(np.array([[1.7e308, -1.7e308]]))
+        path = tmp_path / "g.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            render_pgm(g, path, lo, hi)
+        assert self.read_pixels(path, 1, 2).tolist() == [[255, 0]]
 
     def test_rejects_bad_range(self, tmp_path):
         g = HeightGrid(np.zeros((1, 1)))
