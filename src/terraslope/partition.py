@@ -355,15 +355,15 @@ def slope_guided_partition(
         raise ValueError(f"height {height.shape} and ranges {ranges.shape} differ")
     rise = np.asarray(factors.rise, dtype=np.float64)
     drop = np.asarray(factors.drop, dtype=np.float64)
+    mask = height.mask & ranges.mask
     for name, factor in (("rise", rise), ("drop", drop)):
         if factor.shape != height.shape:
             raise ValueError(f"{name} factors {factor.shape} and height {height.shape} differ")
-        bad = ~(np.isfinite(factor) & (factor >= 0)) & height.mask & ranges.mask
+        bad = ~(np.isfinite(factor) & (factor >= 0)) & mask
         if bad.any():
             r, c = np.argwhere(bad)[0]
             raise ValueError(f"{name} factor {factor[r, c]} at ({r}, {c}) is not finite and >= 0")
     _check_volume(height.shape, plane_count)
-    mask = height.mask & ranges.mask
     center, low, high = (np.where(mask, v, 0.0) for v in (height.values, ranges.low, ranges.high))
     planes = _guided_planes(center, low, high, _split_counts(plane_count, drop, rise), plane_count)
     return HypothesisPlanes(

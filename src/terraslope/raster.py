@@ -15,8 +15,10 @@ File formats:
   over each line's tokens: one with a token that only ``float`` accepts
   (``1_0``), rows of differing lengths, a wrong value count or a
   non-finite value.  A token-by-token loop re-reads the body only to
-  report a malformed one with its line number.  Each written row is one
-  ``%`` format.
+  report a malformed one with its line number.  The writer formats the
+  body a block of rows at a time from tables of digit-group tokens, byte
+  for byte as ``'%.6g' % v``; a cell near a rounding tie or in exponent
+  notation goes to Python's ``%.6g``, one ``%`` per block.
 * Binary PGM (``P5``) -- quick-look 8-bit rendering of any grid.
 
 All types are immutable after construction (arrays are marked read-only),
@@ -33,8 +35,9 @@ import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
-from typing import Iterable, NoReturn, TextIO
+from typing import Iterable, Iterator, NoReturn, TextIO
 
 import numpy as np
 
@@ -393,37 +396,128 @@ def _raise_body_error(body: Iterable[str], first_line: int, expected: int) -> No
 #: significant digits keep round-trip error below 1e-5 relative.
 _VALUE_FORMAT = "%.6g"
 
+#: Cells formatted per block of body rows; bounds the block's temporaries.
+_BLOCK_CELLS = 8192
+#: One written cell: its sign, a table head and a table tail, NUL-padded.
+#: A ``%.6g`` token is at most 13 bytes, so with its separator the whole
+#: record also holds any token of the fallback or the NODATA_VALUE token.
+_CELL = np.dtype([("sign", "S1"), ("head", "S8"), ("tail", "S5")])
+#: ``10**k`` for the ten fixed-notation exponents ``X = 5 - k``; each is exact.
+_POW10 = 10.0 ** np.arange(10)
+
 
 def _format_value(v: float) -> str:
     return _VALUE_FORMAT % v
 
 
+@lru_cache(maxsize=None)
+def _token_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Head and tail tables of every fixed-notation ``%.6g`` token.
+
+    A value written in fixed notation (decimal exponent ``X`` in -4..5) is
+    ``m * 10**(X - 5)`` for a 6-digit significand ``m = 1000 * H + L``.
+    Its token is its sign, then ``heads[k, L == 0, H]``, then
+    ``tails[k, last column, L]``, with ``k = 5 - X``: the head runs to the
+    third significant digit and the tail holds the rest and the
+    separator.  Where ``L == 0`` the head is the whole token, since
+    stripping trailing zeros can reach into it.  Every entry is cut from a
+    ``%.6g`` format of the exact decimal, so the tables agree with the
+    reference by construction.  ``H = 1000`` holds the carry
+    ``m = 10**6``, ``H = 0`` zero and ``H = 1`` the placeholder.  Built on
+    the first write, not at import.
+    """
+    heads = np.zeros((10, 2, 1001), dtype=_CELL["head"])
+    tails = np.zeros((10, 2, 1000), dtype=_CELL["tail"])
+    for k, scale in enumerate(_POW10.tolist()):
+        # m / 10**k is the double nearest the decimal, which %.6g restores.
+        cut = (_VALUE_FORMAT % (123456 / scale)).index("3") + 1
+        heads[k, 0, 100:1000] = [
+            (_VALUE_FORMAT % ((1000 * h + 1) / scale))[:cut] for h in range(100, 1000)
+        ]
+        heads[k, 1, 100:] = [_VALUE_FORMAT % (1000 * h / scale) for h in range(100, 1001)]
+        rests = [""] + [(_VALUE_FORMAT % ((100000 + low) / scale))[cut:] for low in range(1, 1000)]
+        for last, sep in enumerate((" ", "\n")):
+            tails[k, last] = [rest + sep for rest in rests]
+    heads[:, 1, 0] = b"0"
+    # A fallback cell's head is the format itself, for _format_fallback.
+    heads[:, 1, 1] = _VALUE_FORMAT.encode()
+    return heads.ravel(), tails.ravel()
+
+
+def _format_fallback(text: bytes, values: np.ndarray) -> bytes:
+    """``text`` with each placeholder replaced by ``%.6g`` of the next value."""
+    return text % tuple(values.tolist())
+
+
+def _format_body(grid: HeightGrid) -> Iterator[bytes]:
+    """The body of ``grid``'s ASCII file, a block of rows at a time.
+
+    Byte for byte what ``'%.6g' % v`` writes for every cell, a space
+    after each cell but the last of a row, which takes a newline.  A
+    fixed-notation cell scales its magnitude by ``10**k`` in one exact-power
+    multiply, so ``s`` lies within half an ulp (under 6e-11) of the exact
+    scaled value and ``m = rint(s)`` is ``%.6g``'s significand unless ``s``
+    lies near a rounding tie.  Its token then comes from
+    :func:`_token_tables`.  The rest -- a cell within 1e-6 of a tie, one
+    in exponent notation, or one whose exponent ``log10`` misjudged next to
+    a power of ten -- is written by Python's ``%.6g`` over the block's
+    placeholders in one ``%``.  Nodata cells, found by mask, take the
+    NODATA_VALUE token.
+    """
+    heads, tails = _token_tables()
+    values = grid.values
+    rows, cols = values.shape
+    last = np.arange(cols) == cols - 1
+    token = _format_value(grid.nodata)
+    hole_row = np.where(last, token + "\n", token + " ").astype(f"S{_CELL.itemsize}")
+    step = max(1, _BLOCK_CELLS // cols)
+    for start in range(0, rows, step):
+        block = values[start : start + step]
+        a = np.abs(block)
+        with np.errstate(divide="ignore"):
+            x = np.log10(a)
+        # X = floor(log10|v|), clipped to the fixed range.  Where log10 is
+        # off by one next to a power of ten, s leaves [1e5, 1e6): the cell
+        # goes to the fallback, or m is the carry 10**6, right either way.
+        k = (5.0 - np.clip(np.floor(x, out=x), -4.0, 5.0, out=x)).astype(np.intp)
+        s = a * _POW10[k]
+        m = np.rint(s)
+        fast = ((s >= 1e5) | (s == 0.0)) & (m <= 1e6) & (np.abs(s - m) < 0.5 - 1e-6)
+        # Every other cell takes the placeholder, H = 1 and L = 0.
+        high, low = np.divmod(np.where(fast, m, 1000.0).astype(np.intp), 1000)
+        cells = np.empty(block.shape, dtype=_CELL)
+        cells["sign"] = np.where(np.signbit(block) & fast, b"-", b"")
+        cells["head"] = heads.take(high + 1001 * ((low == 0) + 2 * k))
+        cells["tail"] = tails.take(low + 1000 * (last + 2 * k))
+        holes = block == grid.nodata
+        if holes.any():
+            cells.view(hole_row.dtype)[holes] = np.broadcast_to(hole_row, block.shape)[holes]
+            fast |= holes
+        text = cells.tobytes().translate(None, b"\0")
+        if not fast.all():
+            text = _format_fallback(text, block[~fast])
+        yield text
+
+
 def write_ascii_grid(grid: HeightGrid, path: str | os.PathLike) -> None:
     """Write ``grid`` as an ESRI ASCII grid file.
 
-    Values are written with 6 significant digits; nodata cells are written
-    with the exact token used in the NODATA_VALUE header line, so the
-    validity mask survives a round trip.
+    Values are written with 6 significant digits, byte for byte as
+    ``'%.6g' % v`` writes them (see :func:`_format_body`); nodata cells are
+    written with the exact token used in the NODATA_VALUE header line, so
+    the validity mask survives a round trip.
     """
-    values = grid.values
-    if grid.nodata == 0.0:
-        # A zero sentinel also marks cells holding the other signed zero;
-        # write those as the sentinel's own token too.
-        values = np.where(grid.mask, values, grid.nodata)
-    row_format = " ".join([_VALUE_FORMAT] * grid.cols) + "\n"
-    with atomic_output(path, "w", encoding="ascii") as fh:
-        fh.write(f"NCOLS {grid.cols}\n")
-        fh.write(f"NROWS {grid.rows}\n")
-        fh.write(f"XLLCORNER {_format_value(grid.xllcorner)}\n")
-        fh.write(f"YLLCORNER {_format_value(grid.yllcorner)}\n")
-        fh.write(f"CELLSIZE {_format_value(grid.cell_size)}\n")
-        fh.write(f"NODATA_VALUE {_format_value(grid.nodata)}\n")
-        # A nodata cell holds exactly the sentinel, so it formats to the
-        # NODATA_VALUE token.  Python floats format faster than numpy
-        # scalars; one row at a time keeps a float object per cell of one
-        # row alive, not of the whole grid.
-        for row in values:
-            fh.write(row_format % tuple(row.tolist()))
+    header = (
+        f"NCOLS {grid.cols}\n"
+        f"NROWS {grid.rows}\n"
+        f"XLLCORNER {_format_value(grid.xllcorner)}\n"
+        f"YLLCORNER {_format_value(grid.yllcorner)}\n"
+        f"CELLSIZE {_format_value(grid.cell_size)}\n"
+        f"NODATA_VALUE {_format_value(grid.nodata)}\n"
+    )
+    with atomic_output(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.writelines(_format_body(grid))
 
 
 def render_pgm(grid: HeightGrid, path: str | os.PathLike, lo: float, hi: float) -> None:

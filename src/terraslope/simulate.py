@@ -745,7 +745,8 @@ def write_run_directory(
         render_pgm(height, os.path.join(out_dir, f"stage{i}_height.pgm"), lo, hi)
         slope = slope_map(height)
         write_ascii_grid(slope, os.path.join(out_dir, f"stage{i}_slope.asc"))
-        slope_hi = max(float(slope.values[slope.mask].max()), 1e-9) if slope.mask.any() else 1.0
+        valid = slope.values[slope.mask]
+        slope_hi = max(float(valid.max()), 1e-9) if valid.size else 1.0
         render_pgm(slope, os.path.join(out_dir, f"stage{i}_slope.pgm"), 0.0, slope_hi)
         dir_grid = direction_as_grid(slope_direction_map(height), like=height)
         write_ascii_grid(dir_grid, os.path.join(out_dir, f"stage{i}_dir.asc"))

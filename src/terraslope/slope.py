@@ -97,14 +97,14 @@ def window_stack(grid: HeightGrid) -> np.ndarray:
     return stack
 
 
-def _window_views(grid: HeightGrid, fill: float) -> list[np.ndarray]:
-    """The nine row-major shifted views of ``grid``'s 3x3 windows.
+def _window_views(values: np.ndarray, mask: np.ndarray, fill: float) -> list[np.ndarray]:
+    """The nine row-major shifted views of the 3x3 windows of ``values``.
 
     View ``k`` holds window position ``k`` of every pixel after replicate
-    padding, with ``fill`` in place of every invalid cell.
+    padding, with ``fill`` in place of every cell outside ``mask``.
     """
-    rows, cols = grid.values.shape
-    padded = _pad_edge(np.where(grid.mask, grid.values, fill))
+    rows, cols = values.shape
+    padded = _pad_edge(np.where(mask, values, fill))
     return [padded[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols] for dr, dc in _OFFSETS]
 
 
@@ -116,9 +116,9 @@ def _fold(views: list[np.ndarray], ufunc: np.ufunc) -> np.ndarray:
     return out
 
 
-def _check_overflow(diff: np.ndarray, grid: HeightGrid, what: str) -> None:
-    """Raise a ``ValueError`` at the first valid cell where the difference ``diff`` overflowed."""
-    bad = ~np.isfinite(diff) & grid.mask
+def _check_overflow(diff: np.ndarray, mask: np.ndarray, what: str) -> None:
+    """Raise a ``ValueError`` at the first ``mask`` cell where the difference ``diff`` overflowed."""
+    bad = ~np.isfinite(diff) & mask
     if bad.any():
         r, c = np.argwhere(bad)[0]
         raise ValueError(
@@ -136,9 +136,10 @@ def slope_map(grid: HeightGrid) -> HeightGrid:
     Raises:
         ValueError: a slope beyond the float64 range at a valid pixel.
     """
-    slope = np.abs(_fold(_window_views(grid, -np.inf), np.maximum) - grid.values)
-    _check_overflow(slope, grid, "slope")
-    slope[~grid.mask] = grid.nodata
+    mask = grid.mask
+    slope = np.abs(_fold(_window_views(grid.values, mask, -np.inf), np.maximum) - grid.values)
+    _check_overflow(slope, mask, "slope")
+    slope[~mask] = grid.nodata
     return grid.with_values(slope)
 
 
@@ -150,13 +151,13 @@ def slope_direction_map(grid: HeightGrid) -> SlopeDirectionGrid:
     index wins ties and the code is ``8 - index``, which maps the window
     corners/edges onto the 0..8 direction table.
     """
-    views = _window_views(grid, -np.inf)
+    mask = grid.mask
+    views = _window_views(grid.values, mask, -np.inf)
     peak = _fold(views, np.maximum)
     codes = np.full(grid.shape, 4, dtype=np.int64)
     # Highest index first, so the smallest index attaining the peak is written last.
     for k in range(8, -1, -1):
         codes[views[k] == peak] = 8 - k
-    mask = grid.mask
     codes[(views[4] == peak) | ~mask] = 4
     return SlopeDirectionGrid(codes=codes, mask=mask)
 
@@ -171,11 +172,12 @@ def slope_factor_maps(grid: HeightGrid) -> SlopeFactors:
     Raises:
         ValueError: a factor beyond the float64 range at a valid pixel.
     """
-    rise = np.abs(_fold(_window_views(grid, -np.inf), np.maximum) - grid.values)
+    values, mask = grid.values, grid.mask
+    rise = np.abs(_fold(_window_views(values, mask, -np.inf), np.maximum) - values)
     # A drop from a to b overflows only where the rise from b to a does.
-    _check_overflow(rise, grid, "rise slope factor")
-    drop = np.abs(_fold(_window_views(grid, np.inf), np.minimum) - grid.values)
-    invalid = ~grid.mask
+    _check_overflow(rise, mask, "rise slope factor")
+    drop = np.abs(_fold(_window_views(values, mask, np.inf), np.minimum) - values)
+    invalid = ~mask
     rise[invalid] = 0.0
     drop[invalid] = 0.0
     return SlopeFactors(rise=rise, drop=drop)

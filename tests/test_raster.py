@@ -1,8 +1,10 @@
 """Grid construction, ASCII-grid round trips, and PGM rendering."""
 
 import re
+import struct
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,13 +15,18 @@ from terraslope import (
     GridFormatError,
     HeightGrid,
     SlopeDirectionGrid,
+    TerrainSpec,
+    generate_terrain,
     read_ascii_grid,
     render_pgm,
+    slope_direction_map,
+    slope_map,
     write_ascii_grid,
 )
 
 from terraslope import raster
 from terraslope.raster import _format_value
+from terraslope.slope import direction_as_grid
 
 from conftest import NODATA, random_grid
 from oracles import cell_loop_ascii_text, split_float_body
@@ -320,6 +327,37 @@ class TestNumpyBodyReader:
         assert peak < 256 * 1024
 
 
+def bit_pattern_floats():
+    """Raw 64-bit patterns viewed as float64, the non-finite ones dropped."""
+    return (
+        st.integers(0, 2**64 - 1)
+        .map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+        .filter(np.isfinite)
+    )
+
+
+def fixed_notation_floats():
+    """Values ``%.6g`` writes in fixed notation, decimal rounding ties among them."""
+    significand = st.integers(10**5, 10**6 - 1)
+    shift = st.integers(-4, 5).map(lambda x: 10.0 ** (5 - x))
+    tie = st.tuples(significand, shift).map(lambda ms: (ms[0] + 0.5) / ms[1])
+    return st.one_of(st.floats(-2e6, 2e6), tie, tie.map(lambda v: -v))
+
+
+@pytest.fixture
+def fallback_cells(monkeypatch):
+    """Every value the writer hands to Python's ``%.6g``, in order."""
+    seen = []
+    fallback = raster._format_fallback
+
+    def spy(text, values):
+        seen.extend(values.tolist())
+        return fallback(text, values)
+
+    monkeypatch.setattr(raster, "_format_fallback", spy)
+    return seen
+
+
 class TestWriteAsciiGridBytes:
     """The writer's bytes equal a per-cell ``.6g`` format of every value."""
 
@@ -330,12 +368,40 @@ class TestWriteAsciiGridBytes:
         assert text == cell_loop_ascii_text(grid)
         return [line.split() for line in text.splitlines()[6:]]
 
+    # Ties round to even; 999999.5 and 9.999995e-05 carry to the next
+    # exponent; the last ten hold one value per fixed-notation exponent.
+    PINNED = [
+        (-0.0, "-0"),
+        (0.0, "0"),
+        (5e-324, "4.94066e-324"),
+        (1.7976931348623157e308, "1.79769e+308"),
+        (0.1, "0.1"),
+        (1e16, "1e+16"),
+        (-9999.0, "-9999"),
+        (123456.5, "123456"),
+        (999999.5, "1e+06"),
+        (99999.95, "99999.9"),
+        (1e-4, "0.0001"),
+        (9.999995e-05, "0.0001"),
+        (1e-5, "1e-05"),
+        (-0.000123456, "-0.000123456"),
+        (0.00120034, "0.00120034"),
+        (0.012, "0.012"),
+        (-0.123456, "-0.123456"),
+        (1.5, "1.5"),
+        (-12.0004, "-12.0004"),
+        (100.0, "100"),
+        (1234.56, "1234.56"),
+        (-12345.6, "-12345.6"),
+        (120000.0, "120000"),
+    ]
+
     def test_pinned_values(self, tmp_path):
-        values = [-0.0, 5e-324, 0.1, 123456.5, 1e16, -9999.0]
+        values = [v for v, _ in self.PINNED]
         g = HeightGrid(np.array([values]), nodata=NODATA)
         tokens = self.body_tokens(g, tmp_path)[0]
         assert tokens == [_format_value(v) for v in values]
-        assert tokens == ["-0", "4.94066e-324", "0.1", "123456", "1e+16", "-9999"]
+        assert tokens == [token for _, token in self.PINNED]
 
     def test_custom_sentinel_and_all_nodata_row(self, tmp_path):
         sentinel = -3.40282e38
@@ -358,20 +424,68 @@ class TestWriteAsciiGridBytes:
         g = HeightGrid(np.array([[-0.0, 0.0, 1.0]]), nodata=-0.0)
         assert self.body_tokens(g, tmp_path) == [["-0", "-0", "1"]]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         values=st.lists(
-            st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=24
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                bit_pattern_floats(),
+                fixed_notation_floats(),
+            ),
+            min_size=1,
+            max_size=48,
         ),
-        cols=st.integers(1, 6),
+        cols=st.integers(1, 7),
+        extra_rows=st.integers(1, 4),
         holes=st.integers(0, 2**24 - 1),
+        block_cells=st.integers(1, 32),
     )
-    def test_matches_cell_loop_on_any_finite_values(self, tmp_path_factory, values, cols, holes):
-        cols = min(cols, len(values))
-        rows = len(values) // cols
-        grid = np.array(values[: rows * cols]).reshape(rows, cols)
-        grid.ravel()[[bool(holes >> i & 1) for i in range(grid.size)]] = NODATA
-        self.body_tokens(HeightGrid(grid, nodata=NODATA), tmp_path_factory.mktemp("w"))
+    def test_matches_cell_loop_on_any_finite_values(
+        self, tmp_path_factory, values, cols, extra_rows, holes, block_cells
+    ):
+        # More rows than one block holds; small blocks keep each example,
+        # and the shrinking of a failure, cheap.
+        rows = max(1, block_cells // cols) + extra_rows
+        grid = np.resize(np.array(values), (rows, cols))
+        grid.ravel()[[bool(holes >> i % 24 & 1) for i in range(grid.size)]] = NODATA
+        with mock.patch.object(raster, "_BLOCK_CELLS", block_cells):
+            self.body_tokens(HeightGrid(grid, nodata=NODATA), tmp_path_factory.mktemp("w"))
+
+    def test_random_bit_patterns_fall_back_to_the_same_bytes(self, tmp_path, rng):
+        # 255 columns: blocks of 32 rows, the last one partial.
+        bits = rng.integers(0, 2**64, size=(257, 255), dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64).copy()
+        values[~np.isfinite(values)] = 0.5
+        self.body_tokens(HeightGrid(values), tmp_path)
+
+    @pytest.mark.parametrize("sentinel", [0.0, -0.0, -9999.0, -3.40282e38])
+    def test_nodata_sentinels_take_the_header_token(self, tmp_path, rng, sentinel, fallback_cells):
+        values = rng.uniform(-1e4, 1e4, size=(64, 65))
+        values[:, :3] = [0.0, -0.0, 1e-7]
+        values[rng.random(values.shape) < 0.5] = sentinel
+        self.body_tokens(HeightGrid(values, nodata=sentinel), tmp_path)
+        # Holes never reach the fallback, whatever their token's notation.
+        assert sentinel not in fallback_cells
+
+    def test_fractal_terrain_outputs_never_fall_back(self, tmp_path, fallback_cells):
+        gt = generate_terrain(
+            TerrainSpec(rows=128, cols=128, kind="fractal", amplitude=200.0, seed=5)
+        )
+        grids = (gt, slope_map(gt), direction_as_grid(slope_direction_map(gt), like=gt))
+        for grid in grids:
+            self.body_tokens(grid, tmp_path)
+        assert fallback_cells == []
+
+    def test_blocks_bound_the_temporaries(self, tmp_path, rng):
+        grid = HeightGrid(rng.uniform(-1e4, 1e4, size=(512, 512)))
+        raster._token_tables()  # built once per process, not per write
+        tracemalloc.start()
+        try:
+            write_ascii_grid(grid, tmp_path / "g.asc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.values.nbytes
 
 
 class TestRoundTrip:
