@@ -32,7 +32,6 @@ h = HeightGrid(np.array([[center]]))
 ranges = PixelRanges(
     low=np.array([[center - spread]]),
     high=np.array([[center + spread]]),
-    sigma=np.array([[spread]]),
     mask=np.array([[True]]),
 )
 

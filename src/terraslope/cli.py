@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .correction import GaussianKernel, correct, fit_scale
-from .metrics import evaluate, format_report, write_report_csv
+from .metrics import DEFAULT_THRESHOLDS, evaluate, format_report, write_report_csv
 from .partition import _equal_planes, pixel_range, slope_guided_partition
 from .raster import GridFormatError, read_ascii_grid, render_pgm, write_ascii_grid
 from .simulate import (
@@ -232,14 +232,18 @@ _CONFIG_REQUIRED = ("terrain", "rows", "cols")
 
 
 def _read_config(path: str) -> dict[str, str | None]:
-    """Parse a flat ``key = value`` config file.
+    """Parse a flat ``key = value`` ASCII config file.
 
-    Unknown or missing keys are reported by name.
+    Unknown or missing keys are reported by name, a non-ASCII byte by line.
     """
     config: dict[str, str | None] = dict(_CONFIG_DEFAULTS)
     known = set(_CONFIG_DEFAULTS) | set(_CONFIG_REQUIRED)
-    with open(path, "r", encoding="ascii") as fh:
+    # surrogateescape decodes each non-ASCII byte b to U+DC00 + b.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                byte = next(ord(ch) for ch in raw if not ch.isascii()) - 0xDC00
+                raise ValueError(f"config line {lineno}: not ASCII: byte 0x{byte:02x}")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -349,7 +353,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("correct", help="apply (or fit) the Gaussian height correction")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--scale", type=float, default=1.0, help="kernel scale (default 1)")
+    scale = GaussianKernel().scale
+    p.add_argument("--scale", type=float, default=scale, help="kernel scale (default %(default)g)")
     p.add_argument(
         "--fit-target",
         help="fit the scale against this grid first (prints the fitted value)",
@@ -361,8 +366,8 @@ def build_parser() -> _Parser:
     p.add_argument("ground_truth")
     p.add_argument(
         "--thresholds",
-        default="2.5,7.5",
-        help="comma-separated error thresholds in meters (default 2.5,7.5)",
+        default=",".join(str(t) for t in DEFAULT_THRESHOLDS),
+        help="comma-separated error thresholds in meters (default %(default)s)",
     )
     p.add_argument("--csv", help="also write the report as metric,value CSV")
     p.set_defaults(func=cmd_eval)

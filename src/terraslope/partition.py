@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import HeightGrid, _freeze
+from .raster import NODATA_DEFAULT, HeightGrid, _freeze
 from .slope import SlopeFactors
 
 _PROB_SUM_TOL = 1e-9
@@ -61,7 +61,7 @@ class HypothesisPlanes:
     planes: np.ndarray
     mask: np.ndarray
     cell_size: float = 1.0
-    nodata: float = -9999.0
+    nodata: float = NODATA_DEFAULT
 
     def __post_init__(self) -> None:
         planes = np.asarray(self.planes, dtype=np.float64)
@@ -128,43 +128,32 @@ class ProbabilityVolume:
 class PixelRanges:
     """Per-pixel height search range [low, high] centered on an estimate.
 
-    By construction ``high - low == 2 * sigma`` where sigma is the
-    (floored) per-pixel uncertainty; at valid pixels ``low``, ``high``, the
-    width and sigma are finite.  ``cell_size``/``nodata`` carry the metadata of
-    the originating height grid.
+    At valid pixels ``low <= high`` and the bounds and the width are finite;
+    the half-width is the (floored) per-pixel uncertainty.
+    ``cell_size``/``nodata`` carry the metadata of the originating height grid.
     """
 
     low: np.ndarray
     high: np.ndarray
-    sigma: np.ndarray
     mask: np.ndarray
     cell_size: float = 1.0
-    nodata: float = -9999.0
+    nodata: float = NODATA_DEFAULT
 
     def __post_init__(self) -> None:
         low = np.asarray(self.low, dtype=np.float64)
         high = np.asarray(self.high, dtype=np.float64)
-        sigma = np.asarray(self.sigma, dtype=np.float64)
         mask = np.asarray(self.mask, dtype=bool)
-        if not (low.shape == high.shape == sigma.shape == mask.shape):
+        if not (low.shape == high.shape == mask.shape):
             raise ValueError("range component shapes must all match")
         if mask.any():
             with np.errstate(over="ignore", invalid="ignore"):
                 width = high[mask] - low[mask]
-            if not (np.isfinite(width).all() and np.isfinite(sigma[mask]).all()):
-                raise ValueError("range bounds, width and sigma must be finite")
-            if (sigma[mask] < 0).any():
-                raise ValueError("sigma must be non-negative")
+            if not np.isfinite(width).all():
+                raise ValueError("range bounds and width must be finite")
             if (low[mask] > high[mask]).any():
                 raise ValueError("range low must not exceed high")
-            # ``center +- sigma`` rounds at the bounds' magnitude, not sigma's.
-            width_err = np.abs(width - 2.0 * sigma[mask])
-            scale = np.maximum(1.0, np.maximum(np.abs(low[mask]), np.abs(high[mask])))
-            if (width_err > 1e-9 * scale).any():
-                raise ValueError("range width must equal 2 * sigma")
         object.__setattr__(self, "low", _freeze(low))
         object.__setattr__(self, "high", _freeze(high))
-        object.__setattr__(self, "sigma", _freeze(sigma))
         object.__setattr__(self, "mask", _freeze(mask))
 
     @property
@@ -231,7 +220,8 @@ def pixel_range(
     """Symmetric per-pixel range ``height +- max(sigma, sigma_floor)``.
 
     The floor keeps the search range usable when the distribution collapsed
-    to (near) certainty; set it from the refinement schedule.
+    to (near) certainty; set it from the refinement schedule.  Only the
+    bounds are kept: the floored sigma is half their width.
 
     Raises:
         ValueError: mismatched dimensions, negative sigma, a negative or
@@ -241,14 +231,9 @@ def pixel_range(
         raise ValueError(f"height {height.shape} and sigma {sigma.shape} differ")
     if not (np.isfinite(sigma_floor) and sigma_floor >= 0):
         raise ValueError(f"sigma_floor must be finite and >= 0, got {sigma_floor}")
-    mask, _, low, high, spread = _pixel_range(height, sigma, sigma_floor)
+    mask, _, low, high = _pixel_range(height, sigma, sigma_floor)
     return PixelRanges(
-        low=low,
-        high=high,
-        sigma=spread,
-        mask=mask,
-        cell_size=height.cell_size,
-        nodata=height.nodata,
+        low=low, high=high, mask=mask, cell_size=height.cell_size, nodata=height.nodata
     )
 
 
@@ -258,9 +243,9 @@ def _pixel_range(height, sigma, sigma_floor: float) -> tuple[np.ndarray, ...]:
     ``height`` and ``sigma`` need only ``values`` and ``mask``: whole
     :class:`~terraslope.raster.HeightGrid`s, or row views of grids whose
     values are already known to be finite or nodata.  Returns the joint
-    mask and the center, low, high and floored sigma of each pixel, all 0
-    where the mask is False.  The caller sets the error state: an
-    overflowing bound is reported, not warned about.
+    mask and the center, low and high of each pixel, all 0 where the mask
+    is False.  The caller sets the error state: an overflowing bound is
+    reported, not warned about.
 
     Raises:
         ValueError: a negative sigma or a range too wide for float64 at a
@@ -277,7 +262,7 @@ def _pixel_range(height, sigma, sigma_floor: float) -> tuple[np.ndarray, ...]:
     # bound or width can be non-finite; masked-out cells are all 0.
     if not np.isfinite(high - low).all():
         raise ValueError("range bounds, width and sigma must be finite")
-    return mask, center, low, high, spread
+    return mask, center, low, high
 
 
 def _split_counts(total: int, drop: np.ndarray, rise: np.ndarray) -> np.ndarray:

@@ -67,8 +67,6 @@ from .slope import (
     slope_map,
 )
 
-TERRAIN_KINDS = ("ramp", "sinusoidal", "gaussian-hills", "fractal")
-
 #: Published-style refinement schedule: plane counts per stage and the
 #: uncertainty floors (half of plane count times stage interval: 32*5/2 and
 #: 8*2.5/2).  Stage 1 sweeps the global range, so its floor is unused.
@@ -184,13 +182,13 @@ class AblationRow:
     pct_lt_7_5: float
 
 
-def _ramp(spec: TerrainSpec) -> np.ndarray:
+def _ramp(spec: TerrainSpec, rng: np.random.Generator) -> np.ndarray:
     cols = np.arange(spec.cols, dtype=np.float64)
     profile = cols / (spec.cols - 1) if spec.cols > 1 else np.zeros(spec.cols)
     return np.tile(spec.amplitude * profile, (spec.rows, 1))
 
 
-def _sinusoidal(spec: TerrainSpec) -> np.ndarray:
+def _sinusoidal(spec: TerrainSpec, rng: np.random.Generator) -> np.ndarray:
     cycles = 1.0 + spec.roughness
     r = np.arange(spec.rows, dtype=np.float64)[:, None] / max(spec.rows - 1, 1)
     c = np.arange(spec.cols, dtype=np.float64)[None, :] / max(spec.cols - 1, 1)
@@ -221,12 +219,15 @@ def _gaussian_hills(spec: TerrainSpec, rng: np.random.Generator) -> np.ndarray:
 # place of numpy's warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def _fractal(spec: TerrainSpec, rng: np.random.Generator) -> np.ndarray:
-    """Midpoint-displacement terrain, rescaled to span [0, amplitude]."""
+    """Midpoint-displacement terrain, rescaled to span [0, amplitude].
+
+    Each step works in place on strided views of the field.  Every point
+    starts at 0.0 and is written by one step only, so a step sums into it.
+    """
     size = 1
     while size + 1 < max(spec.rows, spec.cols):
         size *= 2
-    n = size + 1
-    field = np.zeros((n, n), dtype=np.float64)
+    field = np.zeros((size + 1, size + 1), dtype=np.float64)
     field[0, 0], field[0, -1], field[-1, 0], field[-1, -1] = rng.uniform(
         0.0, spec.amplitude, 4
     )
@@ -235,29 +236,31 @@ def _fractal(spec: TerrainSpec, rng: np.random.Generator) -> np.ndarray:
     while step >= 2:
         half = step // 2
         # Diamond step: square centers average their four corners.
-        rs = np.arange(half, n, step)
-        rr, cc = np.meshgrid(rs, rs, indexing="ij")
-        avg = (
-            field[rr - half, cc - half]
-            + field[rr - half, cc + half]
-            + field[rr + half, cc - half]
-            + field[rr + half, cc + half]
-        ) / 4.0
-        field[rr, cc] = avg + rng.uniform(-0.5, 0.5, rr.shape) * disp
-        # Square step: edge midpoints average their in-bounds neighbors.
-        for row_off, col_off in ((half, 0), (0, half)):
-            rs = np.arange(row_off, n, step)
-            cs = np.arange(col_off, n, step)
-            rr, cc = np.meshgrid(rs, cs, indexing="ij")
-            total = np.zeros(rr.shape)
-            count = np.zeros(rr.shape)
-            for dr, dc in ((-half, 0), (half, 0), (0, -half), (0, half)):
-                r2 = rr + dr
-                c2 = cc + dc
-                ok = (r2 >= 0) & (r2 < n) & (c2 >= 0) & (c2 < n)
-                total[ok] += field[r2[ok], c2[ok]]
-                count += ok
-            field[rr, cc] = total / count + rng.uniform(-0.5, 0.5, rr.shape) * disp
+        top, bottom = field[:-1:step], field[step::step]
+        centers = field[half::step, half::step]
+        np.add(top[:, :-1:step], top[:, step::step], out=centers)
+        centers += bottom[:, :-1:step]
+        centers += bottom[:, step::step]
+        centers /= 4.0
+        centers += rng.uniform(-0.5, 0.5, centers.shape) * disp
+        # Square step: edge midpoints average their in-bounds neighbours,
+        # summed up, down, left, right: 3 on the field's edge, else 4.
+        count = np.full(size // step + 1, 4.0)
+        count[[0, -1]] = 3.0
+        points = field[half::step, ::step]  # between rows of corners
+        points += top[:, ::step]
+        points += bottom[:, ::step]
+        points[:, 1:] += centers
+        points[:, :-1] += centers
+        points /= count
+        points += rng.uniform(-0.5, 0.5, points.shape) * disp
+        points = field[::step, half::step]  # between columns of corners
+        points[1:] += centers
+        points[:-1] += centers
+        points += field[::step, :-1:step]
+        points += field[::step, step::step]
+        points /= count[:, None]
+        points += rng.uniform(-0.5, 0.5, points.shape) * disp
         disp *= spec.roughness
         step = half
     field = field[: spec.rows, : spec.cols]
@@ -269,6 +272,16 @@ def _fractal(spec: TerrainSpec, rng: np.random.Generator) -> np.ndarray:
     if span == 0.0:
         return np.zeros_like(field)
     return (field - field.min()) / span * spec.amplitude
+
+
+#: Terrain generators by kind, each ``(spec, rng)`` to a (rows, cols) array.
+_GENERATORS = {
+    "ramp": _ramp,
+    "sinusoidal": _sinusoidal,
+    "gaussian-hills": _gaussian_hills,
+    "fractal": _fractal,
+}
+TERRAIN_KINDS = tuple(_GENERATORS)
 
 
 def generate_terrain(spec: TerrainSpec) -> HeightGrid:
@@ -283,18 +296,7 @@ def generate_terrain(spec: TerrainSpec) -> HeightGrid:
         ValueError: a fractal ``roughness`` whose midpoint displacement
             leaves the finite float64 range.
     """
-    rng = np.random.default_rng(spec.seed)
-    if spec.kind == "ramp":
-        field = _ramp(spec)
-    elif spec.kind == "sinusoidal":
-        field = _sinusoidal(spec)
-    elif spec.kind == "gaussian-hills":
-        field = _gaussian_hills(spec, rng)
-    elif spec.kind == "fractal":
-        field = _fractal(spec, rng)
-    else:  # unreachable; TerrainSpec validates
-        raise ValueError(f"unsupported terrain kind {spec.kind!r}")
-    return HeightGrid(field)
+    return HeightGrid(_GENERATORS[spec.kind](spec, np.random.default_rng(spec.seed)))
 
 
 def matcher_noise(shape: tuple[int, int], scale: float, seed: int) -> np.ndarray:
@@ -515,7 +517,7 @@ def _stage_pass(
         if prev is None:
             return shared, gt.values[tile] != nodata
         height_rows, sigma_rows = (_rows(grid.values, tile, nodata) for grid in prev)
-        valid, center, low, high, _ = _pixel_range(height_rows, sigma_rows, cfg.sigma_floor)
+        valid, center, low, high = _pixel_range(height_rows, sigma_rows, cfg.sigma_floor)
         if not cfg.use_slope_partition:
             return _equal_planes(low, high, m), valid
         strip, inner = _strip(prev[0].values, tile, nodata)
@@ -609,15 +611,16 @@ def run_pipeline(
     Identical (gt, global_range, stages, seed) yield bit-identical results.
 
     Raises:
-        ValueError: bad range, ground truth outside the range, an empty
-            stage list, a stage whose single-row volume (cols * M) is
-            over the partition module's ``VOLUME_BUDGET_BYTES``, or a stage
-            whose search range, expected height or spread overflows at a
-            valid pixel (the message names the stage).
+        ValueError: a range without low < high and a finite width, ground
+            truth outside the range, an empty stage list, a stage whose
+            single-row volume (cols * M) is over the partition module's
+            ``VOLUME_BUDGET_BYTES``, or a stage whose search range,
+            expected height or spread overflows at a valid pixel (the
+            message names the stage).
     """
     low, high = float(global_range[0]), float(global_range[1])
-    if not (low < high):
-        raise ValueError(f"global range must satisfy low < high, got [{low}, {high}]")
+    if not (low < high and math.isfinite(high - low)):
+        raise ValueError(f"global range needs low < high and a finite width, got [{low}, {high}]")
     if not stages:
         raise ValueError("at least one stage config required")
     valid_values = gt.values[gt.mask]

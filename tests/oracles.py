@@ -1,9 +1,13 @@
 """Independent brute-force reference implementations.
 
-Everything here except :func:`reference_pipeline` and :func:`reference_loss`
-is written as plain per-pixel Python loops over scalar values, deliberately
-sharing no code with the library: these are the oracles the vectorized
-implementations are checked against.
+Everything here except :func:`reference_fractal`, :func:`reference_pipeline`
+and :func:`reference_loss` is written as plain per-pixel Python loops over
+scalar values, deliberately sharing no code with the library: these are the
+oracles the vectorized implementations are checked against.
+
+:func:`reference_fractal` is the fractal terrain generator written with
+index grids and masked gathers and scatters; the strided-view generator of
+``simulate`` must reproduce it bit for bit.
 
 :func:`reference_pipeline` is the whole-volume form of
 ``simulate.run_pipeline``: it composes the public per-step functions, each
@@ -242,6 +246,60 @@ def scalar_metrics(est, gt, est_nodata, gt_nodata, thresholds):
     return mae, rmse, pct, median, completeness, n
 
 
+# A huge roughness overflows the displacement; the span check reports it in
+# place of numpy's warnings.
+@np.errstate(over="ignore", invalid="ignore")
+def reference_fractal(spec, rng):
+    """Midpoint-displacement terrain, rescaled to span [0, amplitude]."""
+    size = 1
+    while size + 1 < max(spec.rows, spec.cols):
+        size *= 2
+    n = size + 1
+    field = np.zeros((n, n), dtype=np.float64)
+    field[0, 0], field[0, -1], field[-1, 0], field[-1, -1] = rng.uniform(
+        0.0, spec.amplitude, 4
+    )
+    disp = spec.amplitude * spec.roughness
+    step = size
+    while step >= 2:
+        half = step // 2
+        # Diamond step: square centers average their four corners.
+        rs = np.arange(half, n, step)
+        rr, cc = np.meshgrid(rs, rs, indexing="ij")
+        avg = (
+            field[rr - half, cc - half]
+            + field[rr - half, cc + half]
+            + field[rr + half, cc - half]
+            + field[rr + half, cc + half]
+        ) / 4.0
+        field[rr, cc] = avg + rng.uniform(-0.5, 0.5, rr.shape) * disp
+        # Square step: edge midpoints average their in-bounds neighbors.
+        for row_off, col_off in ((half, 0), (0, half)):
+            rs = np.arange(row_off, n, step)
+            cs = np.arange(col_off, n, step)
+            rr, cc = np.meshgrid(rs, cs, indexing="ij")
+            total = np.zeros(rr.shape)
+            count = np.zeros(rr.shape)
+            for dr, dc in ((-half, 0), (half, 0), (0, -half), (0, half)):
+                r2 = rr + dr
+                c2 = cc + dc
+                ok = (r2 >= 0) & (r2 < n) & (c2 >= 0) & (c2 < n)
+                total[ok] += field[r2[ok], c2[ok]]
+                count += ok
+            field[rr, cc] = total / count + rng.uniform(-0.5, 0.5, rr.shape) * disp
+        disp *= spec.roughness
+        step = half
+    field = field[: spec.rows, : spec.cols]
+    span = field.max() - field.min()
+    if not np.isfinite(span):
+        raise ValueError(
+            f"roughness {spec.roughness} drives the fractal displacement out of the finite range"
+        )
+    if span == 0.0:
+        return np.zeros_like(field)
+    return (field - field.min()) / span * spec.amplitude
+
+
 def reference_pipeline(gt, global_range, stages, seed=0):
     """Coarse-to-fine run over whole (rows, cols, M) volumes, one stage per config."""
     low, high = float(global_range[0]), float(global_range[1])
@@ -252,7 +310,6 @@ def reference_pipeline(gt, global_range, stages, seed=0):
             ranges = PixelRanges(
                 low=np.full(gt.shape, low),
                 high=np.full(gt.shape, high),
-                sigma=np.full(gt.shape, (high - low) / 2.0),
                 mask=gt.mask,
                 cell_size=gt.cell_size,
                 nodata=gt.nodata,

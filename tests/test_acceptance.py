@@ -145,7 +145,6 @@ def test_partition_suite():
             ranges = PixelRanges(
                 low=center - spread,
                 high=center + spread,
-                sigma=spread,
                 mask=np.ones((rows, cols), bool),
             )
             planes = slope_guided_partition(h, ranges, SlopeFactors(rise, drop), m)
@@ -175,7 +174,6 @@ def test_partition_suite():
             ranges = PixelRanges(
                 low=np.array([[0.0]]),
                 high=np.array([[20.0]]),
-                sigma=np.array([[10.0]]),
                 mask=np.array([[True]]),
             )
             factors = SlopeFactors(rise=np.array([[3.0]]), drop=np.array([[3.0]]))

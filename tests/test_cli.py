@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from terraslope import default_stage_configs, read_ascii_grid, run_pipeline
+from terraslope.correction import GaussianKernel
+from terraslope.metrics import DEFAULT_THRESHOLDS
 from terraslope.partition import equal_partition, pixel_range
-from terraslope.cli import main
+from terraslope.cli import _parse_float_list, build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -341,6 +343,25 @@ class TestSimulateCommand:
         assert run(["simulate", cfg, tmp_path / "run"]) == 3
         assert "wibble" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,lineno,byte",
+        [
+            (b"terrain = ramp\nrows = 4\ncols = 4\n# caf\xc3\xa9\n", 4, "0xc3"),
+            (b"terrain = ramp\r\nrows = \xff4\r\ncols = 4\r\n", 2, "0xff"),
+        ],
+        ids=["in-a-comment", "in-a-crlf-value"],
+    )
+    def test_non_ascii_config_exits_3_naming_the_line(self, tmp_path, capsys, text, lineno, byte):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_bytes(text)
+        out = tmp_path / "run"
+        assert run(["simulate", cfg, out]) == 3
+        captured = capsys.readouterr()
+        expected = f"config line {lineno}: not ASCII: byte {byte}"
+        assert captured.err == f"terraslope: validation error: {expected}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_required_key_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "bad.txt"
         cfg.write_text("rows = 4\ncols = 4\n")
@@ -498,6 +519,22 @@ class TestHostileInputs:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_overflowing_global_range_exits_3_without_warnings(self, tmp_path, capsys):
+        cfg = tmp_path / "range.txt"
+        cfg.write_text(
+            "terrain = fractal\nrows = 16\ncols = 16\nrange_low = -1e308\nrange_high = 1e308\n"
+        )
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["simulate", cfg, out]) == 3
+        assert caught == []
+        captured = capsys.readouterr()
+        assert "low < high" in captured.err
+        assert "Warning" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_range_overflow_exits_3_naming_the_stage(self, tmp_path, capsys):
         cfg = tmp_path / "range.txt"
         cfg.write_text("terrain = fractal\nrows = 16\ncols = 16\nsigma_floors = 0,1e308,10\n")
@@ -618,6 +655,25 @@ class TestUsageAndHelp:
         out = capsys.readouterr().out
         for flag in ["--help"] + flags:
             assert flag in out
+
+    def test_eval_and_correct_defaults_are_the_library_defaults(self):
+        parser = build_parser()
+        args = parser.parse_args(["eval", "est.asc", "gt.asc"])
+        assert tuple(_parse_float_list(args.thresholds, "thresholds")) == DEFAULT_THRESHOLDS
+        args = parser.parse_args(["correct", "in.asc", "out.asc"])
+        assert args.scale == GaussianKernel().scale
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("eval", "comma-separated error thresholds in meters (default 2.5,7.5)"),
+            ("correct", "kernel scale (default 1)"),
+        ],
+    )
+    def test_default_help_text(self, command, text, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert text in " ".join(capsys.readouterr().out.split())
 
     def test_unknown_command_exits_1(self):
         with pytest.raises(SystemExit) as exc:

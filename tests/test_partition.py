@@ -26,7 +26,6 @@ def single_pixel_ranges(low, high):
     return PixelRanges(
         low=np.array([[float(low)]]),
         high=np.array([[float(high)]]),
-        sigma=np.array([[(high - low) / 2.0]]),
         mask=np.array([[True]]),
     )
 
@@ -65,20 +64,18 @@ class TestTypes:
             )
 
     @pytest.mark.parametrize(
-        "low,high,sigma",
+        "low,high",
         [
-            (-np.inf, np.inf, np.inf),  # 2 * sigma matches, NaN-blind
-            (np.nan, np.nan, 0.0),
-            (-1e308, 1e308, 1e308),  # finite bounds, overflowing width
-            (0.0, 0.0, np.inf),
+            (-np.inf, np.inf),
+            (np.nan, np.nan),
+            (-1e308, 1e308),  # finite bounds, overflowing width
         ],
     )
-    def test_range_must_be_finite(self, low, high, sigma):
+    def test_range_must_be_finite(self, low, high):
         with pytest.raises(ValueError, match="finite"):
             PixelRanges(
                 low=np.array([[low]]),
                 high=np.array([[high]]),
-                sigma=np.array([[sigma]]),
                 mask=np.array([[True]]),
             )
 
@@ -86,19 +83,9 @@ class TestTypes:
         r = PixelRanges(
             low=np.array([[-np.inf]]),
             high=np.array([[np.inf]]),
-            sigma=np.array([[np.inf]]),
             mask=np.array([[False]]),
         )
         assert r.shape == (1, 1)
-
-    def test_range_width_must_match_sigma(self):
-        with pytest.raises(ValueError, match="2 \\* sigma"):
-            PixelRanges(
-                low=np.array([[0.0]]),
-                high=np.array([[10.0]]),
-                sigma=np.array([[1.0]]),
-                mask=np.array([[True]]),
-            )
 
 
 class TestExpectedHeight:
@@ -217,22 +204,12 @@ class TestPixelRange:
         assert r.mask.tolist() == [[True, False]]
 
     def test_small_floor_at_a_large_height(self):
-        # height +- 0.001 rounds at the ulp of 1e8 (1.5e-8), far above 1e-9 * sigma
+        # height +- 0.001 rounds at the ulp of 1e8 (1.5e-8)
         h = HeightGrid(np.array([[1e8, 1e8 + 1]]))
         s = HeightGrid(np.zeros((1, 2)))
         r = pixel_range(h, s, 0.001)
-        assert r.sigma.tolist() == [[0.001, 0.001]]
+        assert np.allclose((r.high - r.low) / 2, 0.001, rtol=0, atol=5e-8)
         assert np.allclose(r.high - r.low, 0.002, rtol=0, atol=1e-7)
-
-    def test_width_check_scales_with_the_bounds_not_past_them(self):
-        # a wrong width at the same magnitude is still refused
-        with pytest.raises(ValueError, match="2 \\* sigma"):
-            PixelRanges(
-                low=np.array([[1e8 - 1.0]]),
-                high=np.array([[1e8 + 1.0]]),
-                sigma=np.array([[0.001]]),
-                mask=np.array([[True]]),
-            )
 
 
 class TestSlopeGuidedPartition:
@@ -383,7 +360,6 @@ class TestVolumeBudget:
         ranges = PixelRanges(
             low=np.zeros((1, 3)),
             high=np.ones((1, 3)),
-            sigma=np.full((1, 3), 0.5),
             mask=np.ones((1, 3), bool),
         )
         h = HeightGrid(np.full((1, 3), 0.5))

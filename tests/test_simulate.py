@@ -1,5 +1,6 @@
 """Terrain generators, oracle matcher, and the coarse-to-fine pipeline."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -24,9 +25,10 @@ from terraslope import (
 )
 from terraslope import simulate
 from terraslope.partition import VOLUME_BUDGET_BYTES
-from terraslope.simulate import hill_count, matcher_noise
+from terraslope.simulate import TERRAIN_KINDS, hill_count, matcher_noise
 
 from conftest import NODATA
+from oracles import reference_fractal
 
 
 def sharp_stages(use_slope=False, use_correction=False):
@@ -120,6 +122,43 @@ class TestGenerateTerrain:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="roughness"):
                 generate_terrain(spec)
+
+    def test_kinds_are_the_generator_table(self):
+        assert TERRAIN_KINDS == tuple(simulate._GENERATORS)
+        assert TERRAIN_KINDS == ("ramp", "sinusoidal", "gaussian-hills", "fractal")
+        message = (
+            "unsupported terrain kind 'dunes'; "
+            "choose from ('ramp', 'sinusoidal', 'gaussian-hills', 'fractal')"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TerrainSpec(rows=4, cols=4, kind="dunes")
+
+    @pytest.mark.parametrize(
+        "rows,cols",
+        [(1, 1), (1, 2), (2, 1), (3, 3), (5, 1), (1, 33), (7, 9), (64, 64), (65, 40), (1, 1024)],
+    )
+    def test_fractal_matches_reference_bit_for_bit(self, rows, cols):
+        for roughness in (0.5, 0.0, 1.7, -0.6, 1e30):
+            for seed in (0, 13):
+                spec = TerrainSpec(
+                    rows=rows,
+                    cols=cols,
+                    kind="fractal",
+                    amplitude=150.0,
+                    roughness=roughness,
+                    seed=seed,
+                )
+                expected = reference_fractal(spec, np.random.default_rng(seed))
+                assert generate_terrain(spec).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("roughness", [1e200, -1e200])
+    def test_fractal_overflow_matches_reference(self, roughness):
+        spec = TerrainSpec(rows=16, cols=16, kind="fractal", roughness=roughness)
+        with pytest.raises(ValueError) as expected:
+            reference_fractal(spec, np.random.default_rng(spec.seed))
+        with pytest.raises(ValueError) as got:
+            generate_terrain(spec)
+        assert str(got.value) == str(expected.value)
 
     def test_fractal_large_finite_roughness_still_works(self):
         g = generate_terrain(TerrainSpec(rows=16, cols=16, kind="fractal", roughness=1e30))
@@ -227,6 +266,15 @@ class TestRunPipeline:
         huge = (replace(stages[0], plane_count=100_000_000),) + stages[1:]
         with pytest.raises(ValueError, match="volume budget"):
             run_pipeline(gt, (0.0, 10.0), huge)
+
+    def test_rejects_a_range_whose_width_overflows(self):
+        gt = HeightGrid(np.full((4, 4), 5.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="low < high"):
+                run_pipeline(gt, (-1e308, 1e308), sharp_stages())
+            with pytest.raises(ValueError, match="low < high"):
+                ablation_report(gt, (-1e308, 1e308), sharp_stages(), [0])
 
     def test_noise_seeds_unique_across_run_seeds(self, monkeypatch):
         # 3 * seed + k would give seed 0's stage 4 and seed 1's stage 1 seed 3
