@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .metrics import _abs_error, _finite_mean, _joint_cells
 from .raster import HeightGrid, SlopeDirectionGrid
 from .slope import slope_direction_map
 
@@ -49,40 +50,35 @@ def stage_weights(n: int) -> tuple[float, ...]:
     return tuple(2.0 ** (k + 2 - n) for k in range(n))
 
 
-def _check_weights(weights: Sequence[float], n_stages: int) -> None:
-    if len(weights) != n_stages:
-        raise ValueError(f"expected {n_stages} stage weights, got {len(weights)}")
+def _staged(values: Sequence[float], weights: Sequence[float] | None = None) -> float:
+    """``sum(w * v)`` over the stages, accumulated in stage order from 0.0.
+
+    ``weights`` defaults to ``stage_weights(len(values))``.
+    """
+    if weights is None:
+        weights = stage_weights(len(values))
+    if len(weights) != len(values):
+        raise ValueError(f"expected {len(values)} stage weights, got {len(weights)}")
     if any(w <= 0 for w in weights):
         raise ValueError(f"stage weights must be positive, got {tuple(weights)}")
-
-
-def _weighted_sum(values: Sequence[float], weights: Sequence[float]) -> float:
-    """``sum(w * v)`` accumulated in stage order from 0.0."""
     total = 0.0
     for v, w in zip(values, weights):
         total += w * v
     return total
 
 
-def _joint_abs_error(pred: HeightGrid, gt: HeightGrid) -> np.ndarray:
-    """``|pred - gt|`` over the jointly valid pixels of one stage."""
-    if pred.shape != gt.shape:
-        raise ValueError(f"pred {pred.shape} and gt {gt.shape} differ")
-    joint = pred.mask & gt.mask
-    if not joint.any():
-        raise ValueError("no jointly valid pixel in stage")
-    return np.abs(pred.values[joint] - gt.values[joint])
-
-
 def stage_height_loss(pred: HeightGrid, gt: HeightGrid) -> float:
     """Mean absolute height difference over jointly valid pixels."""
-    return float(_joint_abs_error(pred, gt).mean())
+    return _finite_mean(_abs_error(pred, gt), "absolute")
 
 
 def _stage_smooth_l1(pred: HeightGrid, gt: HeightGrid, beta: float = 1.0) -> float:
-    err = _joint_abs_error(pred, gt)
-    per_pixel = np.where(err < beta, 0.5 * err * err / beta, err - 0.5 * beta)
-    return float(per_pixel.mean())
+    err = _abs_error(pred, gt)
+    # np.where evaluates both branches, so the square of an error that takes
+    # the linear branch may overflow unused.
+    with np.errstate(over="ignore"):
+        per_pixel = np.where(err < beta, 0.5 * err * err / beta, err - 0.5 * beta)
+    return _finite_mean(per_pixel, "smooth-L1")
 
 
 def height_loss(
@@ -99,26 +95,26 @@ def height_loss(
     ``stage_weights(len(pred))``.
 
     Raises:
-        ValueError: stage count mismatch, non-positive weight, mismatched
-            grid dimensions, or a stage with zero jointly valid pixels.
+        ValueError: stage count mismatch, mismatched grid dimensions, a
+            stage with zero jointly valid pixels, a stage mean beyond the
+            float64 range, or a non-positive weight.
     """
     if len(pred) != len(gt):
         raise ValueError(f"{len(pred)} predictions vs {len(gt)} ground truths")
-    weights = stage_weights(len(pred)) if weights is None else weights
-    _check_weights(weights, len(pred))
     stage_loss = _stage_smooth_l1 if smooth else stage_height_loss
-    return _weighted_sum([stage_loss(p, g) for p, g in zip(pred, gt)], weights)
+    return _staged([stage_loss(p, g) for p, g in zip(pred, gt)], weights)
 
 
 def stage_direction_loss(pred: SlopeDirectionGrid, gt: SlopeDirectionGrid) -> float:
-    """Mean squared difference of direction codes over jointly valid pixels."""
-    if pred.codes.shape != gt.codes.shape:
-        raise ValueError(
-            f"pred {pred.codes.shape} and gt {gt.codes.shape} differ"
-        )
-    joint = pred.mask & gt.mask
-    if not joint.any():
-        raise ValueError("no jointly valid pixel in stage")
+    """Mean squared difference of direction codes over jointly valid pixels.
+
+    Codes are compared as real numbers.  A code is
+    ``8 - (3 * (dr + 1) + (dc + 1))`` for the maximum's offset ``(dr, dc)``,
+    so two directions cost ``(3 * d_dr + d_dc) ** 2`` apart: an up/down
+    flip (7 and 1) costs 36, a left/right flip (5 and 3) 4, and the two
+    diagonal flips 64 (0 and 8) and 16 (2 and 6).
+    """
+    joint = _joint_cells(pred.mask, gt.mask)
     diff = pred.codes[joint].astype(np.float64) - gt.codes[joint]
     return float((diff * diff).mean())
 
@@ -139,9 +135,7 @@ def direction_loss(
         raise ValueError(
             f"{len(pred_dirs)} predictions vs {len(pseudo_gt_dirs)} references"
         )
-    weights = stage_weights(len(pred_dirs)) if weights is None else weights
-    _check_weights(weights, len(pred_dirs))
-    return _weighted_sum(
+    return _staged(
         [stage_direction_loss(p, g) for p, g in zip(pred_dirs, pseudo_gt_dirs)], weights
     )
 
@@ -165,9 +159,8 @@ def loss_report(heights: Sequence[HeightGrid], gt: HeightGrid) -> LossReport:
         (stage_height_loss(h, gt), stage_direction_loss(slope_direction_map(h), pseudo_gt_dir))
         for h in heights
     ]
-    weights = stage_weights(len(per_stage))
-    h_loss = _weighted_sum([h for h, _ in per_stage], weights)
-    d_loss = _weighted_sum([d for _, d in per_stage], weights)
+    h_loss = _staged([h for h, _ in per_stage])
+    d_loss = _staged([d for _, d in per_stage])
     return LossReport(
         height_loss=h_loss,
         direction_loss=d_loss,

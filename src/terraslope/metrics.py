@@ -51,6 +51,33 @@ class Mvs3dReport:
     joint_valid_count: int
 
 
+def _joint_cells(est_mask: np.ndarray, gt_mask: np.ndarray) -> np.ndarray:
+    """The cells valid in both masks, which must share a shape and a valid cell."""
+    if est_mask.shape != gt_mask.shape:
+        raise ValueError(f"estimate {est_mask.shape} and ground truth {gt_mask.shape} differ")
+    joint = est_mask & gt_mask
+    if not joint.any():
+        raise ValueError("no jointly valid grid cell to evaluate")
+    return joint
+
+
+def _abs_error(est: HeightGrid, gt: HeightGrid) -> np.ndarray:
+    """``|est - gt|`` over the jointly valid cells (see :func:`_joint_cells`)."""
+    joint = _joint_cells(est.mask, gt.mask)
+    # An overflow leaves an infinite error, which _finite_mean reports.
+    with np.errstate(over="ignore"):
+        return np.abs(est.values[joint] - gt.values[joint])
+
+
+def _finite_mean(err: np.ndarray, what: str) -> float:
+    """The mean of the per-cell errors ``err``, or a ``ValueError`` if it is not finite."""
+    with np.errstate(over="ignore"):
+        mean = float(err.mean())
+    if not np.isfinite(mean):
+        raise ValueError(f"mean {what} height error is beyond the float64 range")
+    return mean
+
+
 def evaluate(
     est: HeightGrid,
     gt: HeightGrid,
@@ -62,23 +89,13 @@ def evaluate(
         ValueError: mismatched dimensions, an empty joint-valid set, or an
             error statistic beyond the float64 range.
     """
-    if est.shape != gt.shape:
-        raise ValueError(f"estimate {est.shape} and ground truth {gt.shape} differ")
-    joint = est.mask & gt.mask
-    n = int(joint.sum())
-    if n == 0:
-        raise ValueError("no jointly valid grid cell to evaluate")
-    # An overflowing difference leaves an infinite error, and so an infinite
-    # mean, reported below in place of numpy's warnings.
-    with np.errstate(over="ignore"):
-        err = np.abs(est.values[joint] - gt.values[joint])
+    err = _abs_error(est, gt)
+    n = err.size
     # The errors are non-negative, so once their sum is finite, so is any sum
     # of two of them: the median cannot overflow.
+    mae = _finite_mean(err, "absolute")
     with np.errstate(over="ignore"):
-        mae, mse = float(err.mean()), float((err * err).mean())
-    for what, value in (("absolute", mae), ("squared", mse)):
-        if not np.isfinite(value):
-            raise ValueError(f"mean {what} height error is beyond the float64 range")
+        mse = _finite_mean(err * err, "squared")
     pct_below = {
         float(t): 100.0 * float((err < t).sum()) / n for t in thresholds
     }

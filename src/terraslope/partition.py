@@ -11,12 +11,13 @@ Plane counts per pixel are always conserved: the lower subrange covers
 [low, center) half-open, the upper covers [center, high] closed, and both
 sides keep at least one plane.
 
-The public functions build whole (rows, cols, M) volumes, so each checks
-rows * cols * M * 8 bytes against :data:`VOLUME_BUDGET_BYTES` before it
-allocates.  The ranges, plane formulas, expectation and spread live in
-private kernels (``_pixel_range``, ``_equal_planes``, ``_guided_planes``,
-``_expectation``, ``_spread``); the public functions run them on whole grids
-and the coarse-to-fine pipeline in :mod:`terraslope.simulate` on row tiles.
+Only :func:`equal_partition` and :func:`slope_guided_partition` build
+whole (rows, cols, M) volumes, so they check rows * cols * M * 8 bytes
+against :data:`VOLUME_BUDGET_BYTES` before they allocate.  The ranges,
+plane formulas, expectation and spread live in private kernels
+(``_pixel_range``, ``_equal_planes``, ``_guided_planes``, ``_expectation``,
+``_spread``); the public functions run them on whole grids and the
+coarse-to-fine pipeline in :mod:`terraslope.simulate` on row tiles.
 """
 
 from __future__ import annotations
@@ -118,10 +119,6 @@ class ProbabilityVolume:
                 )
         object.__setattr__(self, "probs", _freeze(probs))
         object.__setattr__(self, "mask", _freeze(mask))
-
-    @property
-    def plane_count(self) -> int:
-        return self.probs.shape[2]
 
 
 @dataclass(frozen=True)

@@ -200,14 +200,6 @@ class SlopeDirectionGrid:
         object.__setattr__(self, "codes", _freeze(codes))
         object.__setattr__(self, "mask", _freeze(mask))
 
-    @property
-    def rows(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.codes.shape[1]
-
 
 def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
     """Parse an ESRI ASCII grid file.

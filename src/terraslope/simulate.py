@@ -427,10 +427,6 @@ class _Rows(NamedTuple):
     mask: np.ndarray
     nodata: float
 
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
 
 def _rows(values: np.ndarray, rows: slice, nodata: float) -> _Rows:
     """``values[rows]`` and its validity mask."""
@@ -446,18 +442,18 @@ def _strip(values: np.ndarray, tile: slice, nodata: float) -> tuple[_Rows, slice
 
 def _stage_pass(
     cfg: StageConfig,
-    prev: tuple[HeightGrid, HeightGrid] | None,
+    prev: tuple[np.ndarray, np.ndarray] | None,
     global_range: tuple[float, float],
     target: np.ndarray,
     gt: HeightGrid,
     with_sigma: bool,
-) -> tuple[HeightGrid, HeightGrid | None, float]:
+) -> tuple[HeightGrid, np.ndarray | None, float]:
     """A stage's height, the spread around it and its widest plane gap, in one sweep.
 
     Each row tile lays out its own planes.  The first stage (``prev`` None)
     shares one (M,) vector of equal planes over ``global_range`` among
     ``gt``'s valid pixels.  A later stage recenters the tile's rows of the
-    previous ``(height, sigma)`` as :func:`~terraslope.partition.pixel_range`
+    previous ``(height, sigma)`` arrays as :func:`~terraslope.partition.pixel_range`
     does and partitions them per ``cfg``, with slope factors taken, as the
     smoothing is, from a strip with a one-row halo: each step is elementwise
     or a 3x3 fold, so a tile gets the bits the whole grid would give it.
@@ -466,9 +462,10 @@ def _stage_pass(
     binomial kernel when ``cfg.use_height_correction`` (as
     :func:`~terraslope.correction.correct` would smooth the whole grid).
     With ``with_sigma`` the spread is :func:`~terraslope.partition.pixel_std`
-    around that height, else None.  The widest gap is the largest spacing
-    between consecutive planes of any valid pixel (0 if none); stage 1
-    takes it once from its shared vector.
+    around that height, else None: the array its tiles checked, which the
+    next stage reads only as row views.  The widest gap is the largest
+    spacing between consecutive planes of any valid pixel (0 if none);
+    stage 1 takes it once from its shared vector.
 
     Tiles are laid out and smoothed from :class:`_Rows` views of the rows
     of ``prev`` and of the estimate, whose values are already finite or
@@ -516,11 +513,11 @@ def _stage_pass(
         """The planes of ``tile`` and the mask of the pixels it sweeps."""
         if prev is None:
             return shared, gt.values[tile] != nodata
-        height_rows, sigma_rows = (_rows(grid.values, tile, nodata) for grid in prev)
+        height_rows, sigma_rows = (_rows(values, tile, nodata) for values in prev)
         valid, center, low, high = _pixel_range(height_rows, sigma_rows, cfg.sigma_floor)
         if not cfg.use_slope_partition:
             return _equal_planes(low, high, m), valid
-        strip, inner = _strip(prev[0].values, tile, nodata)
+        strip, inner = _strip(prev[0], tile, nodata)
         factors = slope_factor_maps(strip)
         n_below = _split_counts(m, factors.drop[inner], factors.rise[inner])
         return _guided_planes(center, low, high, n_below, m), valid
@@ -570,12 +567,8 @@ def _stage_pass(
     # is its shared vector's.
     widest = _widest_gaps(shared) if shared is not None else max(w for w, _ in halves)
 
-    del estimate  # HeightGrid copies its input: free each raw grid before the next copy
-    grid = HeightGrid(height, cell_size=gt.cell_size, nodata=nodata)
-    del height
-    if sigma is not None:
-        sigma = grid.with_values(sigma)
-    return grid, sigma, float(widest)
+    del estimate  # HeightGrid copies its input: free the raw estimate before the copy
+    return HeightGrid(height, cell_size=gt.cell_size, nodata=nodata), sigma, float(widest)
 
 
 def run_pipeline(
@@ -640,7 +633,7 @@ def run_pipeline(
     reports: list[EvalReport] = []
     spacings: list[float] = []
 
-    prev: tuple[HeightGrid, HeightGrid] | None = None
+    prev: tuple[np.ndarray, np.ndarray] | None = None
     for stage_index, cfg in enumerate(stages):
         target = matcher_noise(gt.shape, cfg.noise, seed=len(stages) * seed + stage_index)
         target += gt.values
@@ -651,7 +644,7 @@ def run_pipeline(
         except ValueError as exc:
             raise ValueError(f"stage {stage_index + 1}: {exc}") from exc
         del target
-        prev = height, sigma
+        prev = height.values, sigma
         heights.append(height)
         reports.append(evaluate(height, gt, thresholds=DEFAULT_THRESHOLDS))
         spacings.append(spacing)

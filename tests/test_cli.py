@@ -383,6 +383,9 @@ class TestSimulateCommand:
             ("noise = nan", "noise"),
             ("sigma_floors = 0,nan,10", "sigma_floors"),
             ("planes = 64,32.7,8", "planes"),
+            ("rows = 1.5", "rows"),
+            ("temperature = warm", "temperature"),
+            ("slope_partition = maybe", "slope_partition"),
         ],
     )
     def test_bad_numeric_value_exits_3_naming_the_key(self, tmp_path, capsys, line, key):
@@ -392,6 +395,43 @@ class TestSimulateCommand:
         assert run(["simulate", cfg, out]) == 3
         assert f"{key} must" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("planes 16,8", "config line 4: expected 'key = value'"),
+            ("range_low = 0", "range_low and range_high must be given together"),
+        ],
+        ids=["no-equals-sign", "range-low-alone"],
+    )
+    def test_malformed_config_exits_3(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(f"terrain = ramp\nrows = 8\ncols = 8\n{line}\n")
+        out = tmp_path / "run"
+        assert run(["simulate", cfg, out]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"terraslope: validation error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_off_runs_like_false(self, tmp_path, capsys, monkeypatch):
+        seen, outputs = [], []
+
+        def capture(gt, global_range, stages, seed=0):
+            seen.append(stages)
+            return run_pipeline(gt, global_range, stages, seed=seed)
+
+        monkeypatch.setattr("terraslope.cli.run_pipeline", capture)
+        for word in ("off", "false"):
+            cfg = tmp_path / f"{word}.txt"
+            cfg.write_text(f"terrain = fractal\nrows = 12\ncols = 12\nslope_partition = {word}\n")
+            out = tmp_path / word
+            assert run(["simulate", cfg, out]) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            outputs.append((capsys.readouterr().out, files))
+        assert not any(stage.use_slope_partition for stage in seen[0])
+        assert seen[0] == seen[1]
+        assert outputs[0] == outputs[1]
 
     def test_two_stage_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

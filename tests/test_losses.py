@@ -80,6 +80,22 @@ class TestHeightLoss:
         pred2 = [const_grid(3.0)]
         assert height_loss(pred2, gt, weights=(1.0,), smooth=True) == 2.5
 
+    @pytest.mark.parametrize(
+        "loss",
+        [lambda p, g: height_loss([p], [g]), lambda p, g: loss_report([p], g)],
+        ids=["height_loss", "loss_report"],
+    )
+    def test_overflowing_error_raises_without_a_warning(self, loss):
+        pred = HeightGrid(np.array([[1.7e308, 0.0]]))
+        gt = HeightGrid(np.array([[-1.7e308, 0.0]]))
+        message = "^mean absolute height error is beyond the float64 range$"
+        with pytest.raises(ValueError, match=message):
+            loss(pred, gt)
+
+    def test_smooth_large_error_stays_finite_without_a_warning(self):
+        # the unused quadratic branch of a 1e200 error overflows
+        assert height_loss([const_grid(1e200)], [const_grid(0.0)], smooth=True) == 2e200
+
 
 class TestDirectionLoss:
     def test_zero_when_identical(self):
@@ -99,6 +115,15 @@ class TestDirectionLoss:
         gt = SlopeDirectionGrid(codes=gt_codes, mask=np.ones((2, 2), bool))
         assert direction_loss([pred], [gt], weights=(1.0,)) == 1.0
 
+    @pytest.mark.parametrize(
+        "a,b,cost",
+        [(7, 1, 36.0), (5, 3, 4.0), (0, 8, 64.0), (2, 6, 16.0)],
+        ids=["up-down", "left-right", "lower-right-upper-left", "lower-left-upper-right"],
+    )
+    def test_opposite_flips_cost_by_code_distance(self, a, b, cost):
+        # (3 * d_dr + d_dc) ** 2: the loss is anisotropic
+        assert stage_direction_loss(const_dirs(a, (1, 1)), const_dirs(b, (1, 1))) == cost
+
     def test_translation_invariance_through_directions(self, rng):
         h = random_grid(rng, 5, 5)
         shifted = h.with_values(h.values + 42.0)
@@ -112,6 +137,17 @@ class TestDirectionLoss:
             a = [slope_direction_map(random_grid(rng, 4, 4))] * 3
             b = [slope_direction_map(random_grid(rng, 4, 4))] * 3
             assert direction_loss(a, b) >= 0.0
+
+
+@pytest.mark.parametrize(
+    "stage_loss,make",
+    [(stage_height_loss, const_grid), (stage_direction_loss, const_dirs)],
+    ids=["height", "direction"],
+)
+def test_mismatched_stages_read_like_evaluate(stage_loss, make):
+    message = r"^estimate \(3, 3\) and ground truth \(2, 2\) differ$"
+    with pytest.raises(ValueError, match=message):
+        stage_loss(make(1), make(1, shape=(2, 2)))
 
 
 class TestStageWeights:

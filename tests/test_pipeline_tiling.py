@@ -394,11 +394,11 @@ def test_each_tile_lays_out_its_own_planes(arm, grid, one_row_tiles, monkeypatch
     pixel_range, slope_factor_maps = simulate._pixel_range, simulate.slope_factor_maps
 
     def recording_range(height, sigma, sigma_floor):
-        ranges_rows.append(height.rows)
+        ranges_rows.append(len(height.values))
         return pixel_range(height, sigma, sigma_floor)
 
     def recording_factors(grid):
-        factor_rows.append(grid.rows)
+        factor_rows.append(len(grid.values))
         return slope_factor_maps(grid)
 
     monkeypatch.setattr(simulate, "_pixel_range", recording_range)

@@ -163,6 +163,14 @@ class TestReadAsciiGrid:
         with pytest.raises(GridFormatError, match=f"line {lineno}: .* must be finite"):
             read_ascii_grid(path)
 
+    @pytest.mark.parametrize("rows,cols", [(0, 2), (2, 0)])
+    def test_zero_dimension_rejected(self, tmp_path, rows, cols):
+        path = tmp_path / "g.asc"
+        header = HEADER_2X2.replace("NCOLS 2", f"NCOLS {cols}")
+        path.write_text(header.replace("NROWS 2", f"NROWS {rows}"))
+        with pytest.raises(GridFormatError, match=f"^invalid dimensions {rows}x{cols} in header$"):
+            read_ascii_grid(path)
+
     def test_non_numeric_token_with_line_number(self, tmp_path):
         path = tmp_path / "g.asc"
         path.write_text(
@@ -173,7 +181,7 @@ class TestReadAsciiGrid:
 
 
 class TestBodyErrors:
-    """Each malformed body names the line of its first faulty token."""
+    """Each malformed header or body names the line of its first fault."""
 
     @pytest.mark.parametrize(
         "text,message",
@@ -191,6 +199,24 @@ class TestBodyErrors:
             (HEADER_2X2 + "1 nan\n3 x\n", "line 6: non-finite value 'nan'"),
             (HEADER_2X2 + "1 2\n3 4 5 x\n", "line 7: value count mismatch, expected 4 values"),
             (HEADER_2X2 + "1 -inf\n", "line 6: non-finite value '-inf'"),
+            ("NCOLS 2\nNROWS 2\n", "line 3: missing header line 'xllcorner'"),
+            (
+                HEADER_2X2.replace("YLLCORNER 0", "YLLCORNER north") + "1 2\n3 4\n",
+                "line 4: non-numeric value 'north' for 'yllcorner'",
+            ),
+            (
+                HEADER_2X2.replace("NCOLS 2", "NCOLS 2.5") + "1 2\n3 4\n",
+                "line 1: 'ncols' must be an integer, got '2.5'",
+            ),
+            (
+                HEADER_2X2 + "NODATA_VALUE -9999 0\n1 2\n3 4\n",
+                "line 6: expected 'NODATA_VALUE <value>'",
+            ),
+            (
+                HEADER_2X2 + "NODATA_VALUE none\n1 2\n3 4\n",
+                "line 6: non-numeric NODATA_VALUE 'none'",
+            ),
+            (HEADER_2X2 + "NODATA_VALUE inf\n1 2\n3 4\n", "line 6: NODATA_VALUE must be finite"),
         ],
         ids=[
             "inf-row-3",
@@ -201,6 +227,12 @@ class TestBodyErrors:
             "non-finite-before-bad-token",
             "excess-before-bad-token",
             "non-finite-in-short-body",
+            "missing-header-line",
+            "non-numeric-header-value",
+            "fractional-ncols",
+            "nodata-three-tokens",
+            "non-numeric-nodata",
+            "infinite-nodata",
         ],
     )
     def test_message_names_the_line(self, tmp_path, text, message):
@@ -546,6 +578,21 @@ class TestRoundTrip:
             1.0, np.abs(g.values[g.mask])
         )
         assert rel.size == 0 or rel.max() <= 1e-5
+
+
+class TestAtomicOutput:
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["new-target", "existing-target"])
+    def test_failed_writer_leaves_no_temp_file_and_the_old_target(self, tmp_path, old):
+        path = tmp_path / "out.bin"
+        if old is not None:
+            path.write_bytes(old)
+        with pytest.raises(RuntimeError, match="^writer failed$"):
+            with raster.atomic_output(path, "wb") as fh:
+                fh.write(b"partial")
+                raise RuntimeError("writer failed")
+        assert list(tmp_path.iterdir()) == ([] if old is None else [path])
+        if old is not None:
+            assert path.read_bytes() == old
 
 
 class TestRenderPgm:
