@@ -59,8 +59,8 @@ def _staged(values: Sequence[float], weights: Sequence[float] | None = None) -> 
         weights = stage_weights(len(values))
     if len(weights) != len(values):
         raise ValueError(f"expected {len(values)} stage weights, got {len(weights)}")
-    if any(w <= 0 for w in weights):
-        raise ValueError(f"stage weights must be positive, got {tuple(weights)}")
+    if not all(0 < w < np.inf for w in weights):
+        raise ValueError(f"stage weights must be finite and positive, got {tuple(weights)}")
     total = 0.0
     for v, w in zip(values, weights):
         total += w * v
@@ -97,7 +97,7 @@ def height_loss(
     Raises:
         ValueError: stage count mismatch, mismatched grid dimensions, a
             stage with zero jointly valid pixels, a stage mean beyond the
-            float64 range, or a non-positive weight.
+            float64 range, or a weight that is not finite and positive.
     """
     if len(pred) != len(gt):
         raise ValueError(f"{len(pred)} predictions vs {len(gt)} ground truths")

@@ -14,11 +14,12 @@ File formats:
   call.  A body it refuses is read again a line at a time with ``float``
   over each line's tokens: one with a token that only ``float`` accepts
   (``1_0``), rows of differing lengths, a wrong value count or a
-  non-finite value.  A token-by-token loop re-reads the body only to
-  report a malformed one with its line number.  The writer formats the
-  body a block of rows at a time from tables of digit-group tokens, byte
-  for byte as ``'%.6g' % v``; a cell near a rounding tie or in exponent
-  notation goes to Python's ``%.6g``, one ``%`` per block.
+  non-finite value.  A line that fails there is walked token by token,
+  which names a malformed body's first fault with its line number, so no
+  body is read more than twice.  The writer formats the body a block of
+  rows at a time from tables of digit-group tokens, byte for byte as
+  ``'%.6g' % v``; a cell near a rounding tie or in exponent notation goes
+  to Python's ``%.6g``, one ``%`` per block.
 * Binary PGM (``P5``) -- quick-look 8-bit rendering of any grid.
 
 All types are immutable after construction (arrays are marked read-only),
@@ -37,7 +38,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, NoReturn, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -210,9 +211,12 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
 
     Raises:
         GridFormatError: a byte that is not ASCII, a malformed header
-            keyword, a non-numeric token, a non-finite header value, or a
-            body whose value count does not match the declared dimensions.
-            Messages carry the 1-based line number.
+            keyword, a non-numeric token, a non-finite header value, a
+            non-integer or non-positive NCOLS/NROWS, a non-positive
+            CELLSIZE, a non-finite body value, or a body whose value count
+            does not match the declared dimensions.  Messages carry the
+            1-based line number, except for non-positive dimensions and a
+            short body.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -237,6 +241,10 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
                 if not math.isfinite(header[key]):
                     raise GridFormatError(
                         f"line {lineno + 1}: '{key}' must be finite, got {tokens[1]!r}"
+                    )
+                if key == "cellsize" and not header[key] > 0:
+                    raise GridFormatError(
+                        f"line {lineno + 1}: 'cellsize' must be > 0, got {tokens[1]!r}"
                     )
                 if key in ("ncols", "nrows") and not header[key].is_integer():
                     raise GridFormatError(
@@ -273,17 +281,13 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
                 raise GridFormatError(f"invalid dimensions {rows}x{cols} in header")
 
             # numpy's C reader parses a well-formed body; whatever it refuses
-            # goes, read again from its start, to the line loop, and a body
-            # the line loop refuses too goes to the token loop, which names
-            # the line of its first fault.
+            # goes, read again from its start, to the line loop, which either
+            # parses it or names the line of its first fault.
             expected = rows * cols
             flat = _loadtxt_body(fh, rows, expected)
             if flat is None:
                 fh.seek(body_start)
-                flat = _float_body(fh, expected)
-            if flat is None:
-                fh.seek(body_start)
-                _raise_body_error(fh, lineno + 1, expected)
+                flat = _float_body(fh, lineno + 1, expected)
     except UnicodeDecodeError as exc:
         raise GridFormatError(
             f"not an ASCII file: byte {exc.object[exc.start]:#04x}"
@@ -329,39 +333,30 @@ def _loadtxt_body(fh: TextIO, rows: int, expected: int) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _float_body(fh: Iterable[str], expected: int) -> np.ndarray | None:
-    """The body's values by ``float`` over each line's tokens, or None.
+def _float_body(body: Iterable[str], first_line: int, expected: int) -> np.ndarray:
+    """The body's values by ``float`` over each line's tokens.
 
-    Values collect in a growable buffer, one line of tokens at a time, and
-    the loop stops once the count passes ``expected``, so a header that
+    Values collect in a growable buffer a line at a time, so a header that
     declares a huge grid over a short body fails on the count instead of
-    on an allocation.  None on a non-numeric token, a wrong count or a
-    non-finite value.
+    on an allocation.  A line with a token ``float`` refuses, a non-finite
+    value or a value past ``expected`` is walked token by token to raise
+    the line-numbered ``GridFormatError`` of its first fault; a line sent
+    there that has none is kept.
     """
     values = array("d")
-    for line in fh:
-        try:
-            values.extend(map(float, line.split()))
-        except ValueError:
-            return None
-        if len(values) > expected:
-            return None
-    flat = np.frombuffer(values, dtype=np.float64)
-    if len(values) == expected and np.isfinite(flat).all():
-        return flat
-    return None
-
-
-def _raise_body_error(body: Iterable[str], first_line: int, expected: int) -> NoReturn:
-    """Raise the line-numbered error for the first faulty token of ``body``.
-
-    Only called on a body that :func:`read_ascii_grid` already rejected:
-    re-reading it token by token finds a non-numeric token, a non-finite
-    value or the value past ``expected``, in file order.
-    """
-    count = 0
     for body_line, line in enumerate(body, start=first_line):
-        for token in line.split():
+        tokens = line.split()
+        try:
+            row = list(map(float, tokens))
+            # A NaN or an infinity makes the sum non-finite; an overflowing
+            # sum of finite values only costs a walk that finds no fault.
+            clean = len(values) + len(row) <= expected and math.isfinite(sum(row))
+        except ValueError:
+            clean = False
+        if clean:
+            values.extend(row)
+            continue
+        for token in tokens:
             try:
                 v = float(token)
             except ValueError:
@@ -372,16 +367,18 @@ def _raise_body_error(body: Iterable[str], first_line: int, expected: int) -> No
                 raise GridFormatError(
                     f"line {body_line}: non-finite value {token!r}"
                 )
-            if count >= expected:
+            if len(values) == expected:
                 raise GridFormatError(
                     f"line {body_line}: value count mismatch, expected "
                     f"{expected} values"
                 )
-            count += 1
-    raise GridFormatError(
-        f"value count mismatch: header declares {expected} values, "
-        f"body has {count}"
-    )
+            values.append(v)
+    if len(values) != expected:
+        raise GridFormatError(
+            f"value count mismatch: header declares {expected} values, "
+            f"body has {len(values)}"
+        )
+    return np.frombuffer(values, dtype=np.float64)
 
 
 #: Text format of every written number, header and body alike.  6

@@ -665,6 +665,14 @@ class TestHostileInputs:
         assert "must be finite" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.asc"]
 
+    def test_non_positive_cell_size_exits_2_without_output(self, tmp_path, capsys):
+        grid = tmp_path / "flat.asc"
+        grid.write_text("NCOLS 2\nNROWS 2\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 0\n1 2\n3 4\n")
+        argv = ["slope", grid, tmp_path / "s.asc", tmp_path / "d.asc", "--pgm", "0", "1"]
+        assert run(argv) == 2
+        assert "line 5: 'cellsize' must be > 0, got '0'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["flat.asc"]
+
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(path):
             raise MemoryError("Unable to allocate 7.28 TiB")

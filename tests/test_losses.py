@@ -68,8 +68,9 @@ class TestHeightLoss:
 
     def test_non_positive_weight_rejected(self):
         g = [const_grid(1)]
-        with pytest.raises(ValueError, match="positive"):
-            height_loss(g, g, weights=(0.0,))
+        for weight in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive"):
+                height_loss(g, g, weights=(weight,))
 
     def test_smooth_variant_below_transition(self):
         pred = [const_grid(0.5)]

@@ -217,6 +217,14 @@ class TestBodyErrors:
                 "line 6: non-numeric NODATA_VALUE 'none'",
             ),
             (HEADER_2X2 + "NODATA_VALUE inf\n1 2\n3 4\n", "line 6: NODATA_VALUE must be finite"),
+            (
+                HEADER_2X2.replace("CELLSIZE 1", "CELLSIZE 0") + "1 2\n3 4\n",
+                "line 5: 'cellsize' must be > 0, got '0'",
+            ),
+            (
+                HEADER_2X2.replace("CELLSIZE 1", "CELLSIZE -30") + "1 2\n3 4\n",
+                "line 5: 'cellsize' must be > 0, got '-30'",
+            ),
         ],
         ids=[
             "inf-row-3",
@@ -233,6 +241,8 @@ class TestBodyErrors:
             "nodata-three-tokens",
             "non-numeric-nodata",
             "infinite-nodata",
+            "zero-cellsize",
+            "negative-cellsize",
         ],
     )
     def test_message_names_the_line(self, tmp_path, text, message):
@@ -331,6 +341,54 @@ class TestNumpyBodyReader:
         lines = path.read_text(encoding="ascii").splitlines()[6:]
         want = np.array(split_float_body(lines, 7, 64 * 64))
         assert values.ravel().view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("nan 2\n3 4\n", "line 7: non-finite value 'nan'"),
+            ("1 2\n3 4 5\n", "line 8: value count mismatch, expected 4 values"),
+        ],
+        ids=["nan-on-the-first-line", "fifth-value"],
+    )
+    def test_malformed_body_is_read_at_most_twice(self, tmp_path, monkeypatch, body, message):
+        path = tmp_path / "g.asc"
+        path.write_text(HEADER_2X2 + HEADER_NODATA + body)
+        yielded = []
+
+        class Lines:
+            """A text file that records each line its iteration yields."""
+
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self._fh.__exit__(*exc)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                yielded.append(next(self._fh))
+                return yielded[-1]
+
+        monkeypatch.setattr(raster, "open", lambda *a, **k: Lines(open(*a, **k)), raising=False)
+        with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
+            read_ascii_grid(path)
+        assert 1 <= yielded.count(body.splitlines(keepends=True)[0]) <= 2
+
+    def test_line_loop_keeps_a_line_whose_sum_overflows(self, tmp_path):
+        # ``1_0`` sends the body to the line loop, where the first line's
+        # sum is inf although every value on it is finite.
+        path = tmp_path / "g.asc"
+        path.write_text(HEADER_2X2 + "1.7e308 1.7e308\n-1e308 1_0\n")
+        values = read_ascii_grid(path).values
+        assert values.tolist() == [[1.7e308, 1.7e308], [-1e308, 10.0]]
 
     def test_empty_body_raises_without_a_warning(self, tmp_path):
         path = tmp_path / "g.asc"
