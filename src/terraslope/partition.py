@@ -18,6 +18,14 @@ plane formulas, expectation and spread live in private kernels
 (``_pixel_range``, ``_equal_planes``, ``_guided_planes``, ``_expectation``,
 ``_spread``); the public functions run them on whole grids and the
 coarse-to-fine pipeline in :mod:`terraslope.simulate` on row tiles.
+
+The plane kernels build their planes plane-major, as (M, rows, cols)
+buffers whose plane slices are contiguous, and return (rows, cols, M)
+views of them; elementwise steps are exact, so the layout changes no
+value.  :class:`HypothesisPlanes` copies its planes to C order, so the
+public volumes stay (rows, cols, M) C-order arrays.  ``_expectation`` and
+``_spread`` are sums, whose bits depend on the layout they read, so their
+callers pass C-order (rows, cols, M) arrays.
 """
 
 from __future__ import annotations
@@ -286,29 +294,28 @@ def _guided_planes(
     n_below: np.ndarray,
     plane_count: int,
 ) -> np.ndarray:
-    """Slope-guided (rows, cols, M) planes from per-pixel 2D inputs.
+    """Slope-guided planes from per-pixel 2D inputs, as a (rows, cols, M) view.
 
     ``n_below`` is :func:`_split_counts`'s float64 lower-subrange count.
+    The planes are built plane-major, (M, rows, cols), so each per-pixel
+    input broadcasts along the outer axis and every step runs on whole
+    plane slices; the result is that buffer's ``transpose(1, 2, 0)``.
     """
     n_above = plane_count - n_below
-    idx = np.arange(plane_count, dtype=np.float64)
-    below_count = n_below[:, :, None]
-    step_below = (center - low)[:, :, None] / below_count
-    planes = idx * step_below
-    planes += low[:, :, None]
+    idx = np.arange(plane_count, dtype=np.float64)[:, None, None]
+    planes = idx * ((center - low) / n_below)
+    planes += low
 
-    above_count = n_above[:, :, None]
-    span_above = (high - center)[:, :, None]
-    step_above = np.where(above_count > 1, span_above / np.maximum(above_count - 1, 1), 0.0)
-    upper = idx - below_count
+    step_above = np.where(n_above > 1, (high - center) / np.maximum(n_above - 1, 1), 0.0)
+    upper = idx - n_below
     upper *= step_above
-    upper += center[:, :, None]
+    upper += center
 
-    np.copyto(planes, upper, where=idx >= below_count)
+    np.copyto(planes, upper, where=idx >= n_below)
     # Pin the top sample and clamp float drift: the sweep must stay inside
     # [low, high] and reach high whenever the upper subrange has >= 2 planes.
-    planes[:, :, -1] = np.where(n_above >= 2, high, center)
-    return np.clip(planes, low[:, :, None], high[:, :, None], out=planes)
+    planes[-1] = np.where(n_above >= 2, high, center)
+    return np.clip(planes, low, high, out=planes).transpose(1, 2, 0)
 
 
 def slope_guided_partition(
@@ -357,15 +364,15 @@ def _equal_planes(low, high, plane_count: int) -> np.ndarray:
     """``plane_count`` evenly spaced planes from ``low`` to ``high`` inclusive.
 
     ``low`` and ``high`` are scalars or arrays of one shape S; the result
-    has shape S + (plane_count,).
+    has shape S + (plane_count,).  It is a view of a plane-major
+    (plane_count,) + S buffer, so each plane is one contiguous slice.
     """
     low = np.asarray(low, dtype=np.float64)
     high = np.asarray(high, dtype=np.float64)
-    steps = np.linspace(0.0, 1.0, plane_count)
-    width = (high - low)[..., None]
-    planes = low[..., None] + steps * width
-    planes[..., -1] = high
-    return planes
+    steps = np.linspace(0.0, 1.0, plane_count).reshape((plane_count,) + (1,) * low.ndim)
+    planes = low + steps * (high - low)
+    planes[-1] = high
+    return planes.transpose(*range(1, planes.ndim), 0)
 
 
 def equal_partition(ranges: PixelRanges, plane_count: int) -> HypothesisPlanes:

@@ -211,12 +211,11 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
 
     Raises:
         GridFormatError: a byte that is not ASCII, a malformed header
-            keyword, a non-numeric token, a non-finite header value, a
-            non-integer or non-positive NCOLS/NROWS, a non-positive
+            keyword, a non-numeric token, a non-finite header value, an
+            NCOLS/NROWS that is not an integer >= 1, a non-positive
             CELLSIZE, a non-finite body value, or a body whose value count
             does not match the declared dimensions.  Messages carry the
-            1-based line number, except for non-positive dimensions and a
-            short body.
+            1-based line number, except for a short body.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -250,6 +249,10 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
                     raise GridFormatError(
                         f"line {lineno + 1}: '{key}' must be an integer, got {tokens[1]!r}"
                     )
+                if key in ("ncols", "nrows") and not header[key] >= 1:
+                    raise GridFormatError(
+                        f"line {lineno + 1}: '{key}' must be >= 1, got {tokens[1]!r}"
+                    )
                 lineno += 1
 
             nodata = NODATA_DEFAULT
@@ -277,8 +280,6 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
 
             cols = int(header["ncols"])
             rows = int(header["nrows"])
-            if rows < 1 or cols < 1:
-                raise GridFormatError(f"invalid dimensions {rows}x{cols} in header")
 
             # numpy's C reader parses a well-formed body; whatever it refuses
             # goes, read again from its start, to the line loop, which either

@@ -311,47 +311,24 @@ def matcher_noise(shape: tuple[int, int], scale: float, seed: int) -> np.ndarray
     return noise
 
 
-def _plane_max(values: np.ndarray) -> np.ndarray:
-    """``values.max(axis=-1)``, folded over slices of the plane axis.
-
-    numpy reduces a short last axis pixel by pixel.  The fold halves the
-    planes while more than 16 remain (the top half onto the bottom half, an
-    odd middle plane onto plane 0), which keeps runs of contiguous planes
-    long, and then takes the rest one plane slice at a time.  A maximum is
-    exact, so the order of the fold changes no value; only the sign of a
-    maximum that ties -0.0 with +0.0 can differ from the reduction's.
-    """
-    n = values.shape[-1]
-    scratch = None  # the first fold's result, which later folds overwrite
-    while n > 16:
-        half = n // 2
-        folded = np.maximum(values[..., :half], values[..., n - half : n], out=scratch)
-        if n % 2:
-            np.maximum(folded[..., 0], values[..., half], out=folded[..., 0])
-        values, n = folded, half
-        scratch = folded[..., : n // 2]
-    out = values[..., 0].copy()
-    for k in range(1, n):
-        np.maximum(out, values[..., k], out=out)
-    return out
+def _plane_major(planes: np.ndarray) -> np.ndarray:
+    """``planes`` with its plane axis first: (M, rows, cols), or (M, 1, 1) for a shared vector."""
+    return planes[:, None, None] if planes.ndim == 1 else planes.transpose(2, 0, 1)
 
 
 def _widest_gaps(planes: np.ndarray) -> np.ndarray:
-    """The widest gap between consecutive planes, folded over plane pairs.
+    """The widest gap between consecutive planes along the last axis.
 
-    Each difference is the one numpy's ``diff`` takes along the last axis
-    and a maximum is exact, so the fold gives the value of ``diff``'s
-    maximum; only the sign of a zero widest gap can depend on the order,
-    and a zero never wins against the sweep's running maximum, which
-    starts at 0.0.
+    ``planes`` is (rows, cols, M), normally a view of a plane-major buffer,
+    or one (M,) vector.  One ``diff`` and one maximum run over the plane
+    axis of the plane-major view, on whole plane slices.  Each difference
+    is the one ``diff`` takes along the last axis and a maximum is exact,
+    so the result has the value of that ``diff``'s maximum; only the sign
+    of a zero widest gap can depend on the order, and a zero never wins
+    against the sweep's running maximum, which starts at 0.0.
     """
-    gaps = np.empty(planes.shape[:-1])
-    step = np.empty_like(gaps)
-    np.subtract(planes[..., 1], planes[..., 0], out=gaps)
-    for k in range(2, planes.shape[-1]):
-        np.subtract(planes[..., k], planes[..., k - 1], out=step)
-        np.maximum(gaps, step, out=gaps)
-    return gaps
+    gaps = np.diff(_plane_major(planes), axis=0).max(axis=0)
+    return gaps[0, 0] if planes.ndim == 1 else gaps
 
 
 def _oracle_probs(
@@ -360,15 +337,21 @@ def _oracle_probs(
     """Softmax of ``-|plane - target| / temperature`` over the last axis.
 
     ``planes`` is (rows, cols, M) or one (M,) vector shared by every pixel;
-    pixels where ``valid`` is False get the uniform distribution.  Every
-    logit is ``|x| / -temperature <= -0.0``, so no +0.0 can tie the
-    maximum that :func:`_plane_max` folds, and the sum stays numpy's.
+    pixels where ``valid`` is False get the uniform distribution.  The
+    logits, their largest value, the shift and the ``exp`` are taken
+    plane-major, (M, rows, cols), so the per-pixel target and maximum
+    broadcast along the outer axis.  Every logit is ``|x| / -temperature
+    <= -0.0``, so the maximum over the plane axis is exact and no +0.0 can
+    tie it.  The sum's bits depend on its order, so it, the division and
+    the uniform fill run on one C-order (rows, cols, M) copy, which is
+    returned.
     """
-    probs = planes - target[:, :, None]
-    np.abs(probs, out=probs)
-    probs /= -temperature
-    probs -= _plane_max(probs)[:, :, None]
-    np.exp(probs, out=probs)
+    logits = _plane_major(planes) - target
+    np.abs(logits, out=logits)
+    logits /= -temperature
+    logits -= np.maximum.reduce(logits, axis=0)
+    np.exp(logits, out=logits)
+    probs = np.ascontiguousarray(logits.transpose(1, 2, 0))
     probs /= probs.sum(axis=2, keepdims=True)
     probs[~valid] = 1.0 / probs.shape[2]
     return probs
@@ -473,13 +456,16 @@ def _stage_pass(
     of ``pixel_range`` and the finiteness checks of the expected height and
     the spread run on each tile.
 
-    The two maxima over the short plane axis, the softmax's largest logit
-    and the widest gap, are folds over plane slices (:func:`_plane_max`,
-    :func:`_widest_gaps`), which numpy runs faster than a reduction along
-    that axis.  A maximum and a difference are exact, so the fold order
-    changes no output bit.  The softmax sum, the expectation and spread
-    (``einsum``) and the smoothing matmul stay numpy's own reductions: a
-    sum's bits depend on its order.
+    A later stage's tile planes are plane-major, (M, rows, cols), seen
+    as a (rows, cols, M) view, so the layout, the softmax's logits and
+    ``exp`` (:func:`_oracle_probs`) and the widest gap (:func:`_widest_gaps`)
+    run on contiguous plane slices; stage 1's shared (M,) vector
+    broadcasts.  Elementwise steps, maxima and differences are exact, so
+    the layout changes no output bit.  A sum's bits depend on its order and
+    on the layout it reads, so the softmax sum, the expectation and spread
+    (``einsum``) and the smoothing matmul read C-order (rows, cols, M)
+    arrays: the probabilities :func:`_oracle_probs` returns, and one copy of
+    the tile's planes, made once the widest gap is taken.
 
     Tiles hold about :data:`TILE_BYTES` of planes.  The tile list is cut in
     two halves at a tile boundary, the seam: the calling thread sweeps the
@@ -544,12 +530,13 @@ def _stage_pass(
         for tile in part:
             planes, valid = layout(tile)
             probs = _oracle_probs(planes, target[tile], cfg.temperature, valid)
+            if shared is None:
+                widest = max(widest, _widest_gaps(planes)[valid].max(initial=0.0))
+                planes = np.ascontiguousarray(planes)
             est = _expectation(probs, planes)
             est[~valid] = nodata
             _check_finite(est, tile, "expected height")
             estimate[tile] = est
-            if shared is None:
-                widest = max(widest, _widest_gaps(planes)[valid].max(initial=0.0))
             if held is not None:
                 settle(*held)
             held = tile, planes, probs, valid

@@ -1,13 +1,18 @@
 """Independent brute-force reference implementations.
 
-Everything here except :func:`reference_fractal`, :func:`reference_pipeline`
-and :func:`reference_loss` is written as plain per-pixel Python loops over
+Everything here except :func:`reference_fractal`,
+:func:`reference_oracle_probs`, :func:`reference_pipeline` and
+:func:`reference_loss` is written as plain per-pixel Python loops over
 scalar values, deliberately sharing no code with the library: these are the
 oracles the vectorized implementations are checked against.
 
 :func:`reference_fractal` is the fractal terrain generator written with
 index grids and masked gathers and scatters; the strided-view generator of
 ``simulate`` must reproduce it bit for bit.
+
+:func:`reference_oracle_probs` is the matcher's softmax on a C-order
+(rows, cols, M) volume, every step along the last axis; the plane-major
+softmax of ``simulate`` must reproduce it bit for bit.
 
 :func:`reference_pipeline` is the whole-volume form of
 ``simulate.run_pipeline``: it composes the public per-step functions, each
@@ -298,6 +303,23 @@ def reference_fractal(spec, rng):
     if span == 0.0:
         return np.zeros_like(field)
     return (field - field.min()) / span * spec.amplitude
+
+
+def reference_oracle_probs(planes, target, temperature, valid):
+    """Softmax of ``-|plane - target| / temperature`` on a C-order (rows, cols, M) volume.
+
+    ``planes`` is (rows, cols, M) in any layout, or one (M,) vector; the
+    logits are laid out C-order, and the maximum and the sum reduce their
+    last axis.  Pixels where ``valid`` is False get the uniform distribution.
+    """
+    probs = np.subtract(planes, target[:, :, None], order="C")
+    np.abs(probs, out=probs)
+    probs /= -temperature
+    probs -= probs.max(axis=2, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=2, keepdims=True)
+    probs[~valid] = 1.0 / probs.shape[2]
+    return probs
 
 
 def reference_pipeline(gt, global_range, stages, seed=0):

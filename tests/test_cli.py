@@ -673,6 +673,18 @@ class TestHostileInputs:
         assert "line 5: 'cellsize' must be > 0, got '0'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["flat.asc"]
 
+    @pytest.mark.parametrize("header,message", [
+        ("NCOLS 0\nNROWS 2\n", "line 1: 'ncols' must be >= 1, got '0'"),
+        ("NCOLS 2\nNROWS -3\n", "line 2: 'nrows' must be >= 1, got '-3'"),
+    ])
+    def test_non_positive_dimension_exits_2_without_output(self, tmp_path, capsys, header, message):
+        grid = tmp_path / "empty.asc"
+        grid.write_text(header + "XLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n1 2\n3 4\n")
+        argv = ["slope", grid, tmp_path / "s.asc", tmp_path / "d.asc", "--pgm", "0", "1"]
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.asc"]
+
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(path):
             raise MemoryError("Unable to allocate 7.28 TiB")

@@ -1,19 +1,19 @@
-"""The sweep's plane-axis folds and the 3x3 edge pad against the numpy calls they replace.
+"""The sweep's plane-axis maxima and the 3x3 edge pad against the numpy calls they replace.
 
-A maximum, a difference and a copy are exact, so each fold must give the
-bytes of the numpy call, whatever its order.  The one freedom is the sign
-of a maximum that ties -0.0 with +0.0; the volumes that check bytes hold
-zeros of one sign only, and a separate case checks values there.
+A maximum, a difference and a copy are exact, so each must give the bytes
+of the numpy call along the last axis, whatever its order or the layout it
+reads.  The one freedom is the sign of a maximum that ties -0.0 with +0.0;
+the volumes that check bytes hold zeros of one sign only, and a separate
+case checks values there.
 """
 
 import numpy as np
 import pytest
 
-from terraslope.simulate import _plane_max, _widest_gaps
+from terraslope.simulate import _widest_gaps
 from terraslope.slope import _pad_edge
 
-#: Odd and even counts around the 16 below which the max stops halving,
-#: and the default schedule's 64, 32 and 8.
+#: Odd and even counts, and the default schedule's 64, 32 and 8.
 PLANE_COUNTS = (2, 3, 5, 7, 8, 9, 17, 31, 32, 33, 64)
 
 #: Few distinct values, so ties are common; infinities of both signs.
@@ -28,22 +28,30 @@ def volume(pool, m, seed):
     return np.random.default_rng(seed).choice(POOLS[pool], size=(7, 11, m))
 
 
+def plane_major(values):
+    """``values`` copied to an (M, rows, cols) buffer, as the sweep lays out a tile."""
+    return np.ascontiguousarray(values.transpose(2, 0, 1))
+
+
+def plane_major_max(values):
+    """The largest logit as ``_oracle_probs`` takes it: a maximum over the outer axis."""
+    return np.maximum.reduce(plane_major(values), axis=0)
+
+
 @pytest.mark.parametrize("pool", list(POOLS))
 @pytest.mark.parametrize("m", PLANE_COUNTS)
 def test_plane_max_gives_the_reduction_bytes(pool, m):
     for seed in range(4):
         values = volume(pool, m, seed)
-        before = values.copy()
-        got = _plane_max(values)
+        got = plane_major_max(values)
         assert got.tobytes() == values.max(axis=2).tobytes()
         assert got.shape == (7, 11)
-        assert values.tobytes() == before.tobytes()  # the input is left alone
 
 
 @pytest.mark.parametrize("m", PLANE_COUNTS)
 def test_plane_max_of_mixed_signed_zeros_is_a_zero(m):
     values = np.random.default_rng(m).choice([-0.0, 0.0, -1.0], size=(7, 11, m))
-    np.testing.assert_array_equal(_plane_max(values), values.max(axis=2))
+    np.testing.assert_array_equal(plane_major_max(values), values.max(axis=2))
 
 
 @pytest.mark.parametrize("order", ["as-drawn", "sorted"])
@@ -56,7 +64,8 @@ def test_widest_gaps_give_the_diff_max_bytes(order, m):
         if order == "sorted":
             planes.sort(axis=-1)
         want = np.diff(planes, axis=-1).max(axis=-1)
-        assert _widest_gaps(planes).tobytes() == want.tobytes()
+        for layout in (planes, plane_major(planes).transpose(1, 2, 0)):
+            assert _widest_gaps(layout).tobytes() == want.tobytes()
 
 
 def test_widest_gap_of_one_shared_vector():

@@ -168,7 +168,8 @@ class TestReadAsciiGrid:
         path = tmp_path / "g.asc"
         header = HEADER_2X2.replace("NCOLS 2", f"NCOLS {cols}")
         path.write_text(header.replace("NROWS 2", f"NROWS {rows}"))
-        with pytest.raises(GridFormatError, match=f"^invalid dimensions {rows}x{cols} in header$"):
+        line, key = (1, "ncols") if cols == 0 else (2, "nrows")
+        with pytest.raises(GridFormatError, match=f"^line {line}: '{key}' must be >= 1, got '0'$"):
             read_ascii_grid(path)
 
     def test_non_numeric_token_with_line_number(self, tmp_path):
