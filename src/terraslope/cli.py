@@ -101,14 +101,14 @@ def cmd_partition(args: argparse.Namespace) -> int:
             raise ValueError(f"pixel ({r}, {c}) outside {grid.rows}x{grid.cols} grid")
         if not mask[r, c]:
             raise ValueError(f"pixel ({r}, {c}) has no valid height")
-    zero_sigma = grid.with_values(np.where(mask, 0.0, grid.nodata))
+    zero_sigma = grid.with_valid(np.zeros(grid.shape), mask)
     ranges = pixel_range(grid, zero_sigma, args.sigma_floor)
     factors = slope_factor_maps(grid)
     planes = slope_guided_partition(grid, ranges, factors, args.planes)
     # Lower-subrange planes sit strictly below the center estimate.
     below = (planes.planes < grid.values[:, :, None]).sum(axis=2)
-    counts_low = grid.with_values(np.where(mask, below.astype(np.float64), grid.nodata))
-    counts_high = grid.with_values(np.where(mask, float(args.planes) - below, grid.nodata))
+    counts_low = grid.with_valid(below.astype(np.float64), mask)
+    counts_high = grid.with_valid(float(args.planes) - below, mask)
     write_ascii_grid(counts_low, args.out_prefix + "_lower_count.asc")
     write_ascii_grid(counts_high, args.out_prefix + "_upper_count.asc")
     if args.pixel is not None:

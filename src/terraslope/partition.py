@@ -205,6 +205,9 @@ def pixel_std(
 
     ``height`` is normally :func:`expected_height` of the same volume, but
     any externally supplied estimate with matching dimensions is accepted.
+    The result takes ``height``'s metadata and sentinel, or ``NODATA_DEFAULT``
+    where a spread equals that sentinel
+    (:meth:`~terraslope.raster.HeightGrid.with_valid`).
     """
     if planes.planes.shape != probs.probs.shape:
         raise ValueError(
@@ -213,9 +216,7 @@ def pixel_std(
     if height.shape != planes.shape:
         raise ValueError(f"height {height.shape} does not match {planes.shape}")
     sigma = _spread(probs.probs, planes.planes, height.values)
-    mask = planes.mask & probs.mask & height.mask
-    sigma[~mask] = height.nodata
-    return height.with_values(sigma)
+    return height.with_valid(sigma, planes.mask & probs.mask & height.mask)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -35,7 +35,7 @@ import tempfile
 import warnings
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, TextIO
@@ -158,6 +158,20 @@ class HeightGrid:
             xllcorner=self.xllcorner,
             yllcorner=self.yllcorner,
         )
+
+    def with_valid(self, values: np.ndarray, mask: np.ndarray) -> "HeightGrid":
+        """New grid of a non-negative map derived from this one: ``values`` where ``mask`` holds.
+
+        Cells outside ``mask`` get the sentinel, and the new grid keeps this
+        grid's metadata.  The sentinel is this grid's unless a value at
+        ``mask`` equals it (a slope of 0 under ``NODATA_VALUE 0``); then it
+        is :data:`NODATA_DEFAULT`, which no non-negative value equals, so
+        every cell of ``mask`` stays valid.
+        """
+        nodata = self.nodata
+        if ((values == nodata) & mask).any():
+            nodata = NODATA_DEFAULT
+        return replace(self, values=np.where(mask, values, nodata), nodata=nodata)
 
 
 #: Direction codes for the position of the 3x3 neighborhood maximum.

@@ -16,6 +16,7 @@ optionally reallocates planes by local slope.  Each stage streams its
 hypothesis volume once, in row tiles (see :func:`_stage_pass`), and each
 tile lays out its own ranges and planes from its rows of the previous
 estimate, so memory grows with the grid, not with grid times plane count.
+Every stage sweeps the ground truth's valid pixels.
 
 A run returns per-stage heights, evaluations and plane spacings only; the
 slope and direction maps and losses derived from the heights are computed
@@ -399,7 +400,7 @@ def _check_finite(values: np.ndarray, tile: slice, what: str) -> None:
 
 
 class _Rows(NamedTuple):
-    """Rows of a grid whose values are already finite or nodata, as views.
+    """Rows of a stage array (finite or nodata) and of ``gt``'s mask, as views.
 
     It holds what the tile layout and the smoothing read of a
     :class:`~terraslope.raster.HeightGrid`, without the finiteness scan and
@@ -411,16 +412,10 @@ class _Rows(NamedTuple):
     nodata: float
 
 
-def _rows(values: np.ndarray, rows: slice, nodata: float) -> _Rows:
-    """``values[rows]`` and its validity mask."""
-    view = values[rows]
-    return _Rows(view, view != nodata, nodata)
-
-
-def _strip(values: np.ndarray, tile: slice, nodata: float) -> tuple[_Rows, slice]:
+def _strip(values: np.ndarray, mask: np.ndarray, tile: slice, nodata: float) -> tuple[_Rows, slice]:
     """``tile``'s rows and a one-row halo (clipped to the grid), and ``tile``'s place in them."""
     lo, hi = max(tile.start - 1, 0), min(tile.stop + 1, values.shape[0])
-    return _rows(values, slice(lo, hi), nodata), slice(tile.start - lo, tile.stop - lo)
+    return _Rows(values[lo:hi], mask[lo:hi], nodata), slice(tile.start - lo, tile.stop - lo)
 
 
 def _stage_pass(
@@ -433,17 +428,18 @@ def _stage_pass(
 ) -> tuple[HeightGrid, np.ndarray | None, float]:
     """A stage's height, the spread around it and its widest plane gap, in one sweep.
 
-    Each row tile lays out its own planes.  The first stage (``prev`` None)
-    shares one (M,) vector of equal planes over ``global_range`` among
-    ``gt``'s valid pixels.  A later stage recenters the tile's rows of the
-    previous ``(height, sigma)`` arrays as :func:`~terraslope.partition.pixel_range`
-    does and partitions them per ``cfg``, with slope factors taken, as the
-    smoothing is, from a strip with a one-row halo: each step is elementwise
-    or a 3x3 fold, so a tile gets the bits the whole grid would give it.
-    The matcher fits the planes to ``target``; pixels outside the layout get
-    nodata.  The height is the expected height, smoothed with the unit
-    binomial kernel when ``cfg.use_height_correction`` (as
-    :func:`~terraslope.correction.correct` would smooth the whole grid).
+    Every stage sweeps ``gt``'s valid pixels, and each row tile lays out
+    its own planes.  The first stage (``prev`` None) shares one (M,) vector
+    of equal planes over ``global_range`` among them.  A later stage
+    recenters the tile's rows of the previous ``(height, sigma)`` arrays as
+    :func:`~terraslope.partition.pixel_range` does and partitions them per
+    ``cfg``, with slope factors taken, as the smoothing is, from a strip
+    with a one-row halo: each step is elementwise or a 3x3 fold, so a tile
+    gets the bits the whole grid would give it.  The matcher fits the planes
+    to ``target``; pixels outside ``gt.mask`` get nodata.  The height is the
+    expected height, smoothed with the unit binomial kernel when
+    ``cfg.use_height_correction`` (as :func:`~terraslope.correction.correct`
+    would smooth the whole grid).
     With ``with_sigma`` the spread is :func:`~terraslope.partition.pixel_std`
     around that height, else None: the array its tiles checked, which the
     next stage reads only as row views.  The widest gap is the largest
@@ -451,10 +447,10 @@ def _stage_pass(
     stage 1 takes it once from its shared vector.
 
     Tiles are laid out and smoothed from :class:`_Rows` views of the rows
-    of ``prev`` and of the estimate, whose values are already finite or
-    nodata, so no tile builds or checks a grid of its own; the range checks
-    of ``pixel_range`` and the finiteness checks of the expected height and
-    the spread run on each tile.
+    of ``prev`` and of the estimate with their rows of ``gt.mask``, so no
+    tile builds or checks a grid or compares a value with the sentinel; the
+    range checks of ``pixel_range`` and the finiteness checks of the
+    expected height and the spread (nodata off the mask) run on each tile.
 
     A later stage's tile planes are plane-major, (M, rows, cols), seen
     as a (rows, cols, M) view, so the layout, the softmax's logits and
@@ -485,7 +481,7 @@ def _stage_pass(
             height or spread at a valid pixel.
     """
     rows, cols = gt.shape
-    nodata = gt.nodata
+    swept, nodata = gt.mask, gt.nodata
     m = cfg.plane_count
     estimate = np.empty(gt.shape)
     height = np.empty(gt.shape) if cfg.use_height_correction else estimate
@@ -497,13 +493,14 @@ def _stage_pass(
 
     def layout(tile: slice) -> tuple[np.ndarray, np.ndarray]:
         """The planes of ``tile`` and the mask of the pixels it sweeps."""
+        valid = swept[tile]
         if prev is None:
-            return shared, gt.values[tile] != nodata
-        height_rows, sigma_rows = (_rows(values, tile, nodata) for values in prev)
-        valid, center, low, high = _pixel_range(height_rows, sigma_rows, cfg.sigma_floor)
+            return shared, valid
+        height_rows, sigma_rows = (_Rows(values[tile], valid, nodata) for values in prev)
+        _, center, low, high = _pixel_range(height_rows, sigma_rows, cfg.sigma_floor)
         if not cfg.use_slope_partition:
             return _equal_planes(low, high, m), valid
-        strip, inner = _strip(prev[0], tile, nodata)
+        strip, inner = _strip(prev[0], swept, tile, nodata)
         factors = slope_factor_maps(strip)
         n_below = _split_counts(m, factors.drop[inner], factors.rise[inner])
         return _guided_planes(center, low, high, n_below, m), valid
@@ -514,7 +511,7 @@ def _stage_pass(
     @np.errstate(over="ignore", invalid="ignore")
     def settle(tile: slice, planes: np.ndarray, probs: np.ndarray, valid: np.ndarray) -> None:
         if cfg.use_height_correction:
-            strip, inner = _strip(estimate, tile, nodata)
+            strip, inner = _strip(estimate, swept, tile, nodata)
             height[tile] = _smooth(strip, BASE_WEIGHTS)[inner]
         if sigma is not None:
             spread = _spread(probs, planes, height[tile])
@@ -555,7 +552,7 @@ def _stage_pass(
     widest = _widest_gaps(shared) if shared is not None else max(w for w, _ in halves)
 
     del estimate  # HeightGrid copies its input: free the raw estimate before the copy
-    return HeightGrid(height, cell_size=gt.cell_size, nodata=nodata), sigma, float(widest)
+    return gt.with_values(height), sigma, float(widest)
 
 
 def run_pipeline(
@@ -581,12 +578,14 @@ def run_pipeline(
     :data:`TILE_BYTES` of planes (:func:`_stage_pass` describes the sweep),
     so volume memory is a few tiles, not rows * cols * M; the rest is a few
     (rows, cols) grids.  Each tile lays out its own ranges and planes, so no
-    stage builds whole-grid ranges or slope factors.  A stage sweeps only
-    pixels where the previous height is valid, so the stage masks nest
-    within ``gt.mask``.  The results equal, bit for bit, those of composing
-    the whole-grid functions (the partition module's ``equal_partition``,
-    ``slope_guided_partition``, ``expected_height`` and ``pixel_std``,
-    :func:`oracle_matcher` and :func:`~terraslope.correction.correct`).
+    stage builds whole-grid ranges or slope factors.  Every stage sweeps
+    ``gt``'s valid pixels, and its grid keeps ``gt``'s metadata.  A height
+    equal to ``gt.nodata`` reads as nodata in its grid, since a
+    :class:`~terraslope.raster.HeightGrid` defines validity so, but stays in
+    later stages.  Without such a height the results equal, bit for bit,
+    those of composing the whole-grid functions (the partition module's
+    ``equal_partition``, ``slope_guided_partition``, ``expected_height`` and
+    ``pixel_std``, :func:`oracle_matcher` and :func:`~terraslope.correction.correct`).
 
     Identical (gt, global_range, stages, seed) yield bit-identical results.
 

@@ -130,8 +130,9 @@ def _check_overflow(diff: np.ndarray, mask: np.ndarray, what: str) -> None:
 def slope_map(grid: HeightGrid) -> HeightGrid:
     """Per-pixel slope: |3x3 neighborhood max - center|, in meters.
 
-    Invalid pixels propagate nodata.  The result shares dimensions, cell
-    size, and sentinel with the input.
+    Invalid pixels propagate nodata.  The result shares dimensions and
+    metadata with the input, and its sentinel unless a slope equals it
+    (see :meth:`~terraslope.raster.HeightGrid.with_valid`).
 
     Raises:
         ValueError: a slope beyond the float64 range at a valid pixel.
@@ -139,8 +140,7 @@ def slope_map(grid: HeightGrid) -> HeightGrid:
     mask = grid.mask
     slope = np.abs(_fold(_window_views(grid.values, mask, -np.inf), np.maximum) - grid.values)
     _check_overflow(slope, mask, "slope")
-    slope[~mask] = grid.nodata
-    return grid.with_values(slope)
+    return grid.with_valid(slope, mask)
 
 
 def slope_direction_map(grid: HeightGrid) -> SlopeDirectionGrid:
@@ -187,8 +187,8 @@ def direction_as_grid(dirs: SlopeDirectionGrid, like: HeightGrid) -> HeightGrid:
     """Direction codes as a height grid, for ASCII/PGM serialization.
 
     Codes become float cell values; masked-out cells become ``like``'s
-    nodata sentinel.  Metadata (cell size, corners) is taken from ``like``.
+    nodata sentinel, or ``NODATA_DEFAULT`` where a valid code equals it
+    (see :meth:`~terraslope.raster.HeightGrid.with_valid`).  Metadata
+    (cell size, corners) is taken from ``like``.
     """
-    values = dirs.codes.astype(np.float64)
-    values[~dirs.mask] = like.nodata
-    return like.with_values(values)
+    return like.with_valid(dirs.codes.astype(np.float64), dirs.mask)

@@ -188,6 +188,39 @@ class TestPartitionCommand:
         assert not list(tmp_path.glob("p_*"))
 
 
+class TestSentinelZero:
+    """Derived maps of a ``NODATA_VALUE 0`` grid, where 0 is also a valid output value."""
+
+    @pytest.fixture
+    def grid(self, tmp_path):
+        # (0, 0) is flat (slope 0), and (1, 2)'s maximum is lower-right (code 0)
+        path = tmp_path / "zero.asc"
+        path.write_text(
+            "NCOLS 4\nNROWS 3\nXLLCORNER 500\nYLLCORNER 0\nCELLSIZE 1\nNODATA_VALUE 0\n"
+            "5 5 3 1\n5 0 2 1\n4 4 2 9\n"
+        )
+        return path
+
+    def test_slope_and_direction_keep_every_valid_cell(self, grid, tmp_path):
+        assert run(["slope", grid, tmp_path / "s.asc", tmp_path / "d.asc"]) == 0
+        assert run(["direction", grid, tmp_path / "d2.asc"]) == 0
+        mask = read_ascii_grid(grid).mask
+        for name in ("s.asc", "d.asc", "d2.asc"):
+            out = read_ascii_grid(tmp_path / name)
+            assert np.array_equal(out.mask, mask), name
+            assert (out.values[mask] == 0).any() and out.xllcorner == 500.0
+        assert (tmp_path / "d.asc").read_bytes() == (tmp_path / "d2.asc").read_bytes()
+
+    def test_partition_counts_sum_to_the_plane_count(self, grid, tmp_path):
+        prefix = str(tmp_path / "p")
+        assert run(["partition", grid, prefix, "--planes", "4", "--sigma-floor", "2"]) == 0
+        mask = read_ascii_grid(grid).mask
+        lower = read_ascii_grid(prefix + "_lower_count.asc")
+        upper = read_ascii_grid(prefix + "_upper_count.asc")
+        assert np.array_equal(lower.mask, mask) and np.array_equal(upper.mask, mask)
+        np.testing.assert_array_equal(lower.values[mask] + upper.values[mask], 4.0)
+
+
 class TestCorrectCommand:
     def test_scale_one_on_constant_grid(self, tmp_path):
         const = tmp_path / "const.asc"

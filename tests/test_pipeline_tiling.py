@@ -14,7 +14,7 @@ import pytest
 from terraslope import HeightGrid, TerrainSpec, default_stage_configs, generate_terrain
 from terraslope import losses, simulate, slope
 from terraslope.losses import loss_report
-from terraslope.simulate import ABLATION_ARMS, run_pipeline
+from terraslope.simulate import ABLATION_ARMS, StageConfig, run_pipeline
 from terraslope.slope import slope_direction_map, slope_map
 
 from conftest import NODATA
@@ -39,6 +39,19 @@ def with_nodata_row(gt, row):
     return HeightGrid(values, nodata=NODATA)
 
 
+def lifted(nodata):
+    # every height is 10 m or more, so a sentinel of 0 marks no cell of it
+    return HeightGrid(fractal(16, 16, seed=1).values + 10.0, nodata=nodata)
+
+
+def sharp_stages(use_partition=False, use_correction=False):
+    """64/32/8 planes, floors 0/8/1 and a matcher so sharp that many spreads are exactly 0.0."""
+    return tuple(
+        StageConfig(m, floor, use_partition, use_correction, temperature=1e-3)
+        for m, floor in zip((64, 32, 8), (0.0, 8.0, 1.0))
+    )
+
+
 GRIDS = {
     # 64 planes x 512 cols give 4-row stage-1 tiles: 18 rows end in a partial tile
     "18x512": lambda: fractal(18, 512),
@@ -51,6 +64,8 @@ GRIDS = {
     "1x300": lambda: fractal(1, 300),
     "300x1": lambda: fractal(300, 1),
     "nodata-40x33": lambda: with_holes(fractal(40, 33)),
+    # a sentinel that a collapsed spread of 0.0 equals
+    "sentinel-0-16x16": lambda: lifted(0.0),
 }
 
 
@@ -87,8 +102,7 @@ def test_matches_whole_volume_reference(arm, grid, one_row_tiles, monkeypatch):
 @pytest.mark.parametrize("grid", ["nodata-40x33", "nodata-row-18x512"])
 @pytest.mark.parametrize("arm", ABLATION_ARMS, ids=[a[0] for a in ABLATION_ARMS])
 def test_stage_masks_nest(arm, grid):
-    # a stage sweeps only where the previous height is valid, so its valid
-    # pixels are a subset of the previous stage's and of the ground truth's
+    # every stage sweeps the ground truth's valid pixels, no more and no fewer
     _, use_partition, use_correction = arm
     stages = tuple(
         replace(c, use_slope_partition=use_partition, use_height_correction=use_correction)
@@ -98,39 +112,70 @@ def test_stage_masks_nest(arm, grid):
     valid = gt.values[gt.mask]
     global_range = (float(valid.min()), float(valid.max()) + 1e-9)
     heights = run_pipeline(gt, global_range, stages, seed=11).heights
-    outer = gt.mask
     for height in heights:
-        assert not (height.mask & ~outer).any()
-        outer = height.mask
+        assert np.array_equal(height.mask, gt.mask)
     assert not gt.mask.all()
 
 
-#: (plane_count, sigma_floor) per stage; the default schedule is 64/32/8
+@pytest.mark.parametrize("arm", ABLATION_ARMS, ids=[a[0] for a in ABLATION_ARMS])
+def test_spreads_equal_to_the_sentinel_stay_in_the_cascade(arm, monkeypatch):
+    spreads = []
+    spread = simulate._spread
+
+    def recording(*args):
+        spreads.append(spread(*args))
+        return spreads[-1]
+
+    monkeypatch.setattr(simulate, "_spread", recording)
+    _, use_partition, use_correction = arm
+    stages = sharp_stages(use_partition, use_correction)
+    gt = lifted(0.0)
+    result = run_pipeline(gt, (5.0, 215.0), stages)
+    # the premise: spreads of exactly the sentinel at valid pixels
+    assert gt.mask.all() and any((s == 0.0).any() for s in spreads)
+    twin = run_pipeline(lifted(NODATA), (5.0, 215.0), stages)
+    for height, want in zip(result.heights, twin.heights, strict=True):
+        assert np.array_equal(height.mask, gt.mask)
+        assert height.values.tobytes() == want.values.tobytes()
+    assert result.reports == twin.reports
+    assert result.max_plane_spacing == twin.max_plane_spacing
+
+
+def test_stage_grids_keep_the_ground_truth_metadata():
+    gt = replace(fractal(18, 40), cell_size=2.5, nodata=-1.0, xllcorner=500.0, yllcorner=-250.0)
+    result = run_pipeline(gt, (0.0, 200.0 + 1e-9), default_stage_configs(), seed=11)
+    for height in result.heights:
+        assert (height.cell_size, height.nodata, height.xllcorner, height.yllcorner) == (
+            2.5, -1.0, 500.0, -250.0
+        )
+
+
+def schedule(*stages):
+    """Default stage configs with these (plane_count, sigma_floor) pairs."""
+    base = default_stage_configs()[0]
+    return tuple(replace(base, plane_count=m, sigma_floor=floor) for m, floor in stages)
+
+
+#: stage configs per schedule; the default schedule is 64/32/8
 SCHEDULES = {
-    "1-stage": ((64, 0.0),),
-    "2-stage": ((64, 0.0), (16, 10.0)),
-    "4-stage": ((64, 0.0), (32, 80.0), (16, 20.0), (8, 10.0)),
+    "1-stage": schedule((64, 0.0)),
+    "2-stage": schedule((64, 0.0), (16, 10.0)),
+    "4-stage": schedule((64, 0.0), (32, 80.0), (16, 20.0), (8, 10.0)),
+    "sharp": sharp_stages(),
 }
 
 
 @pytest.mark.parametrize("one_row_tiles", [False, True], ids=["default-tiles", "one-row-tiles"])
-@pytest.mark.parametrize("grid", ["18x512", "nodata-40x33"])
+@pytest.mark.parametrize("grid", ["18x512", "nodata-40x33", "sentinel-0-16x16"])
 @pytest.mark.parametrize("arm", [ABLATION_ARMS[0], ABLATION_ARMS[-1]], ids=["baseline", "combined"])
 @pytest.mark.parametrize("schedule", list(SCHEDULES))
 def test_any_stage_count_matches_reference(schedule, arm, grid, one_row_tiles, monkeypatch):
     if one_row_tiles:
         monkeypatch.setattr(simulate, "TILE_BYTES", 1)
     _, use_partition, use_correction = arm
-    base = default_stage_configs()[0]
     stages = tuple(
-        replace(
-            base,
-            plane_count=m,
-            sigma_floor=floor,
-            use_slope_partition=use_partition,
-            use_height_correction=use_correction,
-        )
-        for m, floor in SCHEDULES[schedule]
+        replace(c, use_slope_partition=use_partition, use_height_correction=use_correction)
+        for c in SCHEDULES[schedule]
     )
     gt = GRIDS[grid]()
     valid = gt.values[gt.mask]

@@ -73,6 +73,22 @@ class TestHeightGrid:
         with pytest.raises(ValueError):
             g.values[0, 0] = 2.0
 
+    def test_with_valid_keeps_the_metadata_and_a_sentinel_no_value_equals(self):
+        g = HeightGrid(np.zeros((1, 3)), cell_size=2.5, nodata=7.0, xllcorner=500.0, yllcorner=-1.0)
+        # 7.0 outside the mask is no collision
+        out = g.with_valid(np.array([[1.0, 2.0, 7.0]]), np.array([[True, True, False]]))
+        assert out.values.tolist() == [[1.0, 2.0, 7.0]]
+        assert (out.cell_size, out.nodata, out.xllcorner, out.yllcorner) == (2.5, 7.0, 500.0, -1.0)
+
+    def test_with_valid_switches_to_the_default_sentinel_on_a_collision(self):
+        g = HeightGrid(np.zeros((1, 3)), nodata=0.0, xllcorner=500.0)
+        values = np.array([[0.0, 2.0, 5.0]])
+        out = g.with_valid(values, np.array([[True, True, False]]))
+        assert out.values.tolist() == [[0.0, 2.0, raster.NODATA_DEFAULT]]
+        assert out.nodata == raster.NODATA_DEFAULT and out.xllcorner == 500.0
+        assert out.mask.tolist() == [[True, True, False]]
+        assert values.tolist() == [[0.0, 2.0, 5.0]]
+
 
 class TestSlopeDirectionGrid:
     def test_rejects_out_of_range_codes(self):

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terraslope import HeightGrid, slope_direction_map, slope_factor_maps, slope_map
-from terraslope.slope import window_stack
+from terraslope import (
+    HeightGrid,
+    HypothesisPlanes,
+    ProbabilityVolume,
+    pixel_std,
+    slope_direction_map,
+    slope_factor_maps,
+    slope_map,
+)
+from terraslope.slope import direction_as_grid, window_stack
 
 from conftest import NODATA, random_grid
 from oracles import brute_direction, brute_factors, brute_slope
@@ -221,6 +229,25 @@ class TestInvariances:
         np.testing.assert_array_equal(
             slope_direction_map(scaled).codes, slope_direction_map(base).codes
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nodata=st.sampled_from([NODATA, 0.0, *map(float, range(1, 9)), 9999.0]),
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+    )
+    def test_derived_maps_keep_the_source_mask(self, seed, nodata, rows, cols):
+        # Small integer heights and plane offsets make slopes, direction
+        # codes and spreads that equal a small sentinel.
+        rng = np.random.default_rng(seed)
+        g = HeightGrid(rng.integers(0, 10, size=(rows, cols)).astype(float), nodata=nodata)
+        assert np.array_equal(slope_map(g).mask, g.mask)
+        assert np.array_equal(direction_as_grid(slope_direction_map(g), g).mask, g.mask)
+        widths = rng.integers(0, 3, size=(rows, cols, 1)).astype(float)
+        planes = HypothesisPlanes(g.values[:, :, None] + widths * [-1.0, 0.0, 1.0], mask=g.mask)
+        probs = ProbabilityVolume(np.eye(3)[rng.integers(0, 3, size=(rows, cols))], mask=g.mask)
+        assert np.array_equal(pixel_std(planes, probs, g).mask, g.mask)
 
     def test_non_negative_and_codes_in_range(self, rng):
         for _ in range(20):
