@@ -12,7 +12,9 @@ value that best maps a degraded grid onto a reference in the least-squares
 sense, in closed form.
 
 Border and nodata handling match :mod:`terraslope.slope` exactly, so every
-3x3 operation in the package sees the same windows.
+3x3 operation in the package sees the same windows.  :func:`correct` smooths
+row strips of :data:`_STRIP_BYTES` of window stack, never a whole-grid stack
+(nine grids), and gives every output bit of the whole-grid smoothing.
 """
 
 from __future__ import annotations
@@ -23,11 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raster import HeightGrid
-from .slope import window_stack
+from .slope import _strip, window_stack
 
 #: Base 3x3 pattern in row-major order; sums to exactly 1.
 BASE_WEIGHTS = np.array([1, 2, 1, 2, 4, 2, 1, 2, 1], dtype=np.float64) / 16.0
 BASE_WEIGHTS.flags.writeable = False
+
+#: Bytes of window stack per row strip of :func:`correct`: 28 rows at 512 columns.
+_STRIP_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -53,14 +58,10 @@ class GaussianKernel:
 def _smooth(grid: HeightGrid, weights: np.ndarray) -> np.ndarray:
     """Weighted sums of ``grid``'s 3x3 windows; nodata at invalid pixels.
 
-    :func:`correct` runs it on a whole grid; the pipeline in
-    :mod:`terraslope.simulate` runs it on row strips, views that carry only
-    the ``values``, ``mask`` and ``nodata`` read here.  Output row ``r``
-    depends only on rows ``r-1 .. r+1``, and the matmul gives each row the
-    same bits whether it runs on the whole grid or on a strip.  So the
-    strip ``grid[a-1 : b+1]`` (clipped to the grid) yields rows ``a : b``
-    of the whole-grid result: at the grid's true top and bottom, the
-    strip's replicate padding is the grid's own.
+    :func:`correct` and the pipeline in :mod:`terraslope.simulate` run it
+    on row strips cut by :func:`~terraslope.slope._strip`, views that carry
+    only the ``values``, ``mask`` and ``nodata`` read here.  The matmul
+    gives a row the same bits on a strip as on the whole grid.
     """
     smoothed = window_stack(grid) @ weights
     smoothed[~grid.mask] = grid.nodata
@@ -71,14 +72,21 @@ def correct(height: HeightGrid, kernel: GaussianKernel = GaussianKernel()) -> He
     """Smooth a height grid with the weighted 3x3 kernel.
 
     Windows use replicate padding at borders, and invalid neighbors
-    contribute the center value; invalid pixels stay invalid.
+    contribute the center value; invalid pixels stay invalid.  Row strips
+    are smoothed one at a time into one output grid (see the module).
 
     Raises:
         ValueError: a kernel scale that takes a smoothed height out of the
             finite range.
     """
+    values, mask, weights = height.values, height.mask, kernel.weights
+    step = max(1, _STRIP_BYTES // (72 * height.cols))
+    smoothed = np.empty(height.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        smoothed = _smooth(height, kernel.weights)
+        for start in range(0, height.rows, step):
+            tile = slice(start, min(start + step, height.rows))
+            strip, inner = _strip(values, mask, tile, height.nodata)
+            smoothed[tile] = _smooth(strip, weights)[inner]
     if not np.isfinite(smoothed).all():
         raise ValueError(f"kernel scale {kernel.scale} overflows the corrected height")
     return height.with_values(smoothed)
@@ -104,6 +112,7 @@ def fit_scale(noisy: HeightGrid, target: HeightGrid) -> GaussianKernel:
     if not joint.any():
         raise ValueError("no jointly valid pixel to fit on")
     c = smoothed.values[joint]
+    del smoothed  # two grids at most: free the smoothing before taking the target's cells
     t = target.values[joint]
     with np.errstate(over="ignore", invalid="ignore"):
         cc = float(np.dot(c, c))

@@ -36,7 +36,6 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +61,8 @@ from .raster import (
     write_ascii_grid,
 )
 from .slope import (
+    _Rows,
+    _strip,
     direction_as_grid,
     slope_direction_map,
     slope_factor_maps,
@@ -399,25 +400,6 @@ def _check_finite(values: np.ndarray, tile: slice, what: str) -> None:
         raise ValueError(f"non-finite {what} {values[r, c]} at ({tile.start + r}, {c})")
 
 
-class _Rows(NamedTuple):
-    """Rows of a stage array (finite or nodata) and of ``gt``'s mask, as views.
-
-    It holds what the tile layout and the smoothing read of a
-    :class:`~terraslope.raster.HeightGrid`, without the finiteness scan and
-    the copy a new grid would make of every tile.
-    """
-
-    values: np.ndarray
-    mask: np.ndarray
-    nodata: float
-
-
-def _strip(values: np.ndarray, mask: np.ndarray, tile: slice, nodata: float) -> tuple[_Rows, slice]:
-    """``tile``'s rows and a one-row halo (clipped to the grid), and ``tile``'s place in them."""
-    lo, hi = max(tile.start - 1, 0), min(tile.stop + 1, values.shape[0])
-    return _Rows(values[lo:hi], mask[lo:hi], nodata), slice(tile.start - lo, tile.stop - lo)
-
-
 def _stage_pass(
     cfg: StageConfig,
     prev: tuple[np.ndarray, np.ndarray] | None,
@@ -433,22 +415,18 @@ def _stage_pass(
     of equal planes over ``global_range`` among them.  A later stage
     recenters the tile's rows of the previous ``(height, sigma)`` arrays as
     :func:`~terraslope.partition.pixel_range` does and partitions them per
-    ``cfg``, with slope factors taken, as the smoothing is, from a strip
-    with a one-row halo: each step is elementwise or a 3x3 fold, so a tile
-    gets the bits the whole grid would give it.  The matcher fits the planes
-    to ``target``; pixels outside ``gt.mask`` get nodata.  The height is the
-    expected height, smoothed with the unit binomial kernel when
-    ``cfg.use_height_correction`` (as :func:`~terraslope.correction.correct`
-    would smooth the whole grid).
+    ``cfg``, with slope factors from the tile's :func:`_strip`.  The matcher
+    fits the planes to ``target``; pixels outside ``gt.mask`` get nodata.
+    The height is the expected height, smoothed as by
+    :func:`~terraslope.correction.correct` when ``cfg.use_height_correction``.
     With ``with_sigma`` the spread is :func:`~terraslope.partition.pixel_std`
     around that height, else None: the array its tiles checked, which the
     next stage reads only as row views.  The widest gap is the largest
     spacing between consecutive planes of any valid pixel (0 if none);
     stage 1 takes it once from its shared vector.
 
-    Tiles are laid out and smoothed from :class:`_Rows` views of the rows
-    of ``prev`` and of the estimate with their rows of ``gt.mask``, so no
-    tile builds or checks a grid or compares a value with the sentinel; the
+    Tiles are laid out and smoothed from :class:`_Rows` of ``prev`` and of
+    the estimate with ``gt.mask``, so no tile builds or checks a grid; the
     range checks of ``pixel_range`` and the finiteness checks of the
     expected height and the spread (nodata off the mask) run on each tile.
 

@@ -28,15 +28,18 @@ windows themselves, for the weighted sum of :mod:`terraslope.correction`;
 that sum stays one matmul, because a sum's bits depend on its order.
 Replicate padding is a plain copy of the edge cells, which moves no bit.
 
-:func:`window_stack` and :func:`slope_factor_maps` read only ``values`` and
-``mask`` of their grid, so the coarse-to-fine sweep of
-:mod:`terraslope.simulate` passes them row views of a grid it already
-checked instead of building a grid per row tile.
+Output row ``r`` of a 3x3 operation reads only rows ``r-1 .. r+1``, so a
+row tile's :func:`_strip` (its rows and a one-row halo) gives it the whole
+grid's bits.  :func:`terraslope.correction.correct` and the sweep of
+:mod:`terraslope.simulate` stream their grids so, as :class:`_Rows` views:
+:func:`window_stack` and :func:`slope_factor_maps` read only their
+``values`` and ``mask``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,6 +79,24 @@ def _pad_edge(values: np.ndarray) -> np.ndarray:
     return padded
 
 
+class _Rows(NamedTuple):
+    """Row views of a checked grid's values, a mask and the sentinel.
+
+    They are what the 3x3 operations and ``partition._pixel_range`` read of
+    a grid, without the copy and the scan a new grid makes of its rows.
+    """
+
+    values: np.ndarray
+    mask: np.ndarray
+    nodata: float
+
+
+def _strip(values: np.ndarray, mask: np.ndarray, tile: slice, nodata: float) -> tuple[_Rows, slice]:
+    """``tile``'s rows and a one-row halo (clipped to the grid), and ``tile``'s place in them."""
+    lo, hi = max(tile.start - 1, 0), min(tile.stop + 1, values.shape[0])
+    return _Rows(values[lo:hi], mask[lo:hi], nodata), slice(tile.start - lo, tile.stop - lo)
+
+
 def window_stack(grid: HeightGrid) -> np.ndarray:
     """(rows, cols, 9) stack of 3x3 windows under the shared border policy.
 
@@ -83,6 +104,9 @@ def window_stack(grid: HeightGrid) -> np.ndarray:
     ``(r, c)``: the replicate-padded neighbor value, or the center value
     where that neighbor is invalid.  Rows whose center is invalid still get
     a window built from the sentinel; callers mask them out.
+
+    It takes 72 bytes a pixel, nine times its grid, so its one caller, the
+    smoothing kernel of :mod:`terraslope.correction`, runs on row strips.
     """
     values = grid.values
     valid = grid.mask

@@ -1,10 +1,11 @@
 """Independent brute-force reference implementations.
 
 Everything here except :func:`reference_fractal`,
-:func:`reference_oracle_probs`, :func:`reference_pipeline` and
-:func:`reference_loss` is written as plain per-pixel Python loops over
-scalar values, deliberately sharing no code with the library: these are the
-oracles the vectorized implementations are checked against.
+:func:`reference_oracle_probs`, :func:`reference_smooth`,
+:func:`reference_pipeline` and :func:`reference_loss` is written as plain
+per-pixel Python loops over scalar values, deliberately sharing no code
+with the library: these are the oracles the vectorized implementations are
+checked against.
 
 :func:`reference_fractal` is the fractal terrain generator written with
 index grids and masked gathers and scatters; the strided-view generator of
@@ -13,6 +14,10 @@ index grids and masked gathers and scatters; the strided-view generator of
 :func:`reference_oracle_probs` is the matcher's softmax on a C-order
 (rows, cols, M) volume, every step along the last axis; the plane-major
 softmax of ``simulate`` must reproduce it bit for bit.
+
+:func:`reference_smooth` is the whole-grid smoothing: one (rows, cols, 9)
+window stack of the whole grid times the weights.  ``correction.correct``
+smooths in row strips and must reproduce it bit for bit.
 
 :func:`reference_pipeline` is the whole-volume form of
 ``simulate.run_pipeline``: it composes the public per-step functions, each
@@ -39,7 +44,7 @@ from terraslope.partition import (
     slope_guided_partition,
 )
 from terraslope.simulate import SimulationResult, oracle_matcher
-from terraslope.slope import slope_direction_map, slope_factor_maps
+from terraslope.slope import slope_direction_map, slope_factor_maps, window_stack
 
 
 def window_values(values, nodata, row, col):
@@ -150,6 +155,13 @@ def naive_correct(values, nodata, scale):
             win = window_values(values, nodata, r, c)
             out[r][c] = sum(scale * w / 16.0 * v for w, v in zip(base, win))
     return out
+
+
+def reference_smooth(grid, weights):
+    """``window_stack(grid) @ weights`` over the whole grid; nodata at invalid pixels."""
+    smoothed = window_stack(grid) @ weights
+    smoothed[~grid.mask] = grid.nodata
+    return smoothed
 
 
 def cell_loop_ascii_text(grid):

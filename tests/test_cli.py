@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from terraslope import default_stage_configs, read_ascii_grid, run_pipeline
+from terraslope import correction, default_stage_configs, read_ascii_grid, run_pipeline
 from terraslope.correction import GaussianKernel
 from terraslope.metrics import DEFAULT_THRESHOLDS
 from terraslope.partition import equal_partition, pixel_range
@@ -685,6 +685,23 @@ class TestHostileInputs:
         assert cause in captured.err
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.asc"]
+
+    def test_scale_overflowing_in_a_late_strip_exits_3_without_output(self, tmp_path, capsys):
+        # four strips of window stack; only the middle of the last overflows
+        k = max(1, correction._STRIP_BYTES // (72 * 512))
+        rows = ["1" + " 1" * 511] * (4 * k)
+        rows[3 * k + k // 2] = "1e300" + " 1e300" * 511
+        grid = tmp_path / "late.asc"
+        header = f"NCOLS 512\nNROWS {4 * k}\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n"
+        grid.write_text(header + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["correct", grid, tmp_path / "out.asc", "--scale", "1e20"]) == 3
+        captured = capsys.readouterr()
+        assert "kernel scale 1e+20 overflows the corrected height" in captured.err
+        assert "Warning" not in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["late.asc"]
 
     @pytest.mark.parametrize("header", ["XLLCORNER nan", "YLLCORNER -inf", "CELLSIZE inf"])
     def test_non_finite_metadata_exits_2(self, tmp_path, capsys, header):

@@ -1,12 +1,14 @@
 """Gaussian height correction vs naive convolution and 1-D minimization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from terraslope import BASE_WEIGHTS, GaussianKernel, HeightGrid, correct, fit_scale
+from terraslope import BASE_WEIGHTS, GaussianKernel, HeightGrid, correct, correction, fit_scale
 
 from conftest import NODATA, random_grid
-from oracles import golden_section_minimize, naive_correct
+from oracles import golden_section_minimize, naive_correct, reference_smooth
 
 
 class TestKernel:
@@ -154,3 +156,113 @@ class TestFitScale:
         b = HeightGrid(np.array([[NODATA, 1.0]]), nodata=NODATA)
         with pytest.raises(ValueError, match="jointly valid"):
             fit_scale(a, b)
+
+
+def strip_rows(cols):
+    """Rows in one of ``correct``'s strips of a grid ``cols`` wide."""
+    return max(1, correction._STRIP_BYTES // (72 * cols))
+
+
+def around_seams(cols):
+    """Heights of one and two strips, each with one row fewer and one more."""
+    k = strip_rows(cols)
+    return [(rows, cols) for rows in (k - 1, k, k + 1, 2 * k - 1, 2 * k, 2 * k + 1) if rows > 0]
+
+
+def holey_grid(rng, shape, nodata):
+    """Random heights with about a tenth of the cells set to ``nodata``; one cell stays valid."""
+    values = rng.uniform(-50.0, 50.0, size=shape)
+    holes = rng.random(shape) < 0.1
+    holes.flat[0] = False
+    values[holes] = nodata
+    return HeightGrid(values, nodata=nodata)
+
+
+def reference_scale(noisy, target):
+    """``fit_scale``'s closed form over the whole-grid smoothing."""
+    smoothed = reference_smooth(noisy, BASE_WEIGHTS)
+    joint = (smoothed != noisy.nodata) & target.mask
+    c = smoothed[joint]
+    return float(np.dot(c, target.values[joint])) / float(np.dot(c, c))
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def assert_matches_whole_grid(grid, target):
+    for scale in (1.0, -0.7, 3.25):
+        kernel = GaussianKernel(scale=scale)
+        expected = reference_smooth(grid, kernel.weights)
+        np.testing.assert_array_equal(bits(correct(grid, kernel).values), bits(expected))
+    assert bits(fit_scale(grid, target).scale) == bits(reference_scale(grid, target))
+
+
+SHAPES = [(1, 1), (1, 7), (7, 1), (9, 37), (5, 513), *around_seams(37), *around_seams(513)]
+ONE_ROW_SHAPES = [(1, 1), (1, 7), (7, 1), (30, 37), (6, 513)]
+
+
+class TestStreamedSmoothing:
+    """``correct`` smooths row strips; every bit is the whole grid's."""
+
+    @pytest.mark.parametrize("nodata", [NODATA, 0.0], ids=["sentinel-9999", "sentinel-0"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=[f"{r}x{c}" for r, c in SHAPES])
+    def test_matches_whole_grid_bit_for_bit(self, rng, shape, nodata):
+        assert_matches_whole_grid(holey_grid(rng, shape, nodata), holey_grid(rng, shape, nodata))
+
+    @pytest.mark.parametrize("shape", ONE_ROW_SHAPES, ids=[f"{r}x{c}" for r, c in ONE_ROW_SHAPES])
+    def test_one_row_strips(self, rng, monkeypatch, shape):
+        monkeypatch.setattr(correction, "_STRIP_BYTES", 1)
+        stack, calls = correction.window_stack, []
+
+        def counted(grid):
+            calls.append(len(grid.values))
+            return stack(grid)
+
+        monkeypatch.setattr(correction, "window_stack", counted)
+        grid = holey_grid(rng, shape, NODATA)
+        correct(grid)
+        # every strip is one row and its halo
+        assert len(calls) == shape[0]
+        assert max(calls) <= 3
+        assert_matches_whole_grid(grid, holey_grid(rng, shape, NODATA))
+
+    @pytest.mark.parametrize("nodata", [NODATA, 0.0], ids=["sentinel-9999", "sentinel-0"])
+    def test_holes_on_both_sides_of_a_seam(self, rng, monkeypatch, nodata):
+        rows, cols = 13, 11
+        monkeypatch.setattr(correction, "_STRIP_BYTES", 72 * cols * 4)
+        assert strip_rows(cols) == 4
+        values = rng.uniform(1.0, 50.0, size=(rows, cols))
+        values[3, ::2] = nodata  # last row of the first strip
+        values[4, 1::3] = nodata  # first row of the second strip
+        values[7, :] = nodata  # a whole row before the next seam
+        values[8, 5] = nodata
+        grid = HeightGrid(values, nodata=nodata)
+        assert_matches_whole_grid(grid, holey_grid(rng, (rows, cols), nodata))
+
+    def test_peak_memory_stays_under_three_grids(self, rng):
+        shape = (1024, 1024)
+        grid_bytes = 8 * shape[0] * shape[1]
+        noisy = HeightGrid(rng.uniform(-50.0, 50.0, size=shape))
+        target = HeightGrid(rng.uniform(-50.0, 50.0, size=shape))
+        for run in (lambda: correct(noisy), lambda: fit_scale(noisy, target)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a whole-grid window stack alone would be nine grids
+            assert peak < 3 * grid_bytes
+
+    def test_overflow_in_a_late_strip_raises(self):
+        cols = 64
+        k = strip_rows(cols)
+        values = np.ones((3 * k, cols))
+        values[2 * k + k // 2] = 1e300
+        kernel = GaussianKernel(scale=1e20)
+        # the strips before the last smooth to finite heights
+        assert np.isfinite(correct(HeightGrid(values[: 2 * k]), kernel).values).all()
+        # warnings are errors in this suite, so an unsilenced overflow fails too
+        with pytest.raises(ValueError, match="kernel scale 1e\\+20 overflows the corrected height"):
+            correct(HeightGrid(values), kernel)
