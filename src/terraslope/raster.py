@@ -76,8 +76,12 @@ def atomic_output(path: str | os.PathLike, mode: str = "w", **open_kwargs):
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """``arr`` read-only and C-contiguous: an array that owns its data and is
+    read-only already is kept, so it is handed over without a copy; any other
+    is copied, so no later write to the caller's array reaches the result.
+    """
     out = np.ascontiguousarray(arr)
-    if out is arr:
+    if out is arr and (arr.flags.writeable or not arr.flags.owndata):
         out = arr.copy()
     out.flags.writeable = False
     return out
@@ -119,9 +123,9 @@ class HeightGrid:
             raise ValueError(f"cell_size must be > 0, got {self.cell_size}")
         if not np.isfinite(self.nodata):
             raise ValueError("nodata sentinel must be finite")
-        bad = ~np.isfinite(values) & (values != self.nodata)
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
+        if not np.isfinite(values).all():
+            # the sentinel is finite, so every non-finite value is a bad cell
+            r, c = np.argwhere(~np.isfinite(values))[0]
             raise ValueError(
                 f"non-finite value {values[r, c]} at ({r}, {c}) is not the "
                 f"nodata sentinel {self.nodata}"

@@ -425,10 +425,10 @@ def _stage_pass(
     spacing between consecutive planes of any valid pixel (0 if none);
     stage 1 takes it once from its shared vector.
 
-    Tiles are laid out and smoothed from :class:`_Rows` of ``prev`` and of
-    the estimate with ``gt.mask``, so no tile builds or checks a grid; the
-    range checks of ``pixel_range`` and the finiteness checks of the
-    expected height and the spread (nodata off the mask) run on each tile.
+    Tiles are laid out from :class:`_Rows` of ``prev`` with ``gt.mask``, so
+    no tile builds or checks a grid; the range checks of ``pixel_range`` and
+    the finiteness checks of the expected height and the spread (nodata off
+    the mask) run on each tile.
 
     A later stage's tile planes are plane-major, (M, rows, cols), seen
     as a (rows, cols, M) view, so the layout, the softmax's logits and
@@ -444,15 +444,18 @@ def _stage_pass(
     Tiles hold about :data:`TILE_BYTES` of planes.  The tile list is cut in
     two halves at a tile boundary, the seam: the calling thread sweeps the
     top half downward while one worker thread sweeps the bottom half upward,
-    so each half runs toward the seam.  Smoothed row ``r`` needs the
+    so each half runs toward the seam.  Smoothed row ``r`` needs the raw
     estimates of rows ``r-1 .. r+1``, so every tile is settled one tile
-    late: once the next tile's estimate is in, it is smoothed from a strip
-    with a one-row halo and its spread is taken while its planes and
-    probabilities are still at hand.  A half's last tile touches the seam
-    and needs an estimate row from the other half, so each half returns it
-    unsettled, and the caller settles both after the join.  A grid of one
-    tile is swept on the calling thread alone.  When both halves fail, the
-    top half's error is raised.
+    late, and no grid of raw estimates is kept: a swept tile is held with
+    its own estimates and the edge row of the tile swept before it.  Once
+    the next tile's estimate is in, the held tile takes that tile's edge
+    row, is smoothed, and its spread is taken while its planes and
+    probabilities are at hand (the last stage, without a spread, holds
+    neither).  A half's last tile touches the seam, so each half returns it
+    unsettled; after the join the seam tiles take each other's edge row and
+    are settled.  A grid of one tile is swept on the calling thread alone.
+    When both halves fail, the top half's error is raised.  The height is
+    made read-only, so the stage grid adopts it without a copy.
 
     Raises:
         ValueError: a range too wide for float64, or a non-finite expected
@@ -461,8 +464,7 @@ def _stage_pass(
     rows, cols = gt.shape
     swept, nodata = gt.mask, gt.nodata
     m = cfg.plane_count
-    estimate = np.empty(gt.shape)
-    height = np.empty(gt.shape) if cfg.use_height_correction else estimate
+    height = np.empty(gt.shape)
     sigma = np.empty(gt.shape) if with_sigma else None
     step = max(1, TILE_BYTES // (8 * cols * m))
     tiles = [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
@@ -483,23 +485,35 @@ def _stage_pass(
         n_below = _split_counts(m, factors.drop[inner], factors.rise[inner])
         return _guided_planes(center, low, high, n_below, m), valid
 
+    def meet(upper: list, lower: list) -> None:
+        """Give two adjacent tiles' strips, ``upper`` above, each other's edge row.
+
+        A strip is ``[row above, raw estimates, row below]``, a row None until
+        its tile is swept and at the grid's border.
+        """
+        upper[2], lower[0] = lower[1][0], upper[1][-1]
+
     # An overflow leaves a non-finite value, which the checks report in
     # place of numpy's warnings.  The worker thread does not inherit the
     # caller's error state, so each function sets its own.
     @np.errstate(over="ignore", invalid="ignore")
-    def settle(tile: slice, planes: np.ndarray, probs: np.ndarray, valid: np.ndarray) -> None:
+    def settle(tile: slice, strip: list, volume: tuple) -> None:
+        tile_height = strip[1]
         if cfg.use_height_correction:
-            strip, inner = _strip(estimate, swept, tile, nodata)
-            height[tile] = _smooth(strip, BASE_WEIGHTS)[inner]
-        if sigma is not None:
-            spread = _spread(probs, planes, height[tile])
-            spread[~valid] = nodata
+            lo = tile.start - (strip[0] is not None)
+            values = np.vstack([row for row in strip if row is not None])
+            smoothed = _smooth(_Rows(values, swept[lo : lo + len(values)], nodata), BASE_WEIGHTS)
+            tile_height = smoothed[tile.start - lo : tile.stop - lo]
+        height[tile] = tile_height
+        if volume:
+            spread = _spread(*volume, tile_height)
+            spread[~swept[tile]] = nodata
             _check_finite(spread, tile, "height spread")
             sigma[tile] = spread
 
     @np.errstate(over="ignore", invalid="ignore")
     def sweep(part: list[slice]) -> tuple[float, tuple]:
-        """Sweep ``part``; return its widest gap and its last tile, unsettled."""
+        """Sweep ``part`` toward the seam; return its widest gap and its last tile, unsettled."""
         widest = 0.0
         held = None
         for tile in part:
@@ -511,10 +525,12 @@ def _stage_pass(
             est = _expectation(probs, planes)
             est[~valid] = nodata
             _check_finite(est, tile, "expected height")
-            estimate[tile] = est
+            new = tile, [None, est, None], (probs, planes) if sigma is not None else ()
+            del planes, probs  # without a spread, no volume outlives its estimate
             if held is not None:
+                meet(*((held[1], new[1]) if held[0].start < tile.start else (new[1], held[1])))
                 settle(*held)
-            held = tile, planes, probs, valid
+            held = new
         return widest, held
 
     if len(tiles) == 1:
@@ -523,13 +539,14 @@ def _stage_pass(
         with ThreadPoolExecutor(max_workers=1) as pool:
             bottom = pool.submit(sweep, tiles[half:][::-1])
             halves = [sweep(tiles[:half]), bottom.result()]
+        meet(halves[0][1][1], halves[1][1][1])  # the strips of the seam tiles
     for _, held in halves:
         settle(*held)
     # run_pipeline checks that gt has a valid pixel, so stage 1's widest gap
     # is its shared vector's.
     widest = _widest_gaps(shared) if shared is not None else max(w for w, _ in halves)
 
-    del estimate  # HeightGrid copies its input: free the raw estimate before the copy
+    height.flags.writeable = False  # the stage grid adopts it without a copy
     return gt.with_values(height), sigma, float(widest)
 
 
@@ -554,14 +571,16 @@ def run_pipeline(
 
     Memory: every stage is one pass over row tiles of about
     :data:`TILE_BYTES` of planes (:func:`_stage_pass` describes the sweep),
-    so volume memory is a few tiles, not rows * cols * M; the rest is a few
-    (rows, cols) grids.  Each tile lays out its own ranges and planes, so no
-    stage builds whole-grid ranges or slope factors.  Every stage sweeps
-    ``gt``'s valid pixels, and its grid keeps ``gt``'s metadata.  A height
-    equal to ``gt.nodata`` reads as nodata in its grid, since a
-    :class:`~terraslope.raster.HeightGrid` defines validity so, but stays in
-    later stages.  Without such a height the results equal, bit for bit,
-    those of composing the whole-grid functions (the partition module's
+    so volume memory is a few tiles, not rows * cols * M.  The rest is
+    (rows, cols) grids: the earlier stages' heights, the previous spread,
+    the noisy target, and the stage's height and spread; the stage grid
+    adopts its height without a copy.  Each tile lays out its own ranges
+    and planes, so no stage builds whole-grid ranges or slope factors.
+    Every stage sweeps ``gt``'s valid pixels, and its grid keeps ``gt``'s
+    metadata.  A height equal to ``gt.nodata`` reads as nodata in its grid,
+    since a :class:`~terraslope.raster.HeightGrid` defines validity so, but
+    stays in later stages.  Without such a height the results equal, bit for
+    bit, those of composing the whole-grid functions (the partition module's
     ``equal_partition``, ``slope_guided_partition``, ``expected_height`` and
     ``pixel_std``, :func:`oracle_matcher` and :func:`~terraslope.correction.correct`).
 

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 from collections import defaultdict
@@ -33,6 +34,14 @@ def with_holes(gt, share=0.15, seed=3):
     return HeightGrid(np.where(holes, NODATA, gt.values), nodata=NODATA)
 
 
+def with_row_holes(gt, rows):
+    """``gt`` with every third cell of each of ``rows`` set to nodata, offset by row."""
+    values = gt.values.copy()
+    for row in rows:
+        values[row, row % 3 :: 3] = NODATA
+    return HeightGrid(values, nodata=NODATA)
+
+
 def with_nodata_row(gt, row):
     values = gt.values.copy()
     values[row] = NODATA
@@ -61,6 +70,14 @@ GRIDS = {
     "2x40": lambda: fractal(2, 40),
     # row 8 opens a stage-1 (4-row) and a stage-2 (8-row) tile and holds no data
     "nodata-row-18x512": lambda: with_nodata_row(fractal(18, 512), 8),
+    # one-row tiles put the seam after row 0 of two rows and after row 1 of
+    # three; both sides of it have holes
+    "holes-2x40": lambda: with_row_holes(fractal(2, 40), [0, 1]),
+    "holes-3x40": lambda: with_row_holes(fractal(3, 40), [1, 2]),
+    # stage-1 tiles are rows 0-3, 4-7 and 8-11 and stage-2 tiles 0-7 and 8-11,
+    # so the seam is after row 7; one-row tiles put it after row 5.  Holes sit
+    # on both sides of each, and of the tile boundary after row 3
+    "holes-12x512": lambda: with_row_holes(fractal(12, 512), range(3, 9)),
     "1x300": lambda: fractal(1, 300),
     "300x1": lambda: fractal(300, 1),
     "nodata-40x33": lambda: with_holes(fractal(40, 33)),
@@ -189,6 +206,8 @@ def test_default_tiles_split_the_wide_grid():
     # guards the premise of the "18x512" case: several tiles, the last partial
     tile_rows = simulate.TILE_BYTES // (8 * 512 * 64)
     assert 1 < tile_rows < 18 and 18 % tile_rows != 0
+    # ... and of "holes-12x512": three stage-1 tiles of four rows
+    assert tile_rows == 4
 
 
 @pytest.mark.parametrize("one_row_tiles", [False, True], ids=["default-tiles", "one-row-tiles"])
@@ -253,20 +272,38 @@ def test_bottom_half_runs_on_a_second_thread(monkeypatch):
 def test_each_thread_holds_at_most_one_earlier_tile(monkeypatch):
     monkeypatch.setattr(simulate, "TILE_BYTES", 1)
     earlier = defaultdict(list)
-    alive = []
+    alive = defaultdict(list)
     oracle_probs = simulate._oracle_probs
 
-    def tracking(*args):
-        # each stage starts a fresh worker, whose id may repeat an earlier one
-        refs = earlier[threading.get_ident()]
-        alive.append(sum(ref() is not None for ref in refs))
-        probs = oracle_probs(*args)
+    def tracking(planes, *args):
+        # each stage starts a fresh worker, whose id may repeat an earlier
+        # one; the stages' plane counts differ
+        m = planes.shape[-1]
+        refs = earlier[threading.get_ident(), m]
+        alive[m].append(sum(ref() is not None for ref in refs))
+        probs = oracle_probs(planes, *args)
         refs.append(weakref.ref(probs))
         return probs
 
     monkeypatch.setattr(simulate, "_oracle_probs", tracking)
     run_pipeline(fractal(18, 512), (0.0, 200.0 + 1e-9), default_stage_configs(), seed=11)
-    assert max(alive) == 1
+    # a tile's volume waits for its spread; the last stage takes none
+    assert {m: max(counts) for m, counts in alive.items()} == {64: 1, 32: 1, 8: 0}
+
+
+def test_peak_memory_stays_under_six_grids(monkeypatch):
+    # one-row stage-1 and stage-2 tiles, as the default tiles are at 4096 columns
+    monkeypatch.setattr(simulate, "TILE_BYTES", 2**16)
+    gt = fractal(1024, 1024)
+    tracemalloc.start()
+    try:
+        run_pipeline(gt, (0.0, 200.0 + 1e-9), default_stage_configs(), seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the previous stage's height and spread, the target, and the stage's own
+    # height and spread are five grids
+    assert peak < 6.0 * gt.values.nbytes
 
 
 def test_one_tile_grid_runs_on_the_calling_thread(monkeypatch):

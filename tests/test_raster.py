@@ -53,6 +53,10 @@ class TestHeightGrid:
             HeightGrid(np.array([[1.0, np.nan]]))
         with pytest.raises(ValueError, match="non-finite"):
             HeightGrid(np.array([[1.0, np.inf]]))
+        # the message names the first bad cell in row-major order
+        message = f"non-finite value inf at (1, 0) is not the nodata sentinel {NODATA}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            HeightGrid(np.array([[1.0, NODATA], [np.inf, np.nan]]), nodata=NODATA)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["cell_size", "xllcorner", "yllcorner"])
@@ -72,6 +76,22 @@ class TestHeightGrid:
         g = HeightGrid(np.array([[1.0]]))
         with pytest.raises(ValueError):
             g.values[0, 0] = 2.0
+
+    def test_copies_a_writeable_input_or_a_view(self):
+        values = np.array([[1.0, 2.0]])
+        grid = HeightGrid(values)
+        values[0, 0] = 5.0
+        assert grid.values.tolist() == [[1.0, 2.0]]
+        view = values[:, :]
+        view.flags.writeable = False
+        grid = HeightGrid(view)
+        values[0, 1] = 6.0
+        assert grid.values.tolist() == [[5.0, 2.0]]
+
+    def test_keeps_an_owned_read_only_input(self):
+        values = np.array([[1.0, 2.0]])
+        values.flags.writeable = False
+        assert HeightGrid(values).values is values
 
     def test_with_valid_keeps_the_metadata_and_a_sentinel_no_value_equals(self):
         g = HeightGrid(np.zeros((1, 3)), cell_size=2.5, nodata=7.0, xllcorner=500.0, yllcorner=-1.0)
