@@ -94,21 +94,20 @@ def cmd_direction(args: argparse.Namespace) -> int:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     grid = read_ascii_grid(args.input)
-    mask = grid.mask
     if args.pixel is not None:
         r, c = args.pixel
         if not (0 <= r < grid.rows and 0 <= c < grid.cols):
             raise ValueError(f"pixel ({r}, {c}) outside {grid.rows}x{grid.cols} grid")
-        if not mask[r, c]:
+        if not grid.mask[r, c]:
             raise ValueError(f"pixel ({r}, {c}) has no valid height")
-    zero_sigma = grid.with_valid(np.zeros(grid.shape), mask)
+    zero_sigma = grid.with_valid(np.zeros(grid.shape), grid.mask)
     ranges = pixel_range(grid, zero_sigma, args.sigma_floor)
     factors = slope_factor_maps(grid)
     planes = slope_guided_partition(grid, ranges, factors, args.planes)
     # Lower-subrange planes sit strictly below the center estimate.
     below = (planes.planes < grid.values[:, :, None]).sum(axis=2)
-    counts_low = grid.with_valid(below.astype(np.float64), mask)
-    counts_high = grid.with_valid(float(args.planes) - below, mask)
+    counts_low = grid.with_valid(below.astype(np.float64), grid.mask)
+    counts_high = grid.with_valid(float(args.planes) - below, grid.mask)
     write_ascii_grid(counts_low, args.out_prefix + "_lower_count.asc")
     write_ascii_grid(counts_high, args.out_prefix + "_upper_count.asc")
     if args.pixel is not None:

@@ -20,7 +20,7 @@ row strips of :data:`_STRIP_BYTES` of window stack, never a whole-grid stack
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,24 +73,26 @@ def correct(height: HeightGrid, kernel: GaussianKernel = GaussianKernel()) -> He
     """Smooth a height grid with the weighted 3x3 kernel.
 
     Windows use replicate padding at borders, and invalid neighbors
-    contribute the center value; invalid pixels stay invalid.  Row strips
-    are smoothed one at a time into one output grid (see the module).
+    contribute the center value.  Row strips are smoothed one at a time into
+    one output grid (see the module), adopted without a copy by the result,
+    which shares ``height``'s metadata and mask.
 
     Raises:
         ValueError: a kernel scale that takes a smoothed height out of the
             finite range.
     """
-    values, mask, weights = height.values, height.mask, kernel.weights
+    weights = kernel.weights
     step = max(1, _STRIP_BYTES // (72 * height.cols))
     smoothed = np.empty(height.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, height.rows, step):
             tile = slice(start, min(start + step, height.rows))
-            strip, inner = _strip(values, mask, tile, height.nodata)
+            strip, inner = _strip(height.values, height.mask, tile, height.nodata)
             smoothed[tile] = _smooth(strip, weights)[inner]
     if not np.isfinite(smoothed).all():
         raise ValueError(f"kernel scale {kernel.scale} overflows the corrected height")
-    return height.with_values(smoothed)
+    smoothed.flags.writeable = False  # the grid adopts it without a copy
+    return replace(height, values=smoothed)
 
 
 def fit_scale(noisy: HeightGrid, target: HeightGrid) -> GaussianKernel:

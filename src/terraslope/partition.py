@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import NODATA_DEFAULT, HeightGrid, _freeze
+from .raster import HeightGrid, _freeze, _freeze_mask
 from .slope import SlopeFactors
 
 _PROB_SUM_TOL = 1e-9
@@ -62,33 +62,25 @@ class HypothesisPlanes:
     """Per-pixel sorted candidate heights, shape (rows, cols, M).
 
     ``mask`` marks pixels whose planes are meaningful; planes within a
-    valid pixel are non-decreasing.  ``cell_size``/``nodata`` carry the
-    metadata of the grid the planes were derived from, so height maps
-    regressed from these planes inherit it.
+    valid pixel are non-decreasing.
     """
 
     planes: np.ndarray
     mask: np.ndarray
-    cell_size: float = 1.0
-    nodata: float = NODATA_DEFAULT
 
     def __post_init__(self) -> None:
         planes = np.asarray(self.planes, dtype=np.float64)
-        mask = np.asarray(self.mask, dtype=bool)
         if planes.ndim != 3:
             raise ValueError(f"planes must be (rows, cols, M), got {planes.shape}")
         if planes.shape[2] < 1:
             raise ValueError("at least one plane per pixel required")
-        if mask.shape != planes.shape[:2]:
-            raise ValueError(
-                f"mask shape {mask.shape} does not match grid {planes.shape[:2]}"
-            )
+        mask = _freeze_mask(self.mask, planes.shape[:2])
         if mask.any():
             diffs = np.diff(planes[mask], axis=-1)
             if diffs.size and not (diffs.min() >= 0):
                 raise ValueError("planes must be non-decreasing within each pixel")
         object.__setattr__(self, "planes", _freeze(planes))
-        object.__setattr__(self, "mask", _freeze(mask))
+        object.__setattr__(self, "mask", mask)
 
     @property
     def plane_count(self) -> int:
@@ -108,13 +100,9 @@ class ProbabilityVolume:
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=np.float64)
-        mask = np.asarray(self.mask, dtype=bool)
         if probs.ndim != 3:
             raise ValueError(f"probs must be (rows, cols, M), got {probs.shape}")
-        if mask.shape != probs.shape[:2]:
-            raise ValueError(
-                f"mask shape {mask.shape} does not match grid {probs.shape[:2]}"
-            )
+        mask = _freeze_mask(self.mask, probs.shape[:2])
         if probs.size and probs.min() < 0:
             raise ValueError("probabilities must be non-negative")
         if mask.any():
@@ -126,7 +114,7 @@ class ProbabilityVolume:
                     f"(worst deviation {err:.3e})"
                 )
         object.__setattr__(self, "probs", _freeze(probs))
-        object.__setattr__(self, "mask", _freeze(mask))
+        object.__setattr__(self, "mask", mask)
 
 
 @dataclass(frozen=True)
@@ -135,14 +123,11 @@ class PixelRanges:
 
     At valid pixels ``low <= high`` and the bounds and the width are finite;
     the half-width is the (floored) per-pixel uncertainty.
-    ``cell_size``/``nodata`` carry the metadata of the originating height grid.
     """
 
     low: np.ndarray
     high: np.ndarray
     mask: np.ndarray
-    cell_size: float = 1.0
-    nodata: float = NODATA_DEFAULT
 
     def __post_init__(self) -> None:
         low = np.asarray(self.low, dtype=np.float64)
@@ -186,16 +171,20 @@ def _spread(probs: np.ndarray, planes: np.ndarray, center: np.ndarray) -> np.nda
     return np.sqrt(np.maximum(var, 0.0))
 
 
-def expected_height(planes: HypothesisPlanes, probs: ProbabilityVolume) -> HeightGrid:
-    """Probability-weighted mean height per pixel (soft-argmax regression)."""
+def expected_height(
+    planes: HypothesisPlanes, probs: ProbabilityVolume, like: HeightGrid
+) -> HeightGrid:
+    """Probability-weighted mean height per pixel (soft-argmax regression).
+
+    Valid where both volumes are, with ``like``'s metadata, normally that of
+    the grid the planes came from (:meth:`~terraslope.raster.HeightGrid.with_valid`).
+    """
     if planes.planes.shape != probs.probs.shape:
         raise ValueError(
             f"planes {planes.planes.shape} and probs {probs.probs.shape} differ"
         )
     height = _expectation(probs.probs, planes.planes)
-    mask = planes.mask & probs.mask
-    height[~mask] = planes.nodata
-    return HeightGrid(height, cell_size=planes.cell_size, nodata=planes.nodata)
+    return like.with_valid(height, planes.mask & probs.mask)
 
 
 def pixel_std(
@@ -205,9 +194,8 @@ def pixel_std(
 
     ``height`` is normally :func:`expected_height` of the same volume, but
     any externally supplied estimate with matching dimensions is accepted.
-    The result takes ``height``'s metadata and sentinel, or ``NODATA_DEFAULT``
-    where a spread equals that sentinel
-    (:meth:`~terraslope.raster.HeightGrid.with_valid`).
+    The result is valid where the volumes and ``height`` are, and takes
+    ``height``'s metadata (:meth:`~terraslope.raster.HeightGrid.with_valid`).
     """
     if planes.planes.shape != probs.probs.shape:
         raise ValueError(
@@ -238,9 +226,7 @@ def pixel_range(
     if not (np.isfinite(sigma_floor) and sigma_floor >= 0):
         raise ValueError(f"sigma_floor must be finite and >= 0, got {sigma_floor}")
     mask, _, low, high = _pixel_range(height, sigma, sigma_floor)
-    return PixelRanges(
-        low=low, high=high, mask=mask, cell_size=height.cell_size, nodata=height.nodata
-    )
+    return PixelRanges(low=low, high=high, mask=mask)
 
 
 def _pixel_range(height, sigma, sigma_floor: float) -> tuple[np.ndarray, ...]:
@@ -356,9 +342,7 @@ def slope_guided_partition(
     _check_volume(height.shape, plane_count)
     center, low, high = (np.where(mask, v, 0.0) for v in (height.values, ranges.low, ranges.high))
     planes = _guided_planes(center, low, high, _split_counts(plane_count, drop, rise), plane_count)
-    return HypothesisPlanes(
-        planes=planes, mask=mask, cell_size=height.cell_size, nodata=height.nodata
-    )
+    return HypothesisPlanes(planes=planes, mask=mask)
 
 
 def _equal_planes(low, high, plane_count: int) -> np.ndarray:
@@ -390,8 +374,5 @@ def equal_partition(ranges: PixelRanges, plane_count: int) -> HypothesisPlanes:
         raise ValueError(f"plane_count must be >= 2, got {plane_count}")
     _check_volume(ranges.shape, plane_count)
     return HypothesisPlanes(
-        planes=_equal_planes(ranges.low, ranges.high, plane_count),
-        mask=ranges.mask,
-        cell_size=ranges.cell_size,
-        nodata=ranges.nodata,
+        planes=_equal_planes(ranges.low, ranges.high, plane_count), mask=ranges.mask
     )

@@ -2,8 +2,9 @@
 
 A :class:`HeightGrid` is the universal carrier throughout the package: it
 holds height maps, slope maps, and DSMs as row-major 2D float64 arrays with
-an explicit nodata sentinel.  Validity of a cell is defined as "value is not
-exactly the sentinel"; every other stored value must be finite.
+a stored validity mask and a nodata sentinel: a grid built or read without
+a mask computes it once from the sentinel, and a derived grid passes its
+mask on (see :class:`HeightGrid`).  Every stored value must be finite.
 
 File formats:
 
@@ -19,7 +20,8 @@ File formats:
   body is read more than twice.  The writer formats the body a block of
   rows at a time from tables of digit-group tokens, byte for byte as
   ``'%.6g' % v``; a cell near a rounding tie or in exponent notation goes
-  to Python's ``%.6g``, one ``%`` per block.
+  to Python's ``%.6g``, one ``%`` per block.  The writer alone picks the
+  written sentinel, so every valid cell reads back valid.
 * Binary PGM (``P5``) -- quick-look 8-bit rendering of any grid.
 
 All types are immutable after construction (arrays are marked read-only),
@@ -87,17 +89,29 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _freeze_mask(mask, shape: tuple[int, ...]) -> np.ndarray:
+    """``mask`` as a boolean array, which must have ``shape``, frozen as :func:`_freeze` does."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != shape:
+        raise ValueError(f"mask shape {mask.shape} does not match grid {shape}")
+    return _freeze(mask)
+
+
 @dataclass(frozen=True)
 class HeightGrid:
-    """2D raster of heights in meters with a nodata sentinel.
+    """2D raster of heights in meters with a validity mask and a nodata sentinel.
 
     Attributes:
         values: (rows, cols) float64 array; read-only after construction.
         cell_size: ground size of one cell in meters, finite and > 0.
-        nodata: sentinel marking invalid cells. Must be finite so that
-            validity can be decided by exact equality.
+        nodata: finite sentinel that invalid cells hold, and the one a
+            grid without a given mask is validated against.
         xllcorner, yllcorner: finite world coordinates of the lower-left
             corner (metadata only; carried through file round trips).
+        mask: (rows, cols) read-only boolean validity, True where the cell
+            holds a real height.  Computed once, as the cells not exactly
+            ``nodata``, when not given; a given mask is kept as ``values``
+            are, so ``replace(grid, values=v)`` shares ``grid``'s mask.
 
     The grid origin is the top-left pixel; row index increases downward.
     """
@@ -107,6 +121,7 @@ class HeightGrid:
     nodata: float = NODATA_DEFAULT
     xllcorner: float = 0.0
     yllcorner: float = 0.0
+    mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -130,7 +145,13 @@ class HeightGrid:
                 f"non-finite value {values[r, c]} at ({r}, {c}) is not the "
                 f"nodata sentinel {self.nodata}"
             )
+        if self.mask is None:
+            mask = values != self.nodata
+            mask.flags.writeable = False  # this grid's own: kept without a copy
+        else:
+            mask = _freeze_mask(self.mask, values.shape)
         object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "mask", mask)
 
     @property
     def rows(self) -> int:
@@ -145,37 +166,19 @@ class HeightGrid:
         return self.values.shape
 
     @property
-    def mask(self) -> np.ndarray:
-        """Boolean validity mask: True where the cell holds a real height."""
-        return self.values != self.nodata
-
-    @property
     def valid_count(self) -> int:
         return int(self.mask.sum())
 
     def with_values(self, values: np.ndarray) -> "HeightGrid":
-        """New grid with the same metadata but different cell values."""
-        return HeightGrid(
-            values,
-            cell_size=self.cell_size,
-            nodata=self.nodata,
-            xllcorner=self.xllcorner,
-            yllcorner=self.yllcorner,
-        )
+        """New grid with the same metadata and new values, its mask computed from the sentinel."""
+        return replace(self, values=values, mask=None)
 
     def with_valid(self, values: np.ndarray, mask: np.ndarray) -> "HeightGrid":
-        """New grid of a non-negative map derived from this one: ``values`` where ``mask`` holds.
-
-        Cells outside ``mask`` get the sentinel, and the new grid keeps this
-        grid's metadata.  The sentinel is this grid's unless a value at
-        ``mask`` equals it (a slope of 0 under ``NODATA_VALUE 0``); then it
-        is :data:`NODATA_DEFAULT`, which no non-negative value equals, so
-        every cell of ``mask`` stays valid.
-        """
-        nodata = self.nodata
-        if ((values == nodata) & mask).any():
-            nodata = NODATA_DEFAULT
-        return replace(self, values=np.where(mask, values, nodata), nodata=nodata)
+        """New grid with this grid's metadata, valid where ``mask`` holds: ``values`` there,
+        the sentinel elsewhere."""
+        filled = np.where(mask, values, self.nodata)
+        filled.flags.writeable = False  # the new grid adopts it without a copy
+        return replace(self, values=filled, mask=mask)
 
 
 #: Direction codes for the position of the 3x3 neighborhood maximum.
@@ -207,17 +210,13 @@ class SlopeDirectionGrid:
 
     def __post_init__(self) -> None:
         codes = np.asarray(self.codes, dtype=np.int64)
-        mask = np.asarray(self.mask, dtype=bool)
         if codes.ndim != 2:
             raise ValueError(f"direction codes must be 2D, got {codes.shape}")
-        if codes.shape != mask.shape:
-            raise ValueError(
-                f"mask shape {mask.shape} does not match codes {codes.shape}"
-            )
+        mask = _freeze_mask(self.mask, codes.shape)
         if codes.size and (codes.min() < 0 or codes.max() > 8):
             raise ValueError("direction codes must lie in 0..8")
         object.__setattr__(self, "codes", _freeze(codes))
-        object.__setattr__(self, "mask", _freeze(mask))
+        object.__setattr__(self, "mask", mask)
 
 
 def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
@@ -311,8 +310,11 @@ def read_ascii_grid(path: str | os.PathLike) -> HeightGrid:
         raise GridFormatError(
             f"not an ASCII file: byte {exc.object[exc.start]:#04x}"
         ) from None
+    # In place, so the grid adopts loadtxt's array; the line loop's view is copied.
+    flat.shape = (rows, cols)
+    flat.flags.writeable = False
     return HeightGrid(
-        flat.reshape(rows, cols),
+        flat,
         cell_size=header["cellsize"],
         nodata=nodata,
         xllcorner=header["xllcorner"],
@@ -457,7 +459,7 @@ def _format_fallback(text: bytes, values: np.ndarray) -> bytes:
     return text % tuple(values.tolist())
 
 
-def _format_body(grid: HeightGrid) -> Iterator[bytes]:
+def _format_body(grid: HeightGrid, token: str) -> Iterator[bytes]:
     """The body of ``grid``'s ASCII file, a block of rows at a time.
 
     Byte for byte what ``'%.6g' % v`` writes for every cell, a space
@@ -469,14 +471,13 @@ def _format_body(grid: HeightGrid) -> Iterator[bytes]:
     :func:`_token_tables`.  The rest -- a cell within 1e-6 of a tie, one
     in exponent notation, or one whose exponent ``log10`` misjudged next to
     a power of ten -- is written by Python's ``%.6g`` over the block's
-    placeholders in one ``%``.  Nodata cells, found by mask, take the
-    NODATA_VALUE token.
+    placeholders in one ``%``.  Cells outside ``grid.mask`` take the
+    NODATA_VALUE ``token``.
     """
     heads, tails = _token_tables()
     values = grid.values
     rows, cols = values.shape
     last = np.arange(cols) == cols - 1
-    token = _format_value(grid.nodata)
     hole_row = np.where(last, token + "\n", token + " ").astype(f"S{_CELL.itemsize}")
     step = max(1, _BLOCK_CELLS // cols)
     for start in range(0, rows, step):
@@ -497,7 +498,7 @@ def _format_body(grid: HeightGrid) -> Iterator[bytes]:
         cells["sign"] = np.where(np.signbit(block) & fast, b"-", b"")
         cells["head"] = heads.take(high + 1001 * ((low == 0) + 2 * k))
         cells["tail"] = tails.take(low + 1000 * (last + 2 * k))
-        holes = block == grid.nodata
+        holes = ~grid.mask[start : start + step]
         if holes.any():
             cells.view(hole_row.dtype)[holes] = np.broadcast_to(hole_row, block.shape)[holes]
             fast |= holes
@@ -507,25 +508,51 @@ def _format_body(grid: HeightGrid) -> Iterator[bytes]:
         yield text
 
 
+def _nodata_token(grid: HeightGrid) -> str:
+    """The NODATA_VALUE token :func:`write_ascii_grid` writes ``grid`` with."""
+    clashes = []
+    for token in dict.fromkeys(map(_format_value, (grid.nodata, NODATA_DEFAULT))):
+        # A valid cell reads back as the sentinel only if its 6-digit token is the
+        # sentinel's, so it lies within half a unit of that token's last digit:
+        # one vectorised pass keeps those cells, and only they are formatted.
+        sentinel = float(token)
+        reach = 0.5000001 * 10.0 ** (int(f"{sentinel:.5e}".partition("e")[2]) - 5)
+        near = (grid.values >= sentinel - reach) & (grid.values <= sentinel + reach) & grid.mask
+        for r, c in np.argwhere(near).tolist():
+            v = float(grid.values[r, c])
+            if float(_format_value(v)) == sentinel:
+                clashes.append(f"valid cell ({r}, {c}) = {v!r} writes as {token}")
+                break
+        else:
+            return token
+    raise ValueError("no nodata token is free: " + "; ".join(clashes))
+
+
 def write_ascii_grid(grid: HeightGrid, path: str | os.PathLike) -> None:
     """Write ``grid`` as an ESRI ASCII grid file.
 
     Values are written with 6 significant digits, byte for byte as
-    ``'%.6g' % v`` writes them (see :func:`_format_body`); nodata cells are
-    written with the exact token used in the NODATA_VALUE header line, so
-    the validity mask survives a round trip.
+    ``'%.6g' % v`` writes them (see :func:`_format_body`).  Cells outside
+    ``grid.mask`` are written with the NODATA_VALUE token, which is
+    ``grid.nodata``'s unless a valid cell would read back as it, then
+    ``NODATA_DEFAULT``'s, so the mask survives a round trip.
+
+    Raises:
+        ValueError: valid cells that would read back as either sentinel (the
+            message names one of each); nothing is written then.
     """
+    token = _nodata_token(grid)
     header = (
         f"NCOLS {grid.cols}\n"
         f"NROWS {grid.rows}\n"
         f"XLLCORNER {_format_value(grid.xllcorner)}\n"
         f"YLLCORNER {_format_value(grid.yllcorner)}\n"
         f"CELLSIZE {_format_value(grid.cell_size)}\n"
-        f"NODATA_VALUE {_format_value(grid.nodata)}\n"
+        f"NODATA_VALUE {token}\n"
     )
     with atomic_output(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.writelines(_format_body(grid))
+        fh.writelines(_format_body(grid, token))
 
 
 def render_pgm(grid: HeightGrid, path: str | os.PathLike, lo: float, hi: float) -> None:

@@ -455,7 +455,8 @@ def _stage_pass(
     unsettled; after the join the seam tiles take each other's edge row and
     are settled.  A grid of one tile is swept on the calling thread alone.
     When both halves fail, the top half's error is raised.  The height is
-    made read-only, so the stage grid adopts it without a copy.
+    made read-only, so the stage grid, which shares ``gt``'s metadata and
+    mask, adopts it without a copy.
 
     Raises:
         ValueError: a range too wide for float64, or a non-finite expected
@@ -547,7 +548,7 @@ def _stage_pass(
     widest = _widest_gaps(shared) if shared is not None else max(w for w, _ in halves)
 
     height.flags.writeable = False  # the stage grid adopts it without a copy
-    return gt.with_values(height), sigma, float(widest)
+    return replace(gt, values=height), sigma, float(widest)
 
 
 def run_pipeline(
@@ -573,14 +574,10 @@ def run_pipeline(
     :data:`TILE_BYTES` of planes (:func:`_stage_pass` describes the sweep),
     so volume memory is a few tiles, not rows * cols * M.  The rest is
     (rows, cols) grids: the earlier stages' heights, the previous spread,
-    the noisy target, and the stage's height and spread; the stage grid
-    adopts its height without a copy.  Each tile lays out its own ranges
-    and planes, so no stage builds whole-grid ranges or slope factors.
-    Every stage sweeps ``gt``'s valid pixels, and its grid keeps ``gt``'s
-    metadata.  A height equal to ``gt.nodata`` reads as nodata in its grid,
-    since a :class:`~terraslope.raster.HeightGrid` defines validity so, but
-    stays in later stages.  Without such a height the results equal, bit for
-    bit, those of composing the whole-grid functions (the partition module's
+    the noisy target, and the stage's height and spread.  Every stage
+    sweeps ``gt``'s valid pixels, and its grid keeps ``gt``'s metadata and
+    mask.  The results equal, bit for bit, those of composing the
+    whole-grid functions (the partition module's
     ``equal_partition``, ``slope_guided_partition``, ``expected_height`` and
     ``pixel_std``, :func:`oracle_matcher` and :func:`~terraslope.correction.correct`).
 

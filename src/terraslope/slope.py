@@ -109,9 +109,8 @@ def window_stack(grid: HeightGrid) -> np.ndarray:
     smoothing kernel of :mod:`terraslope.correction`, runs on row strips.
     """
     values = grid.values
-    valid = grid.mask
     padded = _pad_edge(values)
-    padded_valid = _pad_edge(valid)
+    padded_valid = _pad_edge(grid.mask)
     rows, cols = values.shape
     stack = np.empty((rows, cols, 9), dtype=np.float64)
     for k, (dr, dc) in enumerate(_OFFSETS):
@@ -154,17 +153,15 @@ def _check_overflow(diff: np.ndarray, mask: np.ndarray, what: str) -> None:
 def slope_map(grid: HeightGrid) -> HeightGrid:
     """Per-pixel slope: |3x3 neighborhood max - center|, in meters.
 
-    Invalid pixels propagate nodata.  The result shares dimensions and
-    metadata with the input, and its sentinel unless a slope equals it
-    (see :meth:`~terraslope.raster.HeightGrid.with_valid`).
+    Invalid pixels propagate nodata.  The result shares dimensions, metadata
+    and mask with the input (:meth:`~terraslope.raster.HeightGrid.with_valid`).
 
     Raises:
         ValueError: a slope beyond the float64 range at a valid pixel.
     """
-    mask = grid.mask
-    slope = np.abs(_fold(_window_views(grid.values, mask, -np.inf), np.maximum) - grid.values)
-    _check_overflow(slope, mask, "slope")
-    return grid.with_valid(slope, mask)
+    slope = np.abs(_fold(_window_views(grid.values, grid.mask, -np.inf), np.maximum) - grid.values)
+    _check_overflow(slope, grid.mask, "slope")
+    return grid.with_valid(slope, grid.mask)
 
 
 def slope_direction_map(grid: HeightGrid) -> SlopeDirectionGrid:
@@ -175,15 +172,14 @@ def slope_direction_map(grid: HeightGrid) -> SlopeDirectionGrid:
     index wins ties and the code is ``8 - index``, which maps the window
     corners/edges onto the 0..8 direction table.
     """
-    mask = grid.mask
-    views = _window_views(grid.values, mask, -np.inf)
+    views = _window_views(grid.values, grid.mask, -np.inf)
     peak = _fold(views, np.maximum)
     codes = np.full(grid.shape, 4, dtype=np.int64)
     # Highest index first, so the smallest index attaining the peak is written last.
     for k in range(8, -1, -1):
         codes[views[k] == peak] = 8 - k
-    codes[(views[4] == peak) | ~mask] = 4
-    return SlopeDirectionGrid(codes=codes, mask=mask)
+    codes[(views[4] == peak) | ~grid.mask] = 4
+    return SlopeDirectionGrid(codes=codes, mask=grid.mask)
 
 
 @np.errstate(over="ignore")
@@ -196,12 +192,12 @@ def slope_factor_maps(grid: HeightGrid) -> SlopeFactors:
     Raises:
         ValueError: a factor beyond the float64 range at a valid pixel.
     """
-    values, mask = grid.values, grid.mask
-    rise = np.abs(_fold(_window_views(values, mask, -np.inf), np.maximum) - values)
+    values = grid.values
+    rise = np.abs(_fold(_window_views(values, grid.mask, -np.inf), np.maximum) - values)
     # A drop from a to b overflows only where the rise from b to a does.
-    _check_overflow(rise, mask, "rise slope factor")
-    drop = np.abs(_fold(_window_views(values, mask, np.inf), np.minimum) - values)
-    invalid = ~mask
+    _check_overflow(rise, grid.mask, "rise slope factor")
+    drop = np.abs(_fold(_window_views(values, grid.mask, np.inf), np.minimum) - values)
+    invalid = ~grid.mask
     rise[invalid] = 0.0
     drop[invalid] = 0.0
     return SlopeFactors(rise=rise, drop=drop)
@@ -210,9 +206,7 @@ def slope_factor_maps(grid: HeightGrid) -> SlopeFactors:
 def direction_as_grid(dirs: SlopeDirectionGrid, like: HeightGrid) -> HeightGrid:
     """Direction codes as a height grid, for ASCII/PGM serialization.
 
-    Codes become float cell values; masked-out cells become ``like``'s
-    nodata sentinel, or ``NODATA_DEFAULT`` where a valid code equals it
-    (see :meth:`~terraslope.raster.HeightGrid.with_valid`).  Metadata
-    (cell size, corners) is taken from ``like``.
+    Codes become float cell values, valid where ``dirs.mask`` holds, with
+    ``like``'s metadata (:meth:`~terraslope.raster.HeightGrid.with_valid`).
     """
     return like.with_valid(dirs.codes.astype(np.float64), dirs.mask)

@@ -167,8 +167,8 @@ def reference_smooth(grid, weights):
 def cell_loop_ascii_text(grid):
     """ESRI ASCII grid text of ``grid``, formatting each cell on its own.
 
-    Every number goes through ``f"{v:.6g}"``; a cell that compares equal to
-    the sentinel is written as the NODATA_VALUE token.
+    Every number goes through ``f"{v:.6g}"``; a cell outside the grid's
+    mask is written as the NODATA_VALUE token of its sentinel.
     """
     token = f"{grid.nodata:.6g}"
     lines = [
@@ -179,8 +179,8 @@ def cell_loop_ascii_text(grid):
         f"CELLSIZE {grid.cell_size:.6g}",
         f"NODATA_VALUE {token}",
     ]
-    for row in grid.values.tolist():
-        lines.append(" ".join(token if v == grid.nodata else f"{v:.6g}" for v in row))
+    for row, valid in zip(grid.values.tolist(), grid.mask.tolist()):
+        lines.append(" ".join(f"{v:.6g}" if ok else token for v, ok in zip(row, valid)))
     return "\n".join(lines) + "\n"
 
 
@@ -342,11 +342,7 @@ def reference_pipeline(gt, global_range, stages, seed=0):
     for stage_index, cfg in enumerate(stages):
         if stage_index == 0:
             ranges = PixelRanges(
-                low=np.full(gt.shape, low),
-                high=np.full(gt.shape, high),
-                mask=gt.mask,
-                cell_size=gt.cell_size,
-                nodata=gt.nodata,
+                low=np.full(gt.shape, low), high=np.full(gt.shape, high), mask=gt.mask
             )
             planes = equal_partition(ranges, cfg.plane_count)
         else:
@@ -360,7 +356,7 @@ def reference_pipeline(gt, global_range, stages, seed=0):
         probs = oracle_matcher(
             planes, gt, cfg.temperature, cfg.noise, seed=len(stages) * seed + stage_index
         )
-        height = expected_height(planes, probs)
+        height = expected_height(planes, probs, like=gt)
         if cfg.use_height_correction:
             height = correct(height, GaussianKernel(scale=1.0))
         heights.append(height)

@@ -220,6 +220,30 @@ class TestSentinelZero:
         assert np.array_equal(lower.mask, mask) and np.array_equal(upper.mask, mask)
         np.testing.assert_array_equal(lower.values[mask] + upper.values[mask], 4.0)
 
+    def test_correct_keeps_a_smoothed_value_equal_to_the_sentinel(self, tmp_path):
+        grid = tmp_path / "g.asc"
+        grid.write_text(
+            "NCOLS 3\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\nNODATA_VALUE 0\n1 -1 1\n"
+        )
+        out = tmp_path / "out.asc"
+        assert run(["correct", grid, out]) == 0
+        back = read_ascii_grid(out)
+        assert back.mask.all() and back.values.tolist() == [[0.5, 0.0, 0.5]]
+        assert back.nodata == -9999.0
+
+    def test_correct_exits_3_when_both_sentinels_collide(self, tmp_path, capsys):
+        # smoothed, (0, 4) is 0, the grid's sentinel, and (0, 0) is -9999, the fallback
+        grid = tmp_path / "g.asc"
+        grid.write_text(
+            "NCOLS 6\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\nNODATA_VALUE 0\n"
+            "-9999 -9999 -9999 1 -1 1\n"
+        )
+        assert run(["correct", grid, tmp_path / "out.asc"]) == 3
+        err = capsys.readouterr().err
+        assert "valid cell (0, 4) = 0.0 writes as 0" in err
+        assert "valid cell (0, 0) = -9999.0 writes as -9999" in err
+        assert sorted(tmp_path.iterdir()) == [grid]
+
 
 class TestCorrectCommand:
     def test_scale_one_on_constant_grid(self, tmp_path):

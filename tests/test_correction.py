@@ -255,6 +255,18 @@ class TestStreamedSmoothing:
             # a whole-grid window stack alone would be nine grids
             assert peak < 3 * grid_bytes
 
+    def test_result_adopts_its_output_and_shares_the_mask(self, rng):
+        noisy = HeightGrid(rng.uniform(-50.0, 50.0, size=(1024, 1024)))
+        tracemalloc.start()
+        try:
+            out = correct(noisy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output and a strip's stack; a copy of the output would be two grids
+        assert peak < 1.5 * noisy.values.nbytes
+        assert out.mask is noisy.mask
+
     def test_overflow_in_a_late_strip_raises(self):
         cols = 64
         k = strip_rows(cols)

@@ -21,6 +21,9 @@ from terraslope.partition import VOLUME_BUDGET_BYTES, _check_volume
 from conftest import NODATA
 from oracles import scalar_partition, scalar_split
 
+#: The one-pixel grid whose metadata the expected heights of 1x1 volumes take.
+PIXEL = HeightGrid(np.zeros((1, 1)))
+
 
 def single_pixel_ranges(low, high):
     return PixelRanges(
@@ -100,21 +103,31 @@ class TestExpectedHeight:
 
     def test_one_hot(self):
         planes, probs = self.make([1.0, 5.0, 9.0], [0.0, 0.0, 1.0])
-        assert expected_height(planes, probs).values[0, 0] == 9.0
+        assert expected_height(planes, probs, like=PIXEL).values[0, 0] == 9.0
 
     def test_uniform_over_pair(self):
         planes, probs = self.make([0.0, 10.0], [0.5, 0.5])
-        assert expected_height(planes, probs).values[0, 0] == 5.0
+        assert expected_height(planes, probs, like=PIXEL).values[0, 0] == 5.0
 
     def test_weighted_pair(self):
         planes, probs = self.make([100.0, 104.0], [0.25, 0.75])
-        assert expected_height(planes, probs).values[0, 0] == 103.0
+        assert expected_height(planes, probs, like=PIXEL).values[0, 0] == 103.0
+
+    def test_takes_the_metadata_of_like(self):
+        planes, probs = self.make([1.0, 5.0], [0.0, 1.0])
+        gt = HeightGrid(
+            np.zeros((1, 1)), cell_size=2.5, nodata=5.0, xllcorner=500.0, yllcorner=-250.0
+        )
+        h = expected_height(planes, probs, like=gt)
+        assert (h.cell_size, h.nodata, h.xllcorner, h.yllcorner) == (2.5, 5.0, 500.0, -250.0)
+        # a height equal to the sentinel stays valid
+        assert h.values.tolist() == [[5.0]] and h.mask.all()
 
     def test_dimension_mismatch(self):
         planes, _ = self.make([0.0, 1.0], [0.5, 0.5])
         _, probs = self.make([0.0, 1.0, 2.0], [0.2, 0.3, 0.5])
         with pytest.raises(ValueError):
-            expected_height(planes, probs)
+            expected_height(planes, probs, like=PIXEL)
 
 
 class TestPixelStd:
@@ -129,17 +142,17 @@ class TestPixelStd:
 
     def test_one_hot_zero_std(self):
         planes, probs = self.make([1.0, 5.0], [1.0, 0.0])
-        h = expected_height(planes, probs)
+        h = expected_height(planes, probs, like=PIXEL)
         assert pixel_std(planes, probs, h).values[0, 0] == 0.0
 
     def test_uniform_pair(self):
         planes, probs = self.make([0.0, 10.0], [0.5, 0.5])
-        h = expected_height(planes, probs)
+        h = expected_height(planes, probs, like=PIXEL)
         assert pixel_std(planes, probs, h).values[0, 0] == 5.0
 
     def test_weighted_pair(self):
         planes, probs = self.make([100.0, 104.0], [0.25, 0.75])
-        h = expected_height(planes, probs)
+        h = expected_height(planes, probs, like=PIXEL)
         assert pixel_std(planes, probs, h).values[0, 0] == pytest.approx(
             np.sqrt(3.0), abs=1e-12
         )
@@ -151,7 +164,7 @@ class TestPixelStd:
             w = rng.uniform(0.01, 1.0, m)
             w /= w.sum()
             planes, probs = self.make(planes_v, w)
-            h = expected_height(planes, probs)
+            h = expected_height(planes, probs, like=PIXEL)
             sigma = pixel_std(planes, probs, h)
             mean = float(np.dot(w, planes_v))
             std = float(np.sqrt(np.dot(w, (planes_v - mean) ** 2)))

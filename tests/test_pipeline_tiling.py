@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from terraslope import HeightGrid, TerrainSpec, default_stage_configs, generate_terrain
+from terraslope import read_ascii_grid
 from terraslope import losses, simulate, slope
 from terraslope.losses import loss_report
 from terraslope.simulate import ABLATION_ARMS, StageConfig, run_pipeline
@@ -89,6 +90,7 @@ GRIDS = {
 def assert_identical(result, expected, gt):
     for got, want in zip(result.heights, expected.heights, strict=True):
         assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.mask, want.mask)
         assert np.array_equal(slope_map(got).values, slope_map(want).values)
         got_dir, want_dir = slope_direction_map(got), slope_direction_map(want)
         assert np.array_equal(got_dir.codes, want_dir.codes)
@@ -160,11 +162,31 @@ def test_spreads_equal_to_the_sentinel_stay_in_the_cascade(arm, monkeypatch):
 
 def test_stage_grids_keep_the_ground_truth_metadata():
     gt = replace(fractal(18, 40), cell_size=2.5, nodata=-1.0, xllcorner=500.0, yllcorner=-250.0)
-    result = run_pipeline(gt, (0.0, 200.0 + 1e-9), default_stage_configs(), seed=11)
-    for height in result.heights:
+    stages = default_stage_configs()
+    result = run_pipeline(gt, (0.0, 200.0 + 1e-9), stages, seed=11)
+    expected = reference_pipeline(gt, (0.0, 200.0 + 1e-9), stages, seed=11)
+    for height in result.heights + expected.heights:
         assert (height.cell_size, height.nodata, height.xllcorner, height.yllcorner) == (
             2.5, -1.0, 500.0, -250.0
         )
+    assert all(height.mask is gt.mask for height in result.heights)
+
+
+def test_stage_heights_equal_to_the_sentinel_stay_valid(tmp_path):
+    # the sentinel is stage 1's plane 20, 71.666..., and (3, 5) lies 0.01 m
+    # from it, so the sharp baseline matcher puts all its weight there
+    values = np.tile(np.linspace(20.0, 200.0, 16), (16, 1))
+    values[3, 5] = 71.6767
+    gt = HeightGrid(values, nodata=float(simulate._equal_planes(5.0, 215.0, 64)[20]))
+    stages = sharp_stages()
+    result = run_pipeline(gt, (5.0, 215.0), stages)
+    first = result.heights[0]
+    assert gt.mask.all() and first.values[3, 5] == gt.nodata  # the premise
+    assert first.valid_count == 256
+    assert_identical(result, reference_pipeline(gt, (5.0, 215.0), stages), gt)
+    simulate.write_run_directory(result, gt, (5.0, 215.0), tmp_path)
+    for stage in (1, 2, 3):
+        assert read_ascii_grid(tmp_path / f"stage{stage}_height.asc").mask.all()
 
 
 def schedule(*stages):

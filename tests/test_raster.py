@@ -4,6 +4,7 @@ import re
 import struct
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -100,14 +101,40 @@ class TestHeightGrid:
         assert out.values.tolist() == [[1.0, 2.0, 7.0]]
         assert (out.cell_size, out.nodata, out.xllcorner, out.yllcorner) == (2.5, 7.0, 500.0, -1.0)
 
-    def test_with_valid_switches_to_the_default_sentinel_on_a_collision(self):
+    def test_with_valid_keeps_a_value_equal_to_the_sentinel_valid(self):
         g = HeightGrid(np.zeros((1, 3)), nodata=0.0, xllcorner=500.0)
         values = np.array([[0.0, 2.0, 5.0]])
         out = g.with_valid(values, np.array([[True, True, False]]))
-        assert out.values.tolist() == [[0.0, 2.0, raster.NODATA_DEFAULT]]
-        assert out.nodata == raster.NODATA_DEFAULT and out.xllcorner == 500.0
+        assert out.values.tolist() == [[0.0, 2.0, 0.0]]
+        assert out.nodata == 0.0 and out.xllcorner == 500.0
         assert out.mask.tolist() == [[True, True, False]]
         assert values.tolist() == [[0.0, 2.0, 5.0]]
+
+    def test_mask_is_computed_once_from_the_sentinel(self):
+        g = HeightGrid(np.array([[1.0, NODATA]]), nodata=NODATA)
+        assert g.mask is g.mask and not g.mask.flags.writeable
+        assert g.mask.flags.owndata
+
+    def test_given_mask_is_kept_and_shared_by_replace(self):
+        mask = np.array([[True, True]])
+        mask.flags.writeable = False
+        g = HeightGrid(np.array([[1.0, NODATA]]), nodata=NODATA, mask=mask)
+        assert g.mask is mask and g.valid_count == 2
+        derived = replace(g, values=np.array([[NODATA, 3.0]]))
+        assert derived.mask is mask
+        # with_values validates its new values against the sentinel again
+        assert g.with_values(np.array([[NODATA, 3.0]])).mask.tolist() == [[False, True]]
+
+    def test_given_mask_is_copied_unless_owned_and_read_only(self):
+        mask = np.array([[True, False]])
+        g = HeightGrid(np.array([[1.0, 2.0]]), mask=mask)
+        mask[0, 1] = True
+        assert g.mask.tolist() == [[True, False]] and not g.mask.flags.writeable
+
+    def test_rejects_a_mask_of_another_shape(self):
+        message = "mask shape (1, 3) does not match grid (1, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            HeightGrid(np.array([[1.0, 2.0]]), mask=np.ones((1, 3), bool))
 
 
 class TestSlopeDirectionGrid:
@@ -148,6 +175,32 @@ class TestReadAsciiGrid:
         path = tmp_path / "g.asc"
         path.write_text("NCOLS 1\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n7\n")
         assert read_ascii_grid(path).nodata == -9999.0
+
+    def test_adopts_the_parsed_array(self, tmp_path, monkeypatch):
+        parsed = []
+        loadtxt_body = raster._loadtxt_body
+
+        def recording(*args):
+            parsed.append(loadtxt_body(*args))
+            return parsed[-1]
+
+        monkeypatch.setattr(raster, "_loadtxt_body", recording)
+        path = tmp_path / "g.asc"
+        path.write_text(HEADER_2X2 + "1 2\n3 4\n")
+        assert read_ascii_grid(path).values is parsed[0]
+
+    def test_peak_memory_stays_under_one_and_a_half_grids(self, tmp_path, rng):
+        grid = HeightGrid(rng.uniform(0.0, 1000.0, size=(1024, 1024)))
+        path = tmp_path / "g.asc"
+        write_ascii_grid(grid, path)
+        tracemalloc.start()
+        try:
+            read_ascii_grid(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the parse and the mask; a copy of the parsed array would be two grids
+        assert peak < 1.5 * grid.values.nbytes
 
     def test_malformed_header_keyword(self, tmp_path):
         path = tmp_path / "g.asc"
@@ -613,6 +666,102 @@ class TestWriteAsciiGridBytes:
         finally:
             tracemalloc.stop()
         assert peak < grid.values.nbytes
+
+
+class TestWrittenSentinel:
+    """The writer picks the NODATA_VALUE token so that every valid cell reads back valid."""
+
+    def write(self, grid, tmp_path):
+        path = tmp_path / "g.asc"
+        write_ascii_grid(grid, path)
+        lines = path.read_text(encoding="ascii").splitlines()
+        back = read_ascii_grid(path)
+        assert np.array_equal(back.mask, grid.mask)
+        return lines[5], [line.split() for line in lines[6:]]
+
+    def test_keeps_its_sentinel_where_only_holes_hold_it(self, tmp_path):
+        g = HeightGrid(np.zeros((1, 3)), cell_size=2.5, nodata=7.0, xllcorner=500.0)
+        out = g.with_valid(np.array([[1.0, 2.0, 7.0]]), np.array([[True, True, False]]))
+        assert self.write(out, tmp_path) == ("NODATA_VALUE 7", [["1", "2", "7"]])
+
+    def test_switches_to_the_default_sentinel_on_a_collision(self, tmp_path):
+        g = HeightGrid(np.zeros((1, 3)), nodata=0.0, xllcorner=500.0)
+        out = g.with_valid(np.array([[0.0, 2.0, 5.0]]), np.array([[True, True, False]]))
+        assert self.write(out, tmp_path) == ("NODATA_VALUE -9999", [["0", "2", "-9999"]])
+        assert read_ascii_grid(tmp_path / "g.asc").xllcorner == 500.0
+
+    def test_a_negative_zero_collides_with_a_zero_sentinel(self, tmp_path):
+        g = HeightGrid(np.array([[-0.0, 1.0]]), nodata=0.0, mask=np.ones((1, 2), bool))
+        assert self.write(g, tmp_path) == ("NODATA_VALUE -9999", [["-0", "1"]])
+
+    def test_compares_written_tokens_not_values(self, tmp_path):
+        # 7.0000001 is not the sentinel 7, but it is written as "7"
+        g = HeightGrid(np.array([[1.0, 7.0000001, 3.0]]), nodata=7.0)
+        assert g.mask.all()
+        assert self.write(g, tmp_path) == ("NODATA_VALUE -9999", [["1", "7", "3"]])
+        # a cell near the sentinel whose token differs is no collision
+        g = HeightGrid(np.array([[7.00001, 7.0]]), nodata=7.0)
+        assert self.write(g, tmp_path) == ("NODATA_VALUE 7", [["7.00001", "7"]])
+
+    def test_formats_only_cells_within_half_a_unit_of_the_token(self, monkeypatch):
+        formatted = []
+        format_value = raster._format_value
+
+        def recording(v):
+            formatted.append(v)
+            return format_value(v)
+
+        monkeypatch.setattr(raster, "_format_value", recording)
+        # -9999.05 is 0.05 from the sentinel, five of its token's units
+        values = np.full((64, 64), -9999.05)
+        assert raster._nodata_token(HeightGrid(values)) == "-9999"
+        assert formatted == [-9999.0, -9999.0]
+        formatted.clear()
+        values[9, 9] = -9998.996  # written as -9999
+        with pytest.raises(ValueError, match=re.escape("valid cell (9, 9) = -9998.996")):
+            raster._nodata_token(HeightGrid(values))
+        assert formatted == [-9999.0, -9999.0, -9998.996]
+
+    def test_a_cell_written_as_both_sentinels_raises_and_writes_nothing(self, tmp_path):
+        g = HeightGrid(np.array([[1.0, -9999.0000001, 3.0]]))
+        message = "no nodata token is free: valid cell (0, 1) = -9999.0000001 writes as -9999"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_ascii_grid(g, tmp_path / "g.asc")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cells_colliding_with_each_sentinel_raise(self, tmp_path):
+        g = HeightGrid(np.array([[-9999.0, 5.0, 0.0]]), nodata=0.0, mask=np.ones((1, 3), bool))
+        message = (
+            "no nodata token is free: valid cell (0, 2) = 0.0 writes as 0; "
+            "valid cell (0, 0) = -9999.0 writes as -9999"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_ascii_grid(g, tmp_path / "g.asc")
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 7.0, 1e-7, 123456.5]),
+                st.floats(allow_nan=False, allow_infinity=False),
+                fixed_notation_floats(),
+            ).filter(lambda v: _format_value(v) != "-9999"),
+            min_size=1,
+            max_size=24,
+        ),
+        cols=st.integers(1, 6),
+        valid_bits=st.integers(0, 2**24 - 1),
+        pick=st.integers(0, 23),
+    )
+    def test_round_trip_keeps_an_explicit_mask(
+        self, tmp_path_factory, values, cols, valid_bits, pick
+    ):
+        # the sentinel is one of the grid's own values, valid or not
+        grid = np.resize(np.array(values), (-(-len(values) // cols), cols))
+        mask = np.array([bool(valid_bits >> i % 24 & 1) for i in range(grid.size)])
+        g = HeightGrid(grid, nodata=values[pick % len(values)], mask=mask.reshape(grid.shape))
+        self.write(g, tmp_path_factory.mktemp("w"))
 
 
 class TestRoundTrip:
