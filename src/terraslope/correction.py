@@ -58,11 +58,10 @@ class GaussianKernel:
 def _smooth(grid: HeightGrid, weights: np.ndarray) -> np.ndarray:
     """Weighted sums of ``grid``'s 3x3 windows; nodata at invalid pixels.
 
-    :func:`correct` runs it on row strips cut by :func:`~terraslope.slope._strip`,
-    and the pipeline in :mod:`terraslope.simulate` on a tile's rows joined to
-    its neighbours' edge rows: ``_Rows`` that carry only the ``values``,
-    ``mask`` and ``nodata`` read here.  The matmul gives a row the same bits
-    on a strip as on the whole grid.
+    :func:`correct` and the pipeline in :mod:`terraslope.simulate` run it on
+    row strips cut by :func:`~terraslope.slope._strip`: ``_Rows`` that carry
+    only the ``values``, ``mask`` and ``nodata`` read here.  The matmul gives
+    a row the same bits on a strip as on the whole grid.
     """
     smoothed = window_stack(grid) @ weights
     smoothed[~grid.mask] = grid.nodata

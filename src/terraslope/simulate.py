@@ -444,16 +444,18 @@ def _stage_pass(
     Tiles hold about :data:`TILE_BYTES` of planes.  The tile list is cut in
     two halves at a tile boundary, the seam: the calling thread sweeps the
     top half downward while one worker thread sweeps the bottom half upward,
-    so each half runs toward the seam.  Smoothed row ``r`` needs the raw
-    estimates of rows ``r-1 .. r+1``, so every tile is settled one tile
-    late, and no grid of raw estimates is kept: a swept tile is held with
-    its own estimates and the edge row of the tile swept before it.  Once
-    the next tile's estimate is in, the held tile takes that tile's edge
-    row, is smoothed, and its spread is taken while its planes and
-    probabilities are at hand (the last stage, without a spread, holds
-    neither).  A half's last tile touches the seam, so each half returns it
-    unsettled; after the join the seam tiles take each other's edge row and
-    are settled.  A grid of one tile is swept on the calling thread alone.
+    so each half runs toward the seam.  Each tile writes its raw estimate
+    into the stage's height array and, as smoothed row ``r`` needs the raw
+    rows ``r-1 .. r+1``, is settled one tile late: once the next tile is in,
+    it is smoothed from its :func:`_strip` of that array, as
+    :func:`~terraslope.correction.correct` smooths, and its spread is taken
+    from the smoothed height while its planes and probabilities are at hand
+    (the last stage, without a spread, holds neither).  The smoothed rows
+    are written back one tile later, once the tile beyond has read their
+    raw values.  A half's last tile touches the seam, so each half returns
+    it unsettled, with the rows pending before it; after the join both seam
+    tiles are settled, then all pending rows are written.  A grid of one
+    tile is swept on the calling thread alone.
     When both halves fail, the top half's error is raised.  The height is
     made read-only, so the stage grid, which shares ``gt``'s metadata and
     mask, adopts it without a copy.
@@ -472,53 +474,49 @@ def _stage_pass(
     half = (len(tiles) + 1) // 2
     shared = _equal_planes(*global_range, m) if prev is None else None
 
-    def layout(tile: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The planes of ``tile`` and the mask of the pixels it sweeps."""
-        valid = swept[tile]
+    def layout(tile: slice) -> np.ndarray:
+        """The planes of ``tile``."""
         if prev is None:
-            return shared, valid
-        height_rows, sigma_rows = (_Rows(values[tile], valid, nodata) for values in prev)
+            return shared
+        height_rows, sigma_rows = (_Rows(values[tile], swept[tile], nodata) for values in prev)
         _, center, low, high = _pixel_range(height_rows, sigma_rows, cfg.sigma_floor)
         if not cfg.use_slope_partition:
-            return _equal_planes(low, high, m), valid
+            return _equal_planes(low, high, m)
         strip, inner = _strip(prev[0], swept, tile, nodata)
         factors = slope_factor_maps(strip)
         n_below = _split_counts(m, factors.drop[inner], factors.rise[inner])
-        return _guided_planes(center, low, high, n_below, m), valid
-
-    def meet(upper: list, lower: list) -> None:
-        """Give two adjacent tiles' strips, ``upper`` above, each other's edge row.
-
-        A strip is ``[row above, raw estimates, row below]``, a row None until
-        its tile is swept and at the grid's border.
-        """
-        upper[2], lower[0] = lower[1][0], upper[1][-1]
+        return _guided_planes(center, low, high, n_below, m)
 
     # An overflow leaves a non-finite value, which the checks report in
     # place of numpy's warnings.  The worker thread does not inherit the
     # caller's error state, so each function sets its own.
     @np.errstate(over="ignore", invalid="ignore")
-    def settle(tile: slice, strip: list, volume: tuple) -> None:
-        tile_height = strip[1]
+    def settle(tile: slice, volume: tuple) -> tuple[slice, np.ndarray] | None:
+        """Smooth ``tile`` and take its spread; return the rows to write back, if corrected."""
+        tile_height = height[tile]
         if cfg.use_height_correction:
-            lo = tile.start - (strip[0] is not None)
-            values = np.vstack([row for row in strip if row is not None])
-            smoothed = _smooth(_Rows(values, swept[lo : lo + len(values)], nodata), BASE_WEIGHTS)
-            tile_height = smoothed[tile.start - lo : tile.stop - lo]
-        height[tile] = tile_height
+            strip, inner = _strip(height, swept, tile, nodata)
+            tile_height = _smooth(strip, BASE_WEIGHTS)[inner]
         if volume:
             spread = _spread(*volume, tile_height)
             spread[~swept[tile]] = nodata
             _check_finite(spread, tile, "height spread")
             sigma[tile] = spread
+        return (tile, tile_height) if cfg.use_height_correction else None
+
+    def write_back(settled: tuple[slice, np.ndarray] | None) -> None:
+        if settled is not None:
+            tile, rows = settled
+            height[tile] = rows
 
     @np.errstate(over="ignore", invalid="ignore")
-    def sweep(part: list[slice]) -> tuple[float, tuple]:
-        """Sweep ``part`` toward the seam; return its widest gap and its last tile, unsettled."""
+    def sweep(part: list[slice]) -> tuple[float, tuple, tuple | None]:
+        """Sweep ``part`` toward the seam; return its widest gap, last tile and pending rows."""
         widest = 0.0
-        held = None
+        held = pending = None
         for tile in part:
-            planes, valid = layout(tile)
+            valid = swept[tile]
+            planes = layout(tile)
             probs = _oracle_probs(planes, target[tile], cfg.temperature, valid)
             if shared is None:
                 widest = max(widest, _widest_gaps(planes)[valid].max(initial=0.0))
@@ -526,13 +524,15 @@ def _stage_pass(
             est = _expectation(probs, planes)
             est[~valid] = nodata
             _check_finite(est, tile, "expected height")
-            new = tile, [None, est, None], (probs, planes) if sigma is not None else ()
+            height[tile] = est
+            volume = (probs, planes) if sigma is not None else ()
             del planes, probs  # without a spread, no volume outlives its estimate
             if held is not None:
-                meet(*((held[1], new[1]) if held[0].start < tile.start else (new[1], held[1])))
-                settle(*held)
-            held = new
-        return widest, held
+                settled = settle(*held)
+                write_back(pending)
+                pending = settled
+            held = tile, volume
+        return widest, held, pending
 
     if len(tiles) == 1:
         halves = [sweep(tiles)]
@@ -540,12 +540,12 @@ def _stage_pass(
         with ThreadPoolExecutor(max_workers=1) as pool:
             bottom = pool.submit(sweep, tiles[half:][::-1])
             halves = [sweep(tiles[:half]), bottom.result()]
-        meet(halves[0][1][1], halves[1][1][1])  # the strips of the seam tiles
-    for _, held in halves:
-        settle(*held)
+    seams = [settle(*held) for _, held, _ in halves]
+    for settled in [pending for *_, pending in halves] + seams:
+        write_back(settled)
     # run_pipeline checks that gt has a valid pixel, so stage 1's widest gap
     # is its shared vector's.
-    widest = _widest_gaps(shared) if shared is not None else max(w for w, _ in halves)
+    widest = _widest_gaps(shared) if shared is not None else max(w for w, *_ in halves)
 
     height.flags.writeable = False  # the stage grid adopts it without a copy
     return replace(gt, values=height), sigma, float(widest)

@@ -17,16 +17,19 @@ Window policy, shared by every 3x3 operation in this package:
 Both rules keep the computed slope a conservative, zero-biased estimate at
 borders and next to holes.
 
-Slope, direction and slope factors fold the nine shifted views of one
-padded grid with ``np.maximum``/``np.minimum``.  There, invalid cells are
-filled with a value that can never win the fold: -inf for the maximum,
-+inf for the minimum.  Every window holds its own finite center, so this
-gives the same extremum, and the same first position attaining it, as
-substituting the center value.  A maximum or minimum is exact, so the
-order of a fold cannot change a value.  :func:`window_stack` builds the
-windows themselves, for the weighted sum of :mod:`terraslope.correction`;
-that sum stays one matmul, because a sum's bits depend on its order.
-Replicate padding is a plain copy of the edge cells, which moves no bit.
+Every 3x3 operation pads its grid once, with NaN in place of invalid
+cells, and reads the nine shifted views of that padding.  Slope,
+direction and slope factors fold them with ``np.fmax``/``np.fmin``, which
+ignore NaN.  Every window holds its own finite center, so this gives the
+same extremum, and the same first position attaining it, as substituting
+the center value.  A maximum or minimum is exact, so the order of a fold
+cannot change a value, and the sign of a zero extremum never reaches an
+output (a slope factor is an absolute difference, a direction code an
+equality test).  :func:`window_stack` builds the windows themselves, with
+the center wherever a view is NaN, for the weighted sum of
+:mod:`terraslope.correction`; that sum stays one matmul, because a sum's
+bits depend on its order.  Replicate padding is a plain copy of the edge
+cells, which moves no bit.
 
 Output row ``r`` of a 3x3 operation reads only rows ``r-1 .. r+1``, so a
 row tile's :func:`_strip` (its rows and a one-row halo) gives it the whole
@@ -109,30 +112,25 @@ def window_stack(grid: HeightGrid) -> np.ndarray:
     smoothing kernel of :mod:`terraslope.correction`, runs on row strips.
     """
     values = grid.values
-    padded = _pad_edge(values)
-    padded_valid = _pad_edge(grid.mask)
-    rows, cols = values.shape
-    stack = np.empty((rows, cols, 9), dtype=np.float64)
-    for k, (dr, dc) in enumerate(_OFFSETS):
-        neighbor = padded[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols]
-        neighbor_ok = padded_valid[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols]
-        stack[:, :, k] = np.where(neighbor_ok, neighbor, values)
+    stack = np.empty((*values.shape, 9), dtype=np.float64)
+    for k, view in enumerate(_window_views(values, grid.mask)):
+        stack[:, :, k] = np.where(np.isnan(view), values, view)
     return stack
 
 
-def _window_views(values: np.ndarray, mask: np.ndarray, fill: float) -> list[np.ndarray]:
+def _window_views(values: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
     """The nine row-major shifted views of the 3x3 windows of ``values``.
 
     View ``k`` holds window position ``k`` of every pixel after replicate
-    padding, with ``fill`` in place of every cell outside ``mask``.
+    padding, with NaN in place of every cell outside ``mask``.
     """
     rows, cols = values.shape
-    padded = _pad_edge(np.where(mask, values, fill))
+    padded = _pad_edge(np.where(mask, values, np.nan))
     return [padded[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols] for dr, dc in _OFFSETS]
 
 
 def _fold(views: list[np.ndarray], ufunc: np.ufunc) -> np.ndarray:
-    """Elementwise ``ufunc`` (``np.maximum`` or ``np.minimum``) over ``views``."""
+    """Elementwise ``ufunc`` (``np.fmax`` or ``np.fmin``) over ``views``."""
     out = views[0].copy()
     for view in views[1:]:
         ufunc(out, view, out=out)
@@ -159,7 +157,7 @@ def slope_map(grid: HeightGrid) -> HeightGrid:
     Raises:
         ValueError: a slope beyond the float64 range at a valid pixel.
     """
-    slope = np.abs(_fold(_window_views(grid.values, grid.mask, -np.inf), np.maximum) - grid.values)
+    slope = np.abs(_fold(_window_views(grid.values, grid.mask), np.fmax) - grid.values)
     _check_overflow(slope, grid.mask, "slope")
     return grid.with_valid(slope, grid.mask)
 
@@ -172,8 +170,8 @@ def slope_direction_map(grid: HeightGrid) -> SlopeDirectionGrid:
     index wins ties and the code is ``8 - index``, which maps the window
     corners/edges onto the 0..8 direction table.
     """
-    views = _window_views(grid.values, grid.mask, -np.inf)
-    peak = _fold(views, np.maximum)
+    views = _window_views(grid.values, grid.mask)
+    peak = _fold(views, np.fmax)
     codes = np.full(grid.shape, 4, dtype=np.int64)
     # Highest index first, so the smallest index attaining the peak is written last.
     for k in range(8, -1, -1):
@@ -193,10 +191,11 @@ def slope_factor_maps(grid: HeightGrid) -> SlopeFactors:
         ValueError: a factor beyond the float64 range at a valid pixel.
     """
     values = grid.values
-    rise = np.abs(_fold(_window_views(values, grid.mask, -np.inf), np.maximum) - values)
+    views = _window_views(values, grid.mask)
+    rise = np.abs(_fold(views, np.fmax) - values)
     # A drop from a to b overflows only where the rise from b to a does.
     _check_overflow(rise, grid.mask, "rise slope factor")
-    drop = np.abs(_fold(_window_views(values, grid.mask, np.inf), np.minimum) - values)
+    drop = np.abs(_fold(views, np.fmin) - values)
     invalid = ~grid.mask
     rise[invalid] = 0.0
     drop[invalid] = 0.0

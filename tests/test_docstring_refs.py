@@ -1,4 +1,4 @@
-"""Every cross-reference in a package docstring names something that exists."""
+"""Every cross-reference in a package docstring or the README names something that exists."""
 
 import ast
 import importlib
@@ -13,6 +13,11 @@ from terraslope import simulate
 PACKAGE = Path(terraslope.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 ROLE = re.compile(r":(func|class|data|mod):`~?([\w.]+)`")
+README = PACKAGE.parent.parent / "README.md"
+#: A backticked ``module.name`` of the package, as the README writes them.
+README_NAME = re.compile(
+    r"`(%s)\.([\w.]+)`" % "|".join(p.stem for p in MODULES if p.stem != "__init__")
+)
 
 
 def lookup(obj, names: list[str]) -> bool:
@@ -75,3 +80,23 @@ def test_every_docstring_reference_resolves(path):
     name = "terraslope" if path.name == "__init__.py" else f"terraslope.{path.stem}"
     module = importlib.import_module(name)
     assert unresolved(path.read_text(encoding="utf-8"), module) == []
+
+
+def unresolved_names(text: str) -> list[str]:
+    """The backticked ``module.name`` references in ``text`` that name nothing."""
+    return [
+        f"{module}.{name}"
+        for module, name in README_NAME.findall(text)
+        if not lookup(importlib.import_module(f"terraslope.{module}"), name.split("."))
+    ]
+
+
+def test_detects_a_dangling_readme_name():
+    text = "`simulate.TILE_BYTES`, `slope._strip`, `gt.asc`, `slope.extract_3x3`"
+    assert unresolved_names(text) == ["slope.extract_3x3"]
+
+
+def test_every_readme_name_resolves():
+    text = README.read_text(encoding="utf-8")
+    assert README_NAME.findall(text), "the README names no module attribute"
+    assert unresolved_names(text) == []

@@ -14,6 +14,7 @@ from terraslope import (
     slope_factor_maps,
     slope_map,
 )
+from terraslope import slope
 from terraslope.slope import direction_as_grid, window_stack
 
 from conftest import NODATA, random_grid
@@ -37,6 +38,24 @@ class TestWindowStack:
         values[0, 0] = NODATA
         window = window_stack(HeightGrid(values, nodata=NODATA))[1, 1]
         assert window.tolist() == [7, 0, 0, 0, 7, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "operation", [slope_map, slope_direction_map, slope_factor_maps, window_stack]
+)
+def test_each_window_operation_pads_once(operation, monkeypatch):
+    # one NaN-filled padding serves every fold and the stack's center fallback
+    pad, calls = slope._pad_edge, []
+
+    def counted(values):
+        calls.append(values.dtype)
+        return pad(values)
+
+    monkeypatch.setattr(slope, "_pad_edge", counted)
+    values = ramp_grid().values.copy()
+    values[1, 2] = NODATA
+    operation(HeightGrid(values, nodata=NODATA))
+    assert calls == [np.float64]
 
 
 class TestSlopeMap:
