@@ -41,7 +41,7 @@ import numpy as np
 
 from . import losses
 from .correction import BASE_WEIGHTS, _smooth
-from .metrics import DEFAULT_THRESHOLDS, EvalReport, evaluate, write_report_csv
+from .metrics import DEFAULT_THRESHOLDS, EvalReport, _format_threshold, evaluate, write_report_csv
 from .partition import (
     VOLUME_BUDGET_BYTES,
     HypothesisPlanes,
@@ -584,13 +584,16 @@ def run_pipeline(
     Identical (gt, global_range, stages, seed) yield bit-identical results.
 
     Raises:
-        ValueError: a range without low < high and a finite width, ground
-            truth outside the range, an empty stage list, a stage whose
-            single-row volume (cols * M) is over the partition module's
+        ValueError: a seed that is not an integer >= 0, a range without
+            low < high and a finite width, ground truth outside the range,
+            an empty stage list, a stage whose single-row volume
+            (cols * M) is over the partition module's
             ``VOLUME_BUDGET_BYTES``, or a stage whose search range,
             expected height or spread overflows at a valid pixel (the
             message names the stage).
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     low, high = float(global_range[0]), float(global_range[1])
     if not (low < high and math.isfinite(high - low)):
         raise ValueError(f"global range needs low < high and a finite width, got [{low}, {high}]")
@@ -669,13 +672,16 @@ def ablation_report(
             for cfg in base_stages
         )
         finals = [run_pipeline(gt, global_range, stages, seed=s).reports[-1] for s in seeds]
+        lt_fine, lt_coarse = (
+            float(np.mean([r.pct_below[t] for r in finals])) for t in DEFAULT_THRESHOLDS
+        )
         rows.append(
             AblationRow(
                 label=label,
                 mae=float(np.mean([r.mae for r in finals])),
                 rmse=float(np.mean([r.rmse for r in finals])),
-                pct_lt_2_5=float(np.mean([r.pct_below[2.5] for r in finals])),
-                pct_lt_7_5=float(np.mean([r.pct_below[7.5] for r in finals])),
+                pct_lt_2_5=lt_fine,
+                pct_lt_7_5=lt_coarse,
             )
         )
     return rows
@@ -685,7 +691,9 @@ def write_ablation_csv(rows: list[AblationRow], path: str | os.PathLike) -> None
     """Write the ablation table as CSV with a header row."""
     with atomic_output(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["config", "mae", "rmse", "lt_2.5", "lt_7.5"])
+        writer.writerow(
+            ["config", "mae", "rmse", *(f"lt_{_format_threshold(t)}" for t in DEFAULT_THRESHOLDS)]
+        )
         for row in rows:
             writer.writerow(
                 [

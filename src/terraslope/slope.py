@@ -18,18 +18,18 @@ Both rules keep the computed slope a conservative, zero-biased estimate at
 borders and next to holes.
 
 Every 3x3 operation pads its grid once, with NaN in place of invalid
-cells, and reads the nine shifted views of that padding.  Slope,
-direction and slope factors fold them with ``np.fmax``/``np.fmin``, which
-ignore NaN.  Every window holds its own finite center, so this gives the
-same extremum, and the same first position attaining it, as substituting
-the center value.  A maximum or minimum is exact, so the order of a fold
-cannot change a value, and the sign of a zero extremum never reaches an
-output (a slope factor is an absolute difference, a direction code an
-equality test).  :func:`window_stack` builds the windows themselves, with
-the center wherever a view is NaN, for the weighted sum of
-:mod:`terraslope.correction`; that sum stays one matmul, because a sum's
-bits depend on its order.  Replicate padding is a plain copy of the edge
-cells, which moves no bit.
+cells, and reads the nine shifted views of that padding.  The padding is
+numpy's ``edge`` mode, a plain copy of the edge cells, which moves no
+bit.  Slope, direction and slope factors fold the views with
+``np.fmax``/``np.fmin``, which ignore NaN.  Every window holds its own
+finite center, so this gives the same extremum, and the same first
+position attaining it, as substituting the center value.  A maximum or
+minimum is exact, so the order of a fold cannot change a value, and the
+sign of a zero extremum never reaches an output (a slope factor is an
+absolute difference, a direction code an equality test).
+:func:`window_stack` stacks the nine views and copies the center into
+every NaN entry, for the weighted sum of :mod:`terraslope.correction`;
+that sum stays one matmul, because a sum's bits depend on its order.
 
 Output row ``r`` of a 3x3 operation reads only rows ``r-1 .. r+1``, so a
 row tile's :func:`_strip` (its rows and a one-row halo) gives it the whole
@@ -65,23 +65,6 @@ class SlopeFactors:
     drop: np.ndarray
 
 
-def _pad_edge(values: np.ndarray) -> np.ndarray:
-    """A 2D array with a one-cell border that repeats its edge cells.
-
-    The same bytes as numpy's ``pad`` in ``edge`` mode, by five plain
-    copies; ``pad`` costs about 30 us of Python per call, more than the
-    copies of a row tile.
-    """
-    rows, cols = values.shape
-    padded = np.empty((rows + 2, cols + 2), dtype=values.dtype)
-    padded[1:-1, 1:-1] = values
-    padded[0, 1:-1] = values[0]
-    padded[-1, 1:-1] = values[-1]
-    padded[:, 0] = padded[:, 1]
-    padded[:, -1] = padded[:, -2]
-    return padded
-
-
 class _Rows(NamedTuple):
     """Row views of a checked grid's values, a mask and the sentinel.
 
@@ -112,9 +95,9 @@ def window_stack(grid: HeightGrid) -> np.ndarray:
     smoothing kernel of :mod:`terraslope.correction`, runs on row strips.
     """
     values = grid.values
-    stack = np.empty((*values.shape, 9), dtype=np.float64)
-    for k, view in enumerate(_window_views(values, grid.mask)):
-        stack[:, :, k] = np.where(np.isnan(view), values, view)
+    stack = np.stack(_window_views(values, grid.mask), axis=-1)
+    if not grid.mask.all():  # valid values are finite, so only holes leave NaN
+        np.copyto(stack, values[:, :, None], where=np.isnan(stack))
     return stack
 
 
@@ -125,7 +108,7 @@ def _window_views(values: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
     padding, with NaN in place of every cell outside ``mask``.
     """
     rows, cols = values.shape
-    padded = _pad_edge(np.where(mask, values, np.nan))
+    padded = np.pad(np.where(mask, values, np.nan), 1, mode="edge")
     return [padded[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols] for dr, dc in _OFFSETS]
 
 

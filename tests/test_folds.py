@@ -1,6 +1,6 @@
-"""The sweep's plane-axis maxima and the 3x3 edge pad against the numpy calls they replace.
+"""The sweep's plane-axis maxima and widest gaps against the numpy calls they replace.
 
-A maximum, a difference and a copy are exact, so each must give the bytes
+A maximum and a difference are exact, so each must give the bytes
 of the numpy call along the last axis, whatever its order or the layout it
 reads.  The one freedom is the sign of a maximum that ties -0.0 with +0.0;
 the volumes that check bytes hold zeros of one sign only, and a separate
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from terraslope.simulate import _widest_gaps
-from terraslope.slope import _pad_edge
 
 #: Odd and even counts, and the default schedule's 64, 32 and 8.
 PLANE_COUNTS = (2, 3, 5, 7, 8, 9, 17, 31, 32, 33, 64)
@@ -72,15 +71,3 @@ def test_widest_gap_of_one_shared_vector():
     planes = np.array([0.0, 1.0, 3.5, 4.0])
     assert _widest_gaps(planes).shape == ()
     assert float(_widest_gaps(planes)) == 2.5
-
-
-@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (6, 9)])
-@pytest.mark.parametrize("dtype", [np.float64, bool])
-def test_edge_pad_gives_the_np_pad_bytes(shape, dtype):
-    values = np.random.default_rng(0).standard_normal(shape)
-    values = values > 0 if dtype is bool else values
-    got = _pad_edge(values)
-    want = np.pad(values, 1, mode="edge")
-    assert got.dtype == want.dtype
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()

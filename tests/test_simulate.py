@@ -267,6 +267,26 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="volume budget"):
             run_pipeline(gt, (0.0, 10.0), huge)
 
+    @pytest.mark.parametrize("noise", [0.0, 3.0])
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "0", None])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, noise, seed):
+        gt = HeightGrid(np.arange(16.0).reshape(4, 4))
+        stages = tuple(replace(cfg, noise=noise) for cfg in sharp_stages())
+        message = rf"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(gt, (0.0, 16.0), stages, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            ablation_report(gt, (0.0, 16.0), stages, [0, seed])
+
+    def test_integer_seeds_of_any_type_run_alike(self):
+        gt = HeightGrid(np.arange(16.0).reshape(4, 4))
+        stages = tuple(replace(cfg, noise=3.0) for cfg in sharp_stages())
+        runs = [run_pipeline(gt, (0.0, 16.0), stages, seed=s) for s in (1, np.int64(1), True)]
+        for run in runs[1:]:
+            assert [h.values.tobytes() for h in run.heights] == [
+                h.values.tobytes() for h in runs[0].heights
+            ]
+
     def test_rejects_a_range_whose_width_overflows(self):
         gt = HeightGrid(np.full((4, 4), 5.0))
         with warnings.catch_warnings():
@@ -389,6 +409,19 @@ class TestAblation:
         lines = path.read_text().splitlines()
         assert lines[0] == "config,mae,rmse,lt_2.5,lt_7.5"
         assert len(lines) == 5
+
+    def test_thresholds_come_from_the_metrics_defaults(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(simulate, "DEFAULT_THRESHOLDS", (1.0, 0.25))
+        gt = generate_terrain(TerrainSpec(rows=12, cols=12, kind="fractal", seed=2))
+        stages = sharp_stages()  # the baseline arm's toggles
+        rows = ablation_report(gt, terrain_range(gt), stages, seeds=[0])
+        final = run_pipeline(gt, terrain_range(gt), stages).reports[-1]
+        assert sorted(final.pct_below) == [0.25, 1.0]
+        assert rows[0].pct_lt_2_5 == final.pct_below[1.0]
+        assert rows[0].pct_lt_7_5 == final.pct_below[0.25]
+        path = tmp_path / "ablation.csv"
+        write_ablation_csv(rows, path)
+        assert path.read_text().splitlines()[0] == "config,mae,rmse,lt_1,lt_0.25"
 
 
 class TestRunDirectory:

@@ -18,7 +18,7 @@ from terraslope import slope
 from terraslope.slope import direction_as_grid, window_stack
 
 from conftest import NODATA, random_grid
-from oracles import brute_direction, brute_factors, brute_slope
+from oracles import brute_direction, brute_factors, brute_slope, window_values
 
 
 def ramp_grid(rows=5, cols=6):
@@ -40,18 +40,50 @@ class TestWindowStack:
         assert window.tolist() == [7, 0, 0, 0, 7, 0, 0, 0, 0]
 
 
+def holey_grid(rng, i, nodata):
+    """A random grid of up to 8x8 with up to 60% holes, some on every border or at the corners.
+
+    Every other grid holds small integers of both zero signs, so windows
+    tie; under sentinel 0 both zeros are holes.
+    """
+    rows, cols = (int(n) for n in rng.integers(1, 9, size=2))
+    if i % 2:
+        values = rng.integers(-3, 4, size=(rows, cols)) * rng.choice([-1.0, 1.0], (rows, cols))
+    else:
+        values = rng.uniform(-50, 50, size=(rows, cols))
+    holes = rng.random((rows, cols)) < rng.uniform(0.0, 0.6)
+    if i % 3 == 1:
+        holes[[0, -1], :] = holes[:, [0, -1]] = True
+    elif i % 3 == 2:
+        holes[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+    values[holes] = nodata
+    return HeightGrid(values, nodata=nodata)
+
+
+@pytest.mark.parametrize("nodata", [0.0, NODATA, 1e300])
+def test_window_stack_matches_the_oracle_at_every_valid_pixel(nodata):
+    rng = np.random.default_rng(25)
+    for i in range(120):
+        g = holey_grid(rng, i, nodata)
+        stack, cells = window_stack(g), g.values.tolist()
+        assert stack.shape == (*g.shape, 9)
+        for r, c in np.argwhere(g.mask):
+            want = np.array(window_values(cells, nodata, r, c))
+            assert stack[r, c].tobytes() == want.tobytes(), (i, r, c)
+
+
 @pytest.mark.parametrize(
     "operation", [slope_map, slope_direction_map, slope_factor_maps, window_stack]
 )
 def test_each_window_operation_pads_once(operation, monkeypatch):
     # one NaN-filled padding serves every fold and the stack's center fallback
-    pad, calls = slope._pad_edge, []
+    pad, calls = np.pad, []
 
-    def counted(values):
+    def counted(values, *args, **kwargs):
         calls.append(values.dtype)
-        return pad(values)
+        return pad(values, *args, **kwargs)
 
-    monkeypatch.setattr(slope, "_pad_edge", counted)
+    monkeypatch.setattr(slope.np, "pad", counted)
     values = ramp_grid().values.copy()
     values[1, 2] = NODATA
     operation(HeightGrid(values, nodata=NODATA))
