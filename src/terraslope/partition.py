@@ -46,10 +46,16 @@ _PROB_SUM_TOL = 1e-9
 VOLUME_BUDGET_BYTES = 512 * 2**20
 
 
+def _check_integer(name: str, value: object, minimum: int) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _check_volume(shape: tuple[int, int], plane_count: int) -> None:
     """Raise ``ValueError`` if a ``shape`` x ``plane_count`` volume is over budget."""
     rows, cols = shape
-    nbytes = rows * cols * plane_count * 8
+    nbytes = rows * cols * int(plane_count) * 8  # an int32 count would wrap
     if nbytes > VOLUME_BUDGET_BYTES:
         raise ValueError(
             f"a {rows}x{cols}x{plane_count} plane volume needs {nbytes / 2**20:.0f} MiB, "
@@ -321,12 +327,11 @@ def slope_guided_partition(
     sampling goes to the side with the larger slope factor.
 
     Raises:
-        ValueError: plane_count < 2, mismatched shapes, a slope factor that
-            is non-finite or negative at a valid pixel, or a volume over
-            :data:`VOLUME_BUDGET_BYTES`.
+        ValueError: a plane_count that is not an integer >= 2, mismatched
+            shapes, a slope factor that is non-finite or negative at a
+            valid pixel, or a volume over :data:`VOLUME_BUDGET_BYTES`.
     """
-    if plane_count < 2:
-        raise ValueError(f"plane_count must be >= 2, got {plane_count}")
+    _check_integer("plane_count", plane_count, 2)
     if height.shape != ranges.shape:
         raise ValueError(f"height {height.shape} and ranges {ranges.shape} differ")
     rise = np.asarray(factors.rise, dtype=np.float64)
@@ -367,11 +372,10 @@ def equal_partition(ranges: PixelRanges, plane_count: int) -> HypothesisPlanes:
     yields ``plane_count`` copies of the single height.
 
     Raises:
-        ValueError: plane_count < 2 or a volume over
-            :data:`VOLUME_BUDGET_BYTES`.
+        ValueError: a plane_count that is not an integer >= 2, or a volume
+            over :data:`VOLUME_BUDGET_BYTES`.
     """
-    if plane_count < 2:
-        raise ValueError(f"plane_count must be >= 2, got {plane_count}")
+    _check_integer("plane_count", plane_count, 2)
     _check_volume(ranges.shape, plane_count)
     return HypothesisPlanes(
         planes=_equal_planes(ranges.low, ranges.high, plane_count), mask=ranges.mask

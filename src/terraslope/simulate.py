@@ -13,9 +13,9 @@ sweeps equally spaced planes over the global height range shared by all
 pixels; every later stage recenters a per-pixel range on the previous
 estimate, sized by the distribution spread (with a per-stage floor), and
 optionally reallocates planes by local slope.  Each stage streams its
-hypothesis volume once, in row tiles (see :func:`_stage_pass`), and each
-tile lays out its own ranges and planes from its rows of the previous
-estimate, so memory grows with the grid, not with grid times plane count.
+hypothesis volume once, in row tiles (:func:`_sweep`), and each tile's
+kernel (:func:`_stage_pass`) lays out its ranges and planes from its rows
+of the previous estimate, so memory grows with the grid, not the volume.
 Every stage sweeps the ground truth's valid pixels.
 
 A run returns per-stage heights, evaluations and plane spacings only; the
@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -46,6 +46,7 @@ from .partition import (
     VOLUME_BUDGET_BYTES,
     HypothesisPlanes,
     ProbabilityVolume,
+    _check_integer,
     _check_volume,
     _equal_planes,
     _expectation,
@@ -88,8 +89,7 @@ class StageConfig:
     noise: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.plane_count < 2:
-            raise ValueError(f"plane_count must be >= 2, got {self.plane_count}")
+        _check_integer("plane_count", self.plane_count, 2)
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
         if not (math.isfinite(self.noise) and self.noise >= 0):
@@ -132,8 +132,8 @@ class TerrainSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"terrain must be at least 1x1, got {self.rows}x{self.cols}")
+        _check_integer("rows", self.rows, 1)
+        _check_integer("cols", self.cols, 1)
         if self.kind not in TERRAIN_KINDS:
             raise ValueError(
                 f"unsupported terrain kind {self.kind!r}; choose from {TERRAIN_KINDS}"
@@ -142,14 +142,13 @@ class TerrainSpec:
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
         if not math.isfinite(self.roughness):
             raise ValueError(f"roughness must be finite, got {self.roughness}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_integer("seed", self.seed, 0)
         # Every hill fills a whole-grid array.  The first test rejects only
         # what the second would, before hill_count can overflow.
         budget = VOLUME_BUDGET_BYTES // 8
         if self.kind == "gaussian-hills" and (
             8.0 * self.roughness > 2 * budget
-            or hill_count(self.roughness) * self.rows * self.cols > budget
+            or hill_count(self.roughness) * int(self.rows) * int(self.cols) > budget
         ):
             raise ValueError(f"roughness {self.roughness} puts hills * rows * cols over {budget}")
 
@@ -400,6 +399,47 @@ def _check_finite(values: np.ndarray, tile: slice, what: str) -> None:
         raise ValueError(f"non-finite {what} {values[r, c]} at ({tile.start + r}, {c})")
 
 
+def _sweep(tiles: list[slice], height: np.ndarray, kernel: Callable, settle: Callable) -> float:
+    """Sweep the row ``tiles`` of ``height``; return the widest gap a kernel gave, or 0.0.
+
+    ``kernel(tile)`` returns the tile's raw rows, written into ``height`` at
+    once, its widest gap and what ``settle(tile, kept)`` needs to return the
+    tile's settled rows.  As settled row ``r`` may read raw rows ``r-1`` to
+    ``r+1``, a tile is settled once the next tile is in, and written back
+    once the tile beyond has read its raw rows.  The calling thread sweeps
+    the tiles above the seam, a tile boundary at the middle, downward while
+    one worker thread sweeps the rest upward.  After the join both seam
+    tiles are settled, then the rows still pending are written.  One tile
+    is swept on the calling thread alone.  When both halves fail, the top
+    half's error is raised.
+    """
+
+    def run(part: list[slice]) -> tuple[float, list, list]:
+        """Sweep ``part`` toward the seam; return its widest gap, seam tile and pending rows."""
+        widest, held, pending = 0.0, [], []
+        for tile in part:
+            raw, gap, kept = kernel(tile)
+            height[tile] = raw
+            widest = max(widest, gap)
+            settled = [(done, settle(done, volume)) for done, volume in held]
+            for done, rows in pending:
+                height[done] = rows
+            held, pending = [(tile, kept)], settled
+        return widest, held, pending
+
+    if len(tiles) == 1:
+        halves = [run(tiles)]
+    else:
+        half = (len(tiles) + 1) // 2
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            bottom = pool.submit(run, tiles[half:][::-1])
+            halves = [run(tiles[:half]), bottom.result()]
+    seams = [(tile, settle(tile, kept)) for _, held, _ in halves for tile, kept in held]
+    for tile, rows in [row for *_, pending in halves for row in pending] + seams:
+        height[tile] = rows
+    return float(max(widest for widest, *_ in halves))
+
+
 def _stage_pass(
     cfg: StageConfig,
     prev: tuple[np.ndarray, np.ndarray] | None,
@@ -423,7 +463,7 @@ def _stage_pass(
     around that height, else None: the array its tiles checked, which the
     next stage reads only as row views.  The widest gap is the largest
     spacing between consecutive planes of any valid pixel (0 if none);
-    stage 1 takes it once from its shared vector.
+    each stage-1 tile gives its shared vector's.
 
     Tiles are laid out from :class:`_Rows` of ``prev`` with ``gt.mask``, so
     no tile builds or checks a grid; the range checks of ``pixel_range`` and
@@ -441,24 +481,10 @@ def _stage_pass(
     arrays: the probabilities :func:`_oracle_probs` returns, and one copy of
     the tile's planes, made once the widest gap is taken.
 
-    Tiles hold about :data:`TILE_BYTES` of planes.  The tile list is cut in
-    two halves at a tile boundary, the seam: the calling thread sweeps the
-    top half downward while one worker thread sweeps the bottom half upward,
-    so each half runs toward the seam.  Each tile writes its raw estimate
-    into the stage's height array and, as smoothed row ``r`` needs the raw
-    rows ``r-1 .. r+1``, is settled one tile late: once the next tile is in,
-    it is smoothed from its :func:`_strip` of that array, as
-    :func:`~terraslope.correction.correct` smooths, and its spread is taken
-    from the smoothed height while its planes and probabilities are at hand
-    (the last stage, without a spread, holds neither).  The smoothed rows
-    are written back one tile later, once the tile beyond has read their
-    raw values.  A half's last tile touches the seam, so each half returns
-    it unsettled, with the rows pending before it; after the join both seam
-    tiles are settled, then all pending rows are written.  A grid of one
-    tile is swept on the calling thread alone.
-    When both halves fail, the top half's error is raised.  The height is
-    made read-only, so the stage grid, which shares ``gt``'s metadata and
-    mask, adopts it without a copy.
+    :func:`_sweep` runs tiles of about :data:`TILE_BYTES` of planes through
+    the oracle kernel, with ``target`` and the temperature bound here; only
+    a stage with a spread keeps a tile's planes and probabilities to settle
+    it.  The stage grid adopts the height, made read-only, without a copy.
 
     Raises:
         ValueError: a range too wide for float64, or a non-finite expected
@@ -466,13 +492,13 @@ def _stage_pass(
     """
     rows, cols = gt.shape
     swept, nodata = gt.mask, gt.nodata
-    m = cfg.plane_count
+    m, temperature = cfg.plane_count, cfg.temperature
     height = np.empty(gt.shape)
     sigma = np.empty(gt.shape) if with_sigma else None
     step = max(1, TILE_BYTES // (8 * cols * m))
     tiles = [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
-    half = (len(tiles) + 1) // 2
     shared = _equal_planes(*global_range, m) if prev is None else None
+    shared_gap = float(_widest_gaps(shared)) if prev is None else None
 
     def layout(tile: slice) -> np.ndarray:
         """The planes of ``tile``."""
@@ -491,8 +517,21 @@ def _stage_pass(
     # place of numpy's warnings.  The worker thread does not inherit the
     # caller's error state, so each function sets its own.
     @np.errstate(over="ignore", invalid="ignore")
-    def settle(tile: slice, volume: tuple) -> tuple[slice, np.ndarray] | None:
-        """Smooth ``tile`` and take its spread; return the rows to write back, if corrected."""
+    def kernel(tile: slice) -> tuple[np.ndarray, float, tuple]:
+        """The oracle's expected height of ``tile``, its widest gap and what its spread needs."""
+        valid = swept[tile]
+        planes = layout(tile)
+        probs = _oracle_probs(planes, target[tile], temperature, valid)
+        gap = shared_gap if prev is None else _widest_gaps(planes)[valid].max(initial=0.0)
+        planes = np.ascontiguousarray(planes)  # stage 1's shared vector already is
+        est = _expectation(probs, planes)
+        est[~valid] = nodata
+        _check_finite(est, tile, "expected height")
+        return est, gap, (probs, planes) if with_sigma else ()
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def settle(tile: slice, volume: tuple) -> np.ndarray:
+        """Smooth ``tile`` if corrected and take its spread; return its rows."""
         tile_height = height[tile]
         if cfg.use_height_correction:
             strip, inner = _strip(height, swept, tile, nodata)
@@ -502,53 +541,11 @@ def _stage_pass(
             spread[~swept[tile]] = nodata
             _check_finite(spread, tile, "height spread")
             sigma[tile] = spread
-        return (tile, tile_height) if cfg.use_height_correction else None
+        return tile_height
 
-    def write_back(settled: tuple[slice, np.ndarray] | None) -> None:
-        if settled is not None:
-            tile, rows = settled
-            height[tile] = rows
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def sweep(part: list[slice]) -> tuple[float, tuple, tuple | None]:
-        """Sweep ``part`` toward the seam; return its widest gap, last tile and pending rows."""
-        widest = 0.0
-        held = pending = None
-        for tile in part:
-            valid = swept[tile]
-            planes = layout(tile)
-            probs = _oracle_probs(planes, target[tile], cfg.temperature, valid)
-            if shared is None:
-                widest = max(widest, _widest_gaps(planes)[valid].max(initial=0.0))
-                planes = np.ascontiguousarray(planes)
-            est = _expectation(probs, planes)
-            est[~valid] = nodata
-            _check_finite(est, tile, "expected height")
-            height[tile] = est
-            volume = (probs, planes) if sigma is not None else ()
-            del planes, probs  # without a spread, no volume outlives its estimate
-            if held is not None:
-                settled = settle(*held)
-                write_back(pending)
-                pending = settled
-            held = tile, volume
-        return widest, held, pending
-
-    if len(tiles) == 1:
-        halves = [sweep(tiles)]
-    else:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            bottom = pool.submit(sweep, tiles[half:][::-1])
-            halves = [sweep(tiles[:half]), bottom.result()]
-    seams = [settle(*held) for _, held, _ in halves]
-    for settled in [pending for *_, pending in halves] + seams:
-        write_back(settled)
-    # run_pipeline checks that gt has a valid pixel, so stage 1's widest gap
-    # is its shared vector's.
-    widest = _widest_gaps(shared) if shared is not None else max(w for w, *_ in halves)
-
+    widest = _sweep(tiles, height, kernel, settle)
     height.flags.writeable = False  # the stage grid adopts it without a copy
-    return replace(gt, values=height), sigma, float(widest)
+    return replace(gt, values=height), sigma, widest
 
 
 def run_pipeline(
@@ -571,7 +568,7 @@ def run_pipeline(
     share a noise field.
 
     Memory: every stage is one pass over row tiles of about
-    :data:`TILE_BYTES` of planes (:func:`_stage_pass` describes the sweep),
+    :data:`TILE_BYTES` of planes (:func:`_sweep` describes the schedule),
     so volume memory is a few tiles, not rows * cols * M.  The rest is
     (rows, cols) grids: the earlier stages' heights, the previous spread,
     the noisy target, and the stage's height and spread.  Every stage
@@ -592,8 +589,7 @@ def run_pipeline(
             expected height or spread overflows at a valid pixel (the
             message names the stage).
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    _check_integer("seed", seed, 0)
     low, high = float(global_range[0]), float(global_range[1])
     if not (low < high and math.isfinite(high - low)):
         raise ValueError(f"global range needs low < high and a finite width, got [{low}, {high}]")
@@ -618,7 +614,7 @@ def run_pipeline(
 
     prev: tuple[np.ndarray, np.ndarray] | None = None
     for stage_index, cfg in enumerate(stages):
-        target = matcher_noise(gt.shape, cfg.noise, seed=len(stages) * seed + stage_index)
+        target = matcher_noise(gt.shape, cfg.noise, seed=len(stages) * int(seed) + stage_index)
         target += gt.values
         try:
             height, sigma, spacing = _stage_pass(

@@ -1,5 +1,7 @@
 """Hypothesis-plane partition vs a direct scalar transcription."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,12 @@ class TestSlopeGuidedPartition:
         with pytest.raises(ValueError):
             self.run_single(0.0, -1.0, 1.0, 1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("m", [2.5, np.float64(8.0)])
+    def test_rejects_a_plane_count_that_is_not_an_integer(self, m):
+        message = rf"^plane_count must be an integer >= 2, got {re.escape(repr(m))}$"
+        with pytest.raises(ValueError, match=message):
+            self.run_single(0.0, -1.0, 1.0, 1.0, 1.0, m)
+
     def test_degenerate_range_all_center(self):
         p = self.run_single(5.0, 5.0, 5.0, 2.0, 3.0, 6)
         assert (planes_of(p) == 5.0).all()
@@ -360,8 +368,20 @@ class TestEqualPartition:
         with pytest.raises(ValueError):
             equal_partition(single_pixel_ranges(0.0, 1.0), 1)
 
+    @pytest.mark.parametrize("m", [2.5, np.float64(8.0)])
+    def test_rejects_a_plane_count_that_is_not_an_integer(self, m):
+        message = rf"^plane_count must be an integer >= 2, got {re.escape(repr(m))}$"
+        with pytest.raises(ValueError, match=message):
+            equal_partition(single_pixel_ranges(0.0, 1.0), m)
+
 
 class TestVolumeBudget:
+    @pytest.mark.parametrize("integer", [int, np.int32, np.int64])
+    def test_a_numpy_plane_count_does_not_wrap_under_the_budget(self, integer):
+        # 4096 x 2**20 planes of 8 bytes is 2**35 bytes, which is 0 in int32
+        with pytest.raises(ValueError, match="volume budget"):
+            _check_volume((1, 4096), integer(2**20))
+
     def test_budget_edge(self):
         per_pixel = VOLUME_BUDGET_BYTES // 8
         _check_volume((1, 1), per_pixel)  # exactly at the budget: allowed

@@ -77,6 +77,12 @@ class TestStageConfig:
         with pytest.raises(ValueError, match=field):
             StageConfig(plane_count=8, **{field: value})
 
+    @pytest.mark.parametrize("plane_count", [1, 2.5, np.float64(8.0), "8", None])
+    def test_rejects_a_plane_count_that_is_not_an_integer_from_2(self, plane_count):
+        message = rf"^plane_count must be an integer >= 2, got {re.escape(repr(plane_count))}$"
+        with pytest.raises(ValueError, match=message):
+            StageConfig(plane_count=plane_count)
+
     def test_default_schedule(self):
         stages = default_stage_configs()
         assert [s.plane_count for s in stages] == [64, 32, 8]
@@ -178,10 +184,39 @@ class TestGenerateTerrain:
         with pytest.raises(ValueError, match="seed"):
             TerrainSpec(rows=4, cols=4, seed=-1)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("rows", 0),
+            ("rows", 2.5),
+            ("cols", np.float64(8.0)),
+            ("cols", "8"),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", None),
+        ],
+    )
+    def test_rejects_an_integer_field_that_is_not_an_integer(self, field, value):
+        minimum = 0 if field == "seed" else 1
+        message = rf"^{field} must be an integer >= {minimum}, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            TerrainSpec(**{"rows": 8, "cols": 8, field: value})
+
+    def test_numpy_integer_fields_give_the_same_terrain(self):
+        spec = TerrainSpec(rows=np.int64(9), cols=np.int32(7), seed=np.uint8(3))
+        expected = generate_terrain(TerrainSpec(rows=9, cols=7, seed=3))
+        assert generate_terrain(spec).values.tobytes() == expected.values.tobytes()
+
     @pytest.mark.parametrize("roughness", [1e12, 1e308])
     def test_rejects_hill_count_over_the_volume_budget(self, roughness):
         with pytest.raises(ValueError, match="roughness"):
             TerrainSpec(rows=16, cols=16, kind="gaussian-hills", roughness=roughness)
+
+    def test_numpy_sizes_do_not_wrap_under_the_hill_budget(self):
+        # 8 hills x 2**16 x 2**16 cells is 2**35, which is 0 in int32
+        size = np.int32(2**16)
+        with pytest.raises(ValueError, match="roughness"):
+            TerrainSpec(rows=size, cols=size, kind="gaussian-hills", roughness=1.0)
 
     def test_hill_budget_edge(self):
         cells = VOLUME_BUDGET_BYTES // 8
@@ -286,6 +321,15 @@ class TestRunPipeline:
             assert [h.values.tobytes() for h in run.heights] == [
                 h.values.tobytes() for h in runs[0].heights
             ]
+
+    def test_an_int32_seed_draws_the_noise_of_its_value(self):
+        gt = HeightGrid(np.arange(16.0).reshape(4, 4))
+        stages = tuple(replace(cfg, noise=3.0) for cfg in sharp_stages())
+        seeds = (2**31 - 1, np.int32(2**31 - 1))
+        runs = [run_pipeline(gt, (0.0, 16.0), stages, seed=s) for s in seeds]
+        assert [h.values.tobytes() for h in runs[1].heights] == [
+            h.values.tobytes() for h in runs[0].heights
+        ]
 
     def test_rejects_a_range_whose_width_overflows(self):
         gt = HeightGrid(np.full((4, 4), 5.0))
