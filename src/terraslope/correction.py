@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .raster import HeightGrid
+from .raster import HeightGrid, _cells
 from .slope import _strip, window_stack
 
 #: Base 3x3 pattern in row-major order; sums to exactly 1.
@@ -113,9 +113,9 @@ def fit_scale(noisy: HeightGrid, target: HeightGrid) -> GaussianKernel:
     joint = smoothed.mask & target.mask
     if not joint.any():
         raise ValueError("no jointly valid pixel to fit on")
-    c = smoothed.values[joint]
-    del smoothed  # two grids at most: free the smoothing before taking the target's cells
-    t = target.values[joint]
+    c = _cells(smoothed.values, joint)  # a view on an all-valid pair
+    del smoothed  # two grids at most: with holes, free the smoothing before gathering the target
+    t = _cells(target.values, joint)
     with np.errstate(over="ignore", invalid="ignore"):
         cc = float(np.dot(c, c))
         ct = float(np.dot(c, t))

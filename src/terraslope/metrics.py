@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .raster import HeightGrid, atomic_output
+from .raster import HeightGrid, _cells, atomic_output
 
 #: Default thresholds (meters) for the percent-below metrics.
 DEFAULT_THRESHOLDS = (2.5, 7.5)
@@ -52,21 +52,31 @@ class Mvs3dReport:
 
 
 def _joint_cells(est_mask: np.ndarray, gt_mask: np.ndarray) -> np.ndarray:
-    """The cells valid in both masks, which must share a shape and a valid cell."""
+    """The cells valid in both masks, which must share a shape and a valid cell.
+
+    Grids that share one mask, as a pipeline stage and its ground truth do,
+    get that mask back, not a copy.
+    """
     if est_mask.shape != gt_mask.shape:
         raise ValueError(f"estimate {est_mask.shape} and ground truth {gt_mask.shape} differ")
-    joint = est_mask & gt_mask
+    joint = est_mask if est_mask is gt_mask else est_mask & gt_mask
     if not joint.any():
         raise ValueError("no jointly valid grid cell to evaluate")
     return joint
 
 
-def _abs_error(est: HeightGrid, gt: HeightGrid) -> np.ndarray:
-    """``|est - gt|`` over the jointly valid cells (see :func:`_joint_cells`)."""
+def _abs_error(est: HeightGrid, gt: HeightGrid, out: np.ndarray | None = None) -> np.ndarray:
+    """``|est - gt|`` over the jointly valid cells (see :func:`_joint_cells`), in row-major order.
+
+    The result is written into ``out`` when given.  On an all-valid pair the
+    cells are read as views of the grids (:func:`~terraslope.raster._cells`),
+    so the result is the only array made.
+    """
     joint = _joint_cells(est.mask, gt.mask)
     # An overflow leaves an infinite error, which _finite_mean reports.
     with np.errstate(over="ignore"):
-        return np.abs(est.values[joint] - gt.values[joint])
+        diff = np.subtract(_cells(est.values, joint), _cells(gt.values, joint), out=out)
+    return np.abs(diff, out=diff)
 
 
 def _finite_mean(err: np.ndarray, what: str) -> float:
@@ -78,12 +88,31 @@ def _finite_mean(err: np.ndarray, what: str) -> float:
     return mean
 
 
+def _count_below(err: np.ndarray, threshold: float) -> int:
+    """The number of ``err`` values below ``threshold``.
+
+    Counted over slices of 2**16 values, so no boolean array the size of
+    ``err`` is made.
+    """
+    step = 2**16
+    return sum(
+        int(np.count_nonzero(err[i : i + step] < threshold)) for i in range(0, err.size, step)
+    )
+
+
 def evaluate(
     est: HeightGrid,
     gt: HeightGrid,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
 ) -> EvalReport:
     """Score an estimated DSM against ground truth.
+
+    Works in one buffer of absolute errors (:func:`_abs_error`): the MAE
+    and the percent-below values read it, the MSE squares it in place, and
+    the median partitions it in place once the errors are written again.
+    On an all-valid pair nothing else the size of a grid is made, and on a
+    pipeline stage and its ground truth, which share one mask, not even a
+    joint mask.
 
     Raises:
         ValueError: mismatched dimensions, an empty joint-valid set, or an
@@ -94,16 +123,15 @@ def evaluate(
     # The errors are non-negative, so once their sum is finite, so is any sum
     # of two of them: the median cannot overflow.
     mae = _finite_mean(err, "absolute")
+    pct_below = {float(t): 100.0 * _count_below(err, t) / n for t in thresholds}
     with np.errstate(over="ignore"):
-        mse = _finite_mean(err * err, "squared")
-    pct_below = {
-        float(t): 100.0 * float((err < t).sum()) / n for t in thresholds
-    }
+        mse = _finite_mean(np.multiply(err, err, out=err), "squared")
+    median = np.median(_abs_error(est, gt, out=err), overwrite_input=True)
     return EvalReport(
         mae=mae,
         rmse=float(np.sqrt(mse)),
         pct_below=pct_below,
-        median_abs=float(np.median(err)),
+        median_abs=float(median),
         completeness=100.0 * est.valid_count / (est.rows * est.cols),
         joint_valid_count=n,
     )

@@ -97,6 +97,16 @@ def _freeze_mask(mask, shape: tuple[int, ...]) -> np.ndarray:
     return _freeze(mask)
 
 
+def _cells(values: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """The C-contiguous ``values`` at the ``joint`` cells, in row-major order.
+
+    When every cell is joint this is a flat view, so nothing is copied;
+    otherwise a boolean gather.  Both hold the same cells in the same order,
+    so a sum over either has the same bits.
+    """
+    return values.reshape(-1) if joint.all() else values[joint]
+
+
 @dataclass(frozen=True)
 class HeightGrid:
     """2D raster of heights in meters with a validity mask and a nodata sentinel.

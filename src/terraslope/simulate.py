@@ -461,9 +461,16 @@ def _stage_pass(
     :func:`~terraslope.correction.correct` when ``cfg.use_height_correction``.
     With ``with_sigma`` the spread is :func:`~terraslope.partition.pixel_std`
     around that height, else None: the array its tiles checked, which the
-    next stage reads only as row views.  The widest gap is the largest
-    spacing between consecutive planes of any valid pixel (0 if none);
-    each stage-1 tile gives its shared vector's.
+    next stage reads as row views.  The widest gap is the largest spacing
+    between consecutive planes of any valid pixel (0 if none); each stage-1
+    tile gives its shared vector's.
+
+    The pass consumes ``target`` and the previous spread ``prev[1]``: it
+    writes the height over ``target`` and a later stage's spread over
+    ``prev[1]``, so only stage 1 makes a grid, its spread.  A tile's kernel
+    reads its own rows of both before :func:`_sweep` writes the tile's raw
+    rows; settle reads only raw rows, one tile late, and writes the tile's
+    spread after its kernel ran; the two halves write disjoint tiles.
 
     Tiles are laid out from :class:`_Rows` of ``prev`` with ``gt.mask``, so
     no tile builds or checks a grid; the range checks of ``pixel_range`` and
@@ -493,8 +500,8 @@ def _stage_pass(
     rows, cols = gt.shape
     swept, nodata = gt.mask, gt.nodata
     m, temperature = cfg.plane_count, cfg.temperature
-    height = np.empty(gt.shape)
-    sigma = np.empty(gt.shape) if with_sigma else None
+    height = target
+    sigma = (np.empty(gt.shape) if prev is None else prev[1]) if with_sigma else None
     step = max(1, TILE_BYTES // (8 * cols * m))
     tiles = [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
     shared = _equal_planes(*global_range, m) if prev is None else None
@@ -570,11 +577,13 @@ def run_pipeline(
     Memory: every stage is one pass over row tiles of about
     :data:`TILE_BYTES` of planes (:func:`_sweep` describes the schedule),
     so volume memory is a few tiles, not rows * cols * M.  The rest is
-    (rows, cols) grids: the earlier stages' heights, the previous spread,
-    the noisy target, and the stage's height and spread.  Every stage
-    sweeps ``gt``'s valid pixels, and its grid keeps ``gt``'s metadata and
-    mask.  The results equal, bit for bit, those of composing the
-    whole-grid functions (the partition module's
+    (rows, cols) grids: ``gt``, the earlier stages' heights, the previous
+    spread and the noisy target, five at the last of three stages.  A stage
+    writes its height over its target and its spread over the previous
+    spread (:func:`_stage_pass`), and :func:`~terraslope.metrics.evaluate`
+    takes one more grid.  Every stage sweeps ``gt``'s valid pixels, and its
+    grid keeps ``gt``'s metadata and mask.  The results equal, bit for bit,
+    those of composing the whole-grid functions (the partition module's
     ``equal_partition``, ``slope_guided_partition``, ``expected_height`` and
     ``pixel_std``, :func:`oracle_matcher` and :func:`~terraslope.correction.correct`).
 
@@ -622,7 +631,6 @@ def run_pipeline(
             )
         except ValueError as exc:
             raise ValueError(f"stage {stage_index + 1}: {exc}") from exc
-        del target
         prev = height.values, sigma
         heights.append(height)
         reports.append(evaluate(height, gt, thresholds=DEFAULT_THRESHOLDS))
@@ -654,9 +662,15 @@ def ablation_report(
     (common random numbers), so differences reflect only the toggled
     features.  Metrics are the final-stage MAE, RMSE, and percent-below
     values, averaged across seeds.
+
+    Raises:
+        ValueError: an empty seed list or a seed that is not an integer
+            >= 0, before any arm runs, or what :func:`run_pipeline` raises.
     """
     if not seeds:
         raise ValueError("at least one seed required")
+    for seed in seeds:
+        _check_integer("seed", seed, 0)
     rows = []
     for label, use_partition, use_correction in ABLATION_ARMS:
         stages = tuple(

@@ -245,15 +245,25 @@ class TestStreamedSmoothing:
         grid_bytes = 8 * shape[0] * shape[1]
         noisy = HeightGrid(rng.uniform(-50.0, 50.0, size=shape))
         target = HeightGrid(rng.uniform(-50.0, 50.0, size=shape))
+        peaks = []
         for run in (lambda: correct(noisy), lambda: fit_scale(noisy, target)):
             tracemalloc.start()
             try:
                 run()
-                peak = tracemalloc.get_traced_memory()[1]
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             # a whole-grid window stack alone would be nine grids
-            assert peak < 3 * grid_bytes
+            assert peaks[-1] < 3 * grid_bytes
+        # on an all-valid pair fit_scale reads the cells as views: it adds at
+        # most the joint mask to correct's peak, where a gathered copy adds a grid
+        assert peaks[1] < peaks[0] + grid_bytes / 4
+
+    @pytest.mark.parametrize("shape", [(1, 1), (9, 37), (64, 513)])
+    def test_all_valid_scale_has_the_bits_of_gathered_cells(self, rng, shape):
+        noisy = HeightGrid(rng.uniform(-50.0, 50.0, size=shape))
+        target = HeightGrid(rng.uniform(-50.0, 50.0, size=shape))
+        assert bits(fit_scale(noisy, target).scale) == bits(reference_scale(noisy, target))
 
     def test_result_adopts_its_output_and_shares_the_mask(self, rng):
         noisy = HeightGrid(rng.uniform(-50.0, 50.0, size=(1024, 1024)))

@@ -1,5 +1,7 @@
 """DSM metric suite vs a scalar transcription."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,47 @@ class TestEvaluate:
     def test_overflow_names_the_statistic(self, est, gt, what):
         with pytest.raises(ValueError, match=f"^mean {what} height error is beyond the float64"):
             evaluate(grid(est), grid(gt))
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestOneBuffer:
+    """``evaluate`` reuses one error buffer; its numbers keep the bits of fresh arrays."""
+
+    # 117 and 76755 cells are odd counts, 130 and 76800 even; 7 holes flip the
+    # parity and 8 keep it
+    @pytest.mark.parametrize("holes", [0, 7, 8])
+    @pytest.mark.parametrize("shape", [(9, 13), (10, 13), (255, 301), (256, 300)])
+    def test_bits_match_the_direct_formulas(self, rng, shape, holes):
+        est = random_grid(rng, *shape)
+        values = rng.uniform(-50.0, 50.0, size=shape)
+        values.flat[rng.choice(values.size, holes, replace=False)] = NODATA
+        gt = HeightGrid(values, nodata=NODATA)
+        joint = est.mask & gt.mask
+        err = np.abs(est.values[joint] - gt.values[joint])
+        assert err.size == values.size - holes
+        thresholds = (1.0, 2.5, 7.5)
+        r = evaluate(est, gt, thresholds=thresholds)
+        assert bits(r.mae) == bits(err.mean())
+        assert bits(r.rmse) == bits(np.sqrt(float(np.mean(err * err))))
+        assert bits(r.median_abs) == bits(np.median(err))
+        assert r.pct_below == {t: 100.0 * float((err < t).sum()) / err.size for t in thresholds}
+        assert r.joint_valid_count == err.size
+
+    def test_all_valid_peak_is_one_error_buffer(self, rng):
+        est = random_grid(rng, 1024, 1024)
+        gt = random_grid(rng, 1024, 1024)
+        tracemalloc.start()
+        try:
+            evaluate(est, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the errors and the joint mask; gathering both grids' cells takes two more
+        assert peak < 1.2 * est.values.nbytes
+
 
 class TestMvs3dReport:
     def test_perfect(self, rng):

@@ -445,6 +445,21 @@ class TestAblation:
         )
         assert rows[0].mae == pytest.approx(single.reports[-1].mae)
 
+    @pytest.mark.parametrize("bad", [-1, 1.5])
+    def test_every_seed_is_checked_before_the_first_arm(self, monkeypatch, bad):
+        calls = []
+        run = simulate.run_pipeline
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "run_pipeline", counted)
+        gt = HeightGrid(np.arange(16.0).reshape(4, 4))
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {bad}$"):
+            ablation_report(gt, (0.0, 16.0), sharp_stages(), [0, bad])
+        assert calls == []
+
     def test_csv_output(self, tmp_path):
         gt = generate_terrain(TerrainSpec(rows=12, cols=12, kind="fractal", seed=2))
         rows = ablation_report(gt, terrain_range(gt), sharp_stages(), seeds=[0])
