@@ -45,9 +45,9 @@ from .simulate import (
 )
 from .slope import (
     direction_as_grid,
+    slope_and_direction,
     slope_direction_map,
     slope_factor_maps,
-    slope_map,
 )
 
 EXIT_OK = 0
@@ -69,9 +69,8 @@ def _pgm_sibling(path: str) -> Path:
 
 
 def cmd_slope(args: argparse.Namespace) -> int:
-    grid = read_ascii_grid(args.input)
-    slope = slope_map(grid)
-    direction = direction_as_grid(slope_direction_map(grid), like=grid)
+    # No name keeps the input grid, so its values are freed once both maps exist.
+    slope, direction = slope_and_direction(read_ascii_grid(args.input))
     # The slope PGM is written first: render_pgm checks LO/HI before it
     # writes, so bad bounds leave no output.
     if args.pgm is not None:
@@ -84,6 +83,8 @@ def cmd_slope(args: argparse.Namespace) -> int:
 
 
 def cmd_direction(args: argparse.Namespace) -> int:
+    # Not slope_and_direction: a slope beyond the float64 range must not fail
+    # a direction map that does not need it.
     grid = read_ascii_grid(args.input)
     direction = direction_as_grid(slope_direction_map(grid), like=grid)
     write_ascii_grid(direction, args.output)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import _abs_error, _finite_mean, _joint_cells
-from .raster import HeightGrid, SlopeDirectionGrid
+from .raster import HeightGrid, SlopeDirectionGrid, _cells
 from .slope import slope_direction_map
 
 @dataclass(frozen=True)
@@ -113,10 +113,14 @@ def stage_direction_loss(pred: SlopeDirectionGrid, gt: SlopeDirectionGrid) -> fl
     so two directions cost ``(3 * d_dr + d_dc) ** 2`` apart: an up/down
     flip (7 and 1) costs 36, a left/right flip (5 and 3) 4, and the two
     diagonal flips 64 (0 and 8) and 16 (2 and 6).
+
+    The squared differences are summed as integers, and the exact sum is
+    divided once by the count, which rounds as a float64 mean of them does.
     """
     joint = _joint_cells(pred.mask, gt.mask)
-    diff = pred.codes[joint].astype(np.float64) - gt.codes[joint]
-    return float((diff * diff).mean())
+    diff = np.subtract(_cells(pred.codes, joint), _cells(gt.codes, joint), dtype=np.int64)
+    diff *= diff
+    return int(diff.sum()) / diff.size
 
 
 def direction_loss(

@@ -213,18 +213,31 @@ class SlopeDirectionGrid:
     ``codes`` holds one entry of :data:`DIRECTION_LABELS` per cell; ``mask``
     marks which cells carry a meaningful code (invalid cells keep the
     neutral code 4 as filler).
+
+    Codes given as ``uint8`` or ``int64`` keep their type and are frozen as
+    :func:`_freeze` does; any other whole numbers become ``int64``.  A code
+    that is not a whole number in 0..8 (``3.7``, NaN, ``-1``, ``9``) raises
+    a ``ValueError``.
     """
 
     codes: np.ndarray
     mask: np.ndarray
 
     def __post_init__(self) -> None:
-        codes = np.asarray(self.codes, dtype=np.int64)
+        codes = np.asarray(self.codes)
         if codes.ndim != 2:
             raise ValueError(f"direction codes must be 2D, got {codes.shape}")
         mask = _freeze_mask(self.mask, codes.shape)
-        if codes.size and (codes.min() < 0 or codes.max() > 8):
-            raise ValueError("direction codes must lie in 0..8")
+        if codes.dtype in (np.uint8, np.int64):
+            whole = not codes.size or (codes.min() >= 0 and codes.max() <= 8)
+        else:
+            # a comparison, not a cast, so a NaN or 3.7 raises no numpy warning
+            whole = codes.dtype.kind in "biuf" and bool(np.isin(codes, range(9)).all())
+            if whole:
+                codes = codes.astype(np.int64)
+                codes.flags.writeable = False  # _freeze keeps it without a second copy
+        if not whole:
+            raise ValueError("direction codes must be whole numbers in 0..8")
         object.__setattr__(self, "codes", _freeze(codes))
         object.__setattr__(self, "mask", mask)
 
@@ -577,11 +590,14 @@ def render_pgm(grid: HeightGrid, path: str | os.PathLike, lo: float, hi: float) 
     """
     if not (math.isfinite(float(hi) - float(lo)) and lo < hi):
         raise ValueError(f"requires finite lo < hi with a finite hi - lo, got lo={lo}, hi={hi}")
-    # A value far outside [lo, hi] may overflow to +-inf, which clips to 0
-    # or 1 like any other value past the range.
+    # One float buffer, worked in place.  A value far outside [lo, hi] may
+    # overflow to +-inf, which clips to 0 or 1 like any other value past the range.
     with np.errstate(over="ignore"):
-        t = np.clip((grid.values - lo) / (hi - lo), 0.0, 1.0)
-    pixels = np.floor(255.0 * t).astype(np.uint8)
+        t = np.subtract(grid.values, lo)
+        t /= hi - lo
+    np.clip(t, 0.0, 1.0, out=t)
+    t *= 255.0
+    pixels = np.floor(t, out=t).astype(np.uint8)
     pixels[~grid.mask] = 0
     with atomic_output(path, "wb") as fh:
         fh.write(f"P5\n{grid.cols} {grid.rows}\n255\n".encode("ascii"))

@@ -61,14 +61,7 @@ from .raster import (
     render_pgm,
     write_ascii_grid,
 )
-from .slope import (
-    _Rows,
-    _strip,
-    direction_as_grid,
-    slope_direction_map,
-    slope_factor_maps,
-    slope_map,
-)
+from .slope import _Rows, _strip, slope_and_direction, slope_factor_maps
 
 #: Published-style refinement schedule: plane counts per stage and the
 #: uncertainty floors (half of plane count times stage interval: 32*5/2 and
@@ -737,12 +730,11 @@ def write_run_directory(
     for i, (height, report) in enumerate(zip(result.heights, result.reports), start=1):
         write_ascii_grid(height, os.path.join(out_dir, f"stage{i}_height.asc"))
         render_pgm(height, os.path.join(out_dir, f"stage{i}_height.pgm"), lo, hi)
-        slope = slope_map(height)
+        slope, dir_grid = slope_and_direction(height)
         write_ascii_grid(slope, os.path.join(out_dir, f"stage{i}_slope.asc"))
         valid = slope.values[slope.mask]
         slope_hi = max(float(valid.max()), 1e-9) if valid.size else 1.0
         render_pgm(slope, os.path.join(out_dir, f"stage{i}_slope.pgm"), 0.0, slope_hi)
-        dir_grid = direction_as_grid(slope_direction_map(height), like=height)
         write_ascii_grid(dir_grid, os.path.join(out_dir, f"stage{i}_dir.asc"))
         render_pgm(dir_grid, os.path.join(out_dir, f"stage{i}_dir.pgm"), 0.0, 8.0)
         write_report_csv(report, os.path.join(out_dir, f"stage{i}_eval.csv"))

@@ -27,6 +27,15 @@ position attaining it, as substituting the center value.  A maximum or
 minimum is exact, so the order of a fold cannot change a value, and the
 sign of a zero extremum never reaches an output (a slope factor is an
 absolute difference, a direction code an equality test).
+Slope and direction share one fold: :func:`_peak_codes` pads once, folds
+once with ``np.fmax`` and writes the direction codes into a ``uint8``
+grid, one ``np.copyto`` per window position that attains the maximum.
+:func:`slope_and_direction` makes both output grids of that fold, the
+slope in place of the maximum and the code grid from the ``uint8``
+codes, and each grid adopts its array without a copy;
+:func:`slope_direction_map` widens the codes to the ``int64`` of the public
+:class:`~terraslope.raster.SlopeDirectionGrid` in one ``astype``.
+:func:`slope_map` takes the fold alone.
 :func:`window_stack` stacks the nine views and copies the center into
 every NaN entry, for the weighted sum of :mod:`terraslope.correction`;
 that sum stays one matmul, because a sum's bits depend on its order.
@@ -41,7 +50,7 @@ grid's bits.  :func:`terraslope.correction.correct` and the sweep of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -130,19 +139,61 @@ def _check_overflow(diff: np.ndarray, mask: np.ndarray, what: str) -> None:
         )
 
 
-@np.errstate(over="ignore")
-def slope_map(grid: HeightGrid) -> HeightGrid:
-    """Per-pixel slope: |3x3 neighborhood max - center|, in meters.
+def _peak_codes(grid: HeightGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The 3x3 neighborhood maximum of every pixel and its ``uint8`` direction code.
 
-    Invalid pixels propagate nodata.  The result shares dimensions, metadata
-    and mask with the input (:meth:`~terraslope.raster.HeightGrid.with_valid`).
+    One padding and one ``np.fmax`` fold.  A valid pixel whose center
+    attains the maximum (including a fully flat window) gets code 4;
+    otherwise the maximum position with the smallest row-major index wins
+    ties and the code is ``8 - index``, which maps the window corners and
+    edges onto the 0..8 direction table.  An invalid pixel gets code 4.
+    The maximum is NaN where a pixel and all its neighbors are invalid.
+    """
+    views = _window_views(grid.values, grid.mask)
+    peak = _fold(views, np.fmax)
+    codes = np.full(grid.shape, 4, dtype=np.uint8)
+    # Highest index first, so the smallest index attaining the peak is
+    # written last, and the center after every neighbor.
+    for k in (8, 7, 6, 5, 3, 2, 1, 0, 4):
+        np.copyto(codes, 8 - k, where=views[k] == peak)
+    np.copyto(codes, 4, where=~grid.mask)
+    return peak, codes
+
+
+def _adopt(like: HeightGrid, values: np.ndarray, mask: np.ndarray) -> HeightGrid:
+    """``values``, a float64 array of the caller's own, as a grid with ``like``'s metadata.
+
+    The sentinel is written in place outside ``mask`` and the grid adopts
+    the array without a copy, holding the bits of
+    :meth:`~terraslope.raster.HeightGrid.with_valid`.
+    """
+    np.copyto(values, like.nodata, where=~mask)
+    values.flags.writeable = False
+    return replace(like, values=values, mask=mask)
+
+
+def _slope_grid(grid: HeightGrid, peak: np.ndarray) -> HeightGrid:
+    """|``peak`` - center| of ``grid``, computed in place of ``peak``, as a grid.
 
     Raises:
         ValueError: a slope beyond the float64 range at a valid pixel.
     """
-    slope = np.abs(_fold(_window_views(grid.values, grid.mask), np.fmax) - grid.values)
+    with np.errstate(over="ignore"):
+        slope = np.abs(np.subtract(peak, grid.values, out=peak), out=peak)
     _check_overflow(slope, grid.mask, "slope")
-    return grid.with_valid(slope, grid.mask)
+    return _adopt(grid, slope, grid.mask)
+
+
+def slope_map(grid: HeightGrid) -> HeightGrid:
+    """Per-pixel slope: |3x3 neighborhood max - center|, in meters.
+
+    Invalid pixels propagate nodata.  The result shares dimensions, metadata
+    and mask with the input.
+
+    Raises:
+        ValueError: a slope beyond the float64 range at a valid pixel.
+    """
+    return _slope_grid(grid, _fold(_window_views(grid.values, grid.mask), np.fmax))
 
 
 def slope_direction_map(grid: HeightGrid) -> SlopeDirectionGrid:
@@ -151,16 +202,24 @@ def slope_direction_map(grid: HeightGrid) -> SlopeDirectionGrid:
     If the center attains the maximum (including fully flat windows) the
     code is 4; otherwise the maximum position with the smallest row-major
     index wins ties and the code is ``8 - index``, which maps the window
-    corners/edges onto the 0..8 direction table.
+    corners/edges onto the 0..8 direction table.  The codes are ``int64``.
     """
-    views = _window_views(grid.values, grid.mask)
-    peak = _fold(views, np.fmax)
-    codes = np.full(grid.shape, 4, dtype=np.int64)
-    # Highest index first, so the smallest index attaining the peak is written last.
-    for k in range(8, -1, -1):
-        codes[views[k] == peak] = 8 - k
-    codes[(views[4] == peak) | ~grid.mask] = 4
+    codes = _peak_codes(grid)[1].astype(np.int64)
+    codes.flags.writeable = False  # the direction grid adopts it without a copy
     return SlopeDirectionGrid(codes=codes, mask=grid.mask)
+
+
+def slope_and_direction(grid: HeightGrid) -> tuple[HeightGrid, HeightGrid]:
+    """:func:`slope_map` and the direction codes as a height grid, from one fold.
+
+    The second grid holds the bits of ``direction_as_grid(slope_direction_map(grid),
+    like=grid)``; both share ``grid``'s metadata and mask.
+
+    Raises:
+        ValueError: a slope beyond the float64 range at a valid pixel.
+    """
+    peak, codes = _peak_codes(grid)
+    return _slope_grid(grid, peak), _adopt(grid, codes.astype(np.float64), grid.mask)
 
 
 @np.errstate(over="ignore")
@@ -189,6 +248,6 @@ def direction_as_grid(dirs: SlopeDirectionGrid, like: HeightGrid) -> HeightGrid:
     """Direction codes as a height grid, for ASCII/PGM serialization.
 
     Codes become float cell values, valid where ``dirs.mask`` holds, with
-    ``like``'s metadata (:meth:`~terraslope.raster.HeightGrid.with_valid`).
+    ``like``'s metadata and the sentinel elsewhere.
     """
-    return like.with_valid(dirs.codes.astype(np.float64), dirs.mask)
+    return _adopt(like, dirs.codes.astype(np.float64), dirs.mask)

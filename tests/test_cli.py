@@ -1,13 +1,22 @@
 """Command-line surface: exit codes, outputs, and byte-stable reruns."""
 
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from terraslope import correction, default_stage_configs, read_ascii_grid, run_pipeline
+from terraslope import (
+    HeightGrid,
+    correction,
+    default_stage_configs,
+    read_ascii_grid,
+    run_pipeline,
+    write_ascii_grid,
+)
+from terraslope import raster
 from terraslope.correction import GaussianKernel
 from terraslope.metrics import DEFAULT_THRESHOLDS
 from terraslope.partition import equal_partition, pixel_range
@@ -75,6 +84,23 @@ class TestSlopeCommand:
         assert run(["slope", tmp_path / "nope.asc", out_s, out_d]) == 2
         assert not out_s.exists() and not out_d.exists()
 
+    def test_peak_memory_with_pgms_stays_under_five_grids(self, tmp_path):
+        # the read, one padding and its NaN copy, the slope and code grids:
+        # about four grids; a second fold and int64/float64 code copies made 6.6
+        rng = np.random.default_rng(3)
+        grid = HeightGrid(rng.uniform(0.0, 200.0, size=(256, 256)))
+        path = tmp_path / "in.asc"
+        write_ascii_grid(grid, path)
+        raster._token_tables()  # built once per process, not per write
+        argv = ["slope", path, tmp_path / "s.asc", tmp_path / "d.asc", "--pgm", "0", "50"]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * grid.values.nbytes
+
     def test_byte_identical_reruns(self, tmp_path):
         outs = [tmp_path / f"{n}_{i}.asc" for i in (1, 2) for n in ("s", "d")]
         run(["slope", FIXTURES / "terrain.asc", outs[0], outs[1]])
@@ -90,6 +116,12 @@ class TestDirectionCommand:
         dirs = read_ascii_grid(out)
         assert dirs.values[dirs.mask].max() <= 8
         assert (tmp_path / "dir.pgm").exists()
+
+    def test_a_slope_beyond_float64_does_not_fail_the_direction_map(self, tmp_path):
+        src = tmp_path / "wide.asc"
+        src.write_text("NCOLS 2\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n1.7e308 -1.7e308\n")
+        assert run(["direction", src, tmp_path / "dir.asc"]) == 0
+        assert read_ascii_grid(tmp_path / "dir.asc").values.tolist() == [[4.0, 8.0]]
 
 
 class TestPartitionCommand:

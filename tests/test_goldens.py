@@ -35,6 +35,10 @@ def test_simulate_run_directory_and_ablation(tmp_path):
     "argv,written",
     [
         (["slope", "IN/terrain.asc", "OUT/slope.asc", "OUT/dir.asc"], ["dir.asc", "slope.asc"]),
+        (
+            ["slope", "IN/terrain.asc", "OUT/slope.asc", "OUT/dir.asc", "--pgm", "0", "50"],
+            ["dir.asc", "dir.pgm", "slope.asc", "slope.pgm"],
+        ),
         (["eval", "IN/est.asc", "IN/gt.asc", "--csv", "OUT/eval.csv"], ["eval.csv"]),
         (["correct", "IN/noisy.asc", "OUT/corrected.asc", "--scale", "1.25"], ["corrected.asc"]),
         (
@@ -45,8 +49,10 @@ def test_simulate_run_directory_and_ablation(tmp_path):
             ["partition", "IN/terrain.asc", "OUT/planes8", "--planes", "8"],
             ["planes8_lower_count.asc", "planes8_upper_count.asc"],
         ),
+        # clipped on both sides, with a hole
+        (["render", "IN/terrain.asc", "OUT/render.pgm", "--lo", "15", "--hi", "30"], ["render.pgm"]),
     ],
-    ids=["slope", "eval", "correct", "direction", "partition"],
+    ids=["slope", "slope-pgm", "eval", "correct", "direction", "partition", "render"],
 )
 def test_tool_outputs(argv, written, tmp_path):
     """IN/ names a fixture, OUT/ a file in the test's own directory."""

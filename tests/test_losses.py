@@ -139,6 +139,25 @@ class TestDirectionLoss:
             b = [slope_direction_map(random_grid(rng, 4, 4))] * 3
             assert direction_loss(a, b) >= 0.0
 
+    def test_integer_mean_has_the_bits_of_the_float_mean(self, rng):
+        # random codes under masks with holes, some sharing one mask, some
+        # uint8: the integer sum over the count rounds as numpy's float mean
+        for i in range(300):
+            shape = tuple(int(n) for n in rng.integers(1, 40, size=2))
+            masks = [rng.random(shape) >= rng.uniform(0.0, 0.7) for _ in range(2)]
+            for m in masks:
+                m.flat[0] = True
+            if i % 3 == 0:
+                masks[1] = masks[0]
+            codes = [rng.integers(0, 9, size=shape) for _ in range(2)]
+            if i % 4 == 0:
+                codes[0] = codes[0].astype(np.uint8)
+            pred, gt = (SlopeDirectionGrid(codes=c, mask=m) for c, m in zip(codes, masks))
+            joint = masks[0] & masks[1]
+            diff = codes[0][joint].astype(np.float64) - codes[1][joint]
+            want = float((diff * diff).mean())
+            assert stage_direction_loss(pred, gt).hex() == want.hex(), i
+
 
 @pytest.mark.parametrize(
     "stage_loss,make",

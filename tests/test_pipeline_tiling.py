@@ -428,7 +428,8 @@ def test_runs_derive_no_slope_direction_or_loss(arm, monkeypatch, tmp_path):
 
     # rebind every copy, including the names other modules imported
     modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "terraslope"]
-    for fn in (slope.slope_map, slope.slope_direction_map, losses.loss_report):
+    watched = (slope.slope_map, slope.slope_direction_map, slope.slope_and_direction, losses.loss_report)
+    for fn in watched:
         wrapper = counting(fn)
         for module in modules:
             for name, obj in list(vars(module).items()):
@@ -444,9 +445,10 @@ def test_runs_derive_no_slope_direction_or_loss(arm, monkeypatch, tmp_path):
     result = run_pipeline(gt, global_range, stages, seed=11)
     simulate.ablation_report(gt, global_range, stages, seeds=[0])
     assert calls == []
-    # the writer derives them, through the same rebound names
+    # the writer derives them, through the same rebound names: slope and
+    # direction from one fold per stage, the losses' own direction maps
     simulate.write_run_directory(result, gt, global_range, tmp_path)
-    assert sorted(set(calls)) == ["loss_report", "slope_direction_map", "slope_map"]
+    assert sorted(set(calls)) == ["loss_report", "slope_and_direction", "slope_direction_map"]
 
 
 def overflowing_range_stages():

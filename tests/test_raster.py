@@ -148,6 +148,32 @@ class TestSlopeDirectionGrid:
         with pytest.raises(ValueError):
             SlopeDirectionGrid(codes=np.zeros((2, 2), int), mask=np.ones((2, 3), bool))
 
+    @pytest.mark.parametrize("code", [3.7, np.nan, -1, 9, -1.0, 9.0, np.inf])
+    def test_rejects_a_code_not_whole_in_range_without_a_warning(self, code):
+        codes = np.array([[2, code]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^direction codes must be whole numbers in 0..8$"):
+                SlopeDirectionGrid(codes=codes, mask=np.ones((1, 2), bool))
+
+    def test_whole_floats_become_int64(self):
+        dirs = SlopeDirectionGrid(codes=np.array([[0.0, 8.0]]), mask=np.ones((1, 2), bool))
+        assert dirs.codes.dtype == np.int64 and dirs.codes.tolist() == [[0, 8]]
+        assert not dirs.codes.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_keeps_read_only_owned_codes_without_a_copy(self, dtype):
+        codes = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8]], dtype=dtype)
+        codes.flags.writeable = False
+        dirs = SlopeDirectionGrid(codes=codes, mask=np.ones((3, 3), bool))
+        assert dirs.codes is codes
+
+    def test_copies_writable_uint8_codes(self):
+        codes = np.full((2, 2), 8, dtype=np.uint8)
+        dirs = SlopeDirectionGrid(codes=codes, mask=np.ones((2, 2), bool))
+        codes[0, 0] = 0
+        assert dirs.codes.dtype == np.uint8 and dirs.codes[0, 0] == 8
+
 
 class TestReadAsciiGrid:
     def test_reads_simple_grid(self, tmp_path):

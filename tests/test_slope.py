@@ -1,5 +1,7 @@
 """3x3 windows, slope magnitude, direction codes, and slope factors vs brute force."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,7 +75,8 @@ def test_window_stack_matches_the_oracle_at_every_valid_pixel(nodata):
 
 
 @pytest.mark.parametrize(
-    "operation", [slope_map, slope_direction_map, slope_factor_maps, window_stack]
+    "operation",
+    [slope_map, slope_direction_map, slope.slope_and_direction, slope_factor_maps, window_stack],
 )
 def test_each_window_operation_pads_once(operation, monkeypatch):
     # one NaN-filled padding serves every fold and the stack's center fallback
@@ -172,6 +175,44 @@ class TestSlopeDirectionMap:
         d = slope_direction_map(HeightGrid(values, nodata=NODATA))
         assert not d.mask[0, 0]
         assert d.mask[0, 1]
+
+
+class TestSlopeAndDirection:
+    @pytest.mark.parametrize("nodata", [0.0, NODATA, 1e300])
+    def test_equals_the_two_maps_byte_for_byte(self, nodata):
+        rng = np.random.default_rng(28)
+        for i in range(150):
+            g = holey_grid(rng, i, nodata)
+            got_slope, got_dir = slope.slope_and_direction(g)
+            want_dir = direction_as_grid(slope_direction_map(g), like=g)
+            for got, want in ((got_slope, slope_map(g)), (got_dir, want_dir)):
+                assert got.values.tobytes() == want.values.tobytes(), i
+                assert np.array_equal(got.mask, want.mask) and got.mask is g.mask
+                assert (got.nodata, got.cell_size) == (g.nodata, g.cell_size)
+                assert not got.values.flags.writeable
+
+    def test_overflow_names_the_cell(self):
+        g = HeightGrid(np.array([[1.7e308, -1.7e308]]))
+        with pytest.raises(ValueError, match=r"^slope at \(0, 1\) overflows"):
+            slope.slope_and_direction(g)
+
+    def test_public_codes_stay_int64(self):
+        codes = slope_direction_map(ramp_grid()).codes
+        assert codes.dtype == np.int64 and not codes.flags.writeable
+
+    def test_direction_map_peak_memory_stays_under_three_grids(self):
+        # the padding and its NaN copy, the fold, uint8 codes and the int64
+        # result; the boolean-index stores of int64 codes took four grids
+        values = np.random.default_rng(5).uniform(0.0, 200.0, size=(256, 256))
+        values[::7, ::5] = NODATA
+        g = HeightGrid(values, nodata=NODATA)
+        tracemalloc.start()
+        try:
+            slope_direction_map(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * values.nbytes
 
 
 class TestSlopeFactors:
