@@ -20,11 +20,11 @@ row strips of :data:`_STRIP_BYTES` of window stack, never a whole-grid stack
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import HeightGrid, _cells
+from .raster import HeightGrid, _adopt, _cells
 from .slope import _strip, window_stack
 
 #: Base 3x3 pattern in row-major order; sums to exactly 1.
@@ -56,16 +56,14 @@ class GaussianKernel:
 
 
 def _smooth(grid: HeightGrid, weights: np.ndarray) -> np.ndarray:
-    """Weighted sums of ``grid``'s 3x3 windows; nodata at invalid pixels.
+    """Weighted sums of ``grid``'s 3x3 windows; meaningful at valid pixels only.
 
     :func:`correct` and the pipeline in :mod:`terraslope.simulate` run it on
     row strips cut by :func:`~terraslope.slope._strip`: ``_Rows`` that carry
-    only the ``values``, ``mask`` and ``nodata`` read here.  The matmul gives
-    a row the same bits on a strip as on the whole grid.
+    only the ``values`` and ``mask`` read here.  The matmul gives a row the
+    same bits on a strip as on the whole grid.
     """
-    smoothed = window_stack(grid) @ weights
-    smoothed[~grid.mask] = grid.nodata
-    return smoothed
+    return window_stack(grid) @ weights
 
 
 def correct(height: HeightGrid, kernel: GaussianKernel = GaussianKernel()) -> HeightGrid:
@@ -77,8 +75,8 @@ def correct(height: HeightGrid, kernel: GaussianKernel = GaussianKernel()) -> He
     which shares ``height``'s metadata and mask.
 
     Raises:
-        ValueError: a kernel scale that takes a smoothed height out of the
-            finite range.
+        ValueError: a kernel scale that takes a smoothed height at a valid
+            pixel out of the finite range.
     """
     weights = kernel.weights
     step = max(1, _STRIP_BYTES // (72 * height.cols))
@@ -86,12 +84,11 @@ def correct(height: HeightGrid, kernel: GaussianKernel = GaussianKernel()) -> He
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, height.rows, step):
             tile = slice(start, min(start + step, height.rows))
-            strip, inner = _strip(height.values, height.mask, tile, height.nodata)
+            strip, inner = _strip(height.values, height.mask, tile)
             smoothed[tile] = _smooth(strip, weights)[inner]
-    if not np.isfinite(smoothed).all():
+    if not np.isfinite(smoothed).all(where=height.mask):
         raise ValueError(f"kernel scale {kernel.scale} overflows the corrected height")
-    smoothed.flags.writeable = False  # the grid adopts it without a copy
-    return replace(height, values=smoothed)
+    return _adopt(height, smoothed)
 
 
 def fit_scale(noisy: HeightGrid, target: HeightGrid) -> GaussianKernel:

@@ -17,6 +17,7 @@ Grids are assumed pre-aligned; no shift search is performed before scoring.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -115,15 +116,20 @@ def evaluate(
     joint mask.
 
     Raises:
-        ValueError: mismatched dimensions, an empty joint-valid set, or an
-            error statistic beyond the float64 range.
+        ValueError: a threshold that is not finite, mismatched dimensions,
+            an empty joint-valid set, or an error statistic beyond the
+            float64 range.
     """
+    thresholds = [float(t) for t in thresholds]
+    for t in thresholds:
+        if not math.isfinite(t):
+            raise ValueError(f"threshold {t} is not finite")
     err = _abs_error(est, gt)
     n = err.size
     # The errors are non-negative, so once their sum is finite, so is any sum
     # of two of them: the median cannot overflow.
     mae = _finite_mean(err, "absolute")
-    pct_below = {float(t): 100.0 * _count_below(err, t) / n for t in thresholds}
+    pct_below = {t: 100.0 * _count_below(err, t) / n for t in thresholds}
     with np.errstate(over="ignore"):
         mse = _finite_mean(np.multiply(err, err, out=err), "squared")
     median = np.median(_abs_error(est, gt, out=err), overwrite_input=True)

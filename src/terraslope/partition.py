@@ -68,7 +68,7 @@ class HypothesisPlanes:
     """Per-pixel sorted candidate heights, shape (rows, cols, M).
 
     ``mask`` marks pixels whose planes are meaningful; planes within a
-    valid pixel are non-decreasing.
+    valid pixel are finite and non-decreasing.
     """
 
     planes: np.ndarray
@@ -82,9 +82,12 @@ class HypothesisPlanes:
             raise ValueError("at least one plane per pixel required")
         mask = _freeze_mask(self.mask, planes.shape[:2])
         if mask.any():
-            diffs = np.diff(planes[mask], axis=-1)
+            valid = planes[mask]
+            diffs = np.diff(valid, axis=-1)
             if diffs.size and not (diffs.min() >= 0):
                 raise ValueError("planes must be non-decreasing within each pixel")
+            if not np.isfinite(valid).all():
+                raise ValueError("planes must be finite at valid pixels")
         object.__setattr__(self, "planes", _freeze(planes))
         object.__setattr__(self, "mask", mask)
 
@@ -99,7 +102,10 @@ class HypothesisPlanes:
 
 @dataclass(frozen=True)
 class ProbabilityVolume:
-    """Per-pixel discrete distribution over M hypothesis planes."""
+    """Per-pixel discrete distribution over M hypothesis planes.
+
+    No entry is negative or NaN, and the entries of a valid pixel sum to 1.
+    """
 
     probs: np.ndarray
     mask: np.ndarray
@@ -109,8 +115,9 @@ class ProbabilityVolume:
         if probs.ndim != 3:
             raise ValueError(f"probs must be (rows, cols, M), got {probs.shape}")
         mask = _freeze_mask(self.mask, probs.shape[:2])
-        if probs.size and probs.min() < 0:
-            raise ValueError("probabilities must be non-negative")
+        # the minimum is NaN if any entry is, so this rejects NaN as well
+        if probs.size and not (probs.min() >= 0):
+            raise ValueError("probabilities must be non-negative and not NaN")
         if mask.any():
             sums = probs[mask].sum(axis=-1)
             err = np.abs(sums - 1.0).max()
@@ -240,7 +247,7 @@ def _pixel_range(height, sigma, sigma_floor: float) -> tuple[np.ndarray, ...]:
 
     ``height`` and ``sigma`` need only ``values`` and ``mask``: whole
     :class:`~terraslope.raster.HeightGrid`s, or row views of grids whose
-    values are already known to be finite or nodata.  Returns the joint
+    values are already known to be finite at valid pixels.  Returns the joint
     mask and the center, low and high of each pixel, all 0 where the mask
     is False.  The caller sets the error state: an overflowing bound is
     reported, not warned about.

@@ -115,7 +115,10 @@ class HeightGrid:
         values: (rows, cols) float64 array; read-only after construction.
         cell_size: ground size of one cell in meters, finite and > 0.
         nodata: finite sentinel that invalid cells hold, and the one a
-            grid without a given mask is validated against.
+            grid without a given mask is validated against.  A grid given
+            a mask holds the sentinel outside it: values there that are
+            not the sentinel are replaced in a copy, never in the
+            caller's array.
         xllcorner, yllcorner: finite world coordinates of the lower-left
             corner (metadata only; carried through file round trips).
         mask: (rows, cols) read-only boolean validity, True where the cell
@@ -160,6 +163,11 @@ class HeightGrid:
             mask.flags.writeable = False  # this grid's own: kept without a copy
         else:
             mask = _freeze_mask(self.mask, values.shape)
+            if not mask.all() and not ((values == self.nodata) | mask).all():
+                # a hole holds something else: the sentinel goes into a copy
+                # of the grid's own, never into the caller's array
+                values = np.where(mask, values, self.nodata)
+                values.flags.writeable = False
         object.__setattr__(self, "values", _freeze(values))
         object.__setattr__(self, "mask", mask)
 
@@ -186,9 +194,21 @@ class HeightGrid:
     def with_valid(self, values: np.ndarray, mask: np.ndarray) -> "HeightGrid":
         """New grid with this grid's metadata, valid where ``mask`` holds: ``values`` there,
         the sentinel elsewhere."""
-        filled = np.where(mask, values, self.nodata)
-        filled.flags.writeable = False  # the new grid adopts it without a copy
-        return replace(self, values=filled, mask=mask)
+        return _adopt(self, np.array(values, dtype=np.float64), np.asarray(mask, dtype=bool))
+
+
+def _adopt(like: HeightGrid, values: np.ndarray, mask: np.ndarray | None = None) -> HeightGrid:
+    """``values``, a float64 array of the caller's own, as a grid with ``like``'s metadata.
+
+    The one hand-over of an array to a grid: the sentinel is written in
+    place outside ``mask`` (``like.mask`` when None), and the grid adopts
+    the array, made read-only, without a copy.
+    """
+    mask = like.mask if mask is None else mask
+    if not mask.all():
+        np.copyto(values, like.nodata, where=~mask)
+    values.flags.writeable = False
+    return replace(like, values=values, mask=mask)
 
 
 #: Direction codes for the position of the 3x3 neighborhood maximum.

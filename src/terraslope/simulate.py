@@ -57,6 +57,7 @@ from .partition import (
 )
 from .raster import (
     HeightGrid,
+    _adopt,
     atomic_output,
     render_pgm,
     write_ascii_grid,
@@ -68,6 +69,14 @@ from .slope import _Rows, _strip, slope_and_direction, slope_factor_maps
 #: 8*2.5/2).  Stage 1 sweeps the global range, so its floor is unused.
 DEFAULT_PLANE_SCHEDULE = (64, 32, 8)
 DEFAULT_SIGMA_FLOORS = (0.0, 80.0, 10.0)
+
+
+def _check_matcher(temperature: float, noise: float) -> None:
+    """Raise a ``ValueError`` unless the temperature is finite and > 0 and the noise finite and >= 0."""
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
 
 
 @dataclass(frozen=True)
@@ -83,10 +92,7 @@ class StageConfig:
 
     def __post_init__(self) -> None:
         _check_integer("plane_count", self.plane_count, 2)
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
-        if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        _check_matcher(self.temperature, self.noise)
         if not (math.isfinite(self.sigma_floor) and self.sigma_floor >= 0):
             raise ValueError(
                 f"sigma_floor must be finite and >= 0, got {self.sigma_floor}"
@@ -366,10 +372,11 @@ def oracle_matcher(
     either input get a uniform distribution and a False mask entry.
 
     Raises:
-        ValueError: non-positive temperature or mismatched dimensions.
+        ValueError: a temperature that is not finite and > 0, a noise scale
+            that is not finite and >= 0 (the rules of :class:`StageConfig`),
+            or mismatched dimensions.
     """
-    if not (temperature > 0):
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+    _check_matcher(temperature, noise)
     if planes.shape != gt.shape:
         raise ValueError(f"planes {planes.shape} and gt {gt.shape} differ")
     target = gt.values + matcher_noise(gt.shape, noise, seed)
@@ -384,9 +391,9 @@ def oracle_matcher(
 TILE_BYTES = 2**20
 
 
-def _check_finite(values: np.ndarray, tile: slice, what: str) -> None:
-    """Raise a ``ValueError`` at the first non-finite cell of a row tile's ``values``."""
-    bad = ~np.isfinite(values)
+def _check_finite(values: np.ndarray, valid: np.ndarray, tile: slice, what: str) -> None:
+    """Raise a ``ValueError`` at the first non-finite ``valid`` cell of a row tile's ``values``."""
+    bad = ~np.isfinite(values) & valid
     if bad.any():
         r, c = np.argwhere(bad)[0]
         raise ValueError(f"non-finite {what} {values[r, c]} at ({tile.start + r}, {c})")
@@ -449,7 +456,8 @@ def _stage_pass(
     recenters the tile's rows of the previous ``(height, sigma)`` arrays as
     :func:`~terraslope.partition.pixel_range` does and partitions them per
     ``cfg``, with slope factors from the tile's :func:`_strip`.  The matcher
-    fits the planes to ``target``; pixels outside ``gt.mask`` get nodata.
+    fits the planes to ``target``; outside ``gt.mask`` the stage grid gets
+    the sentinel when it adopts the height.
     The height is the expected height, smoothed as by
     :func:`~terraslope.correction.correct` when ``cfg.use_height_correction``.
     With ``with_sigma`` the spread is :func:`~terraslope.partition.pixel_std`
@@ -467,8 +475,8 @@ def _stage_pass(
 
     Tiles are laid out from :class:`_Rows` of ``prev`` with ``gt.mask``, so
     no tile builds or checks a grid; the range checks of ``pixel_range`` and
-    the finiteness checks of the expected height and the spread (nodata off
-    the mask) run on each tile.
+    the finiteness checks of the expected height and the spread run on each
+    tile's valid pixels: no reader of a swept row looks outside the mask.
 
     A later stage's tile planes are plane-major, (M, rows, cols), seen
     as a (rows, cols, M) view, so the layout, the softmax's logits and
@@ -484,14 +492,14 @@ def _stage_pass(
     :func:`_sweep` runs tiles of about :data:`TILE_BYTES` of planes through
     the oracle kernel, with ``target`` and the temperature bound here; only
     a stage with a spread keeps a tile's planes and probabilities to settle
-    it.  The stage grid adopts the height, made read-only, without a copy.
+    it.  The stage grid adopts the height without a copy.
 
     Raises:
         ValueError: a range too wide for float64, or a non-finite expected
             height or spread at a valid pixel.
     """
     rows, cols = gt.shape
-    swept, nodata = gt.mask, gt.nodata
+    swept = gt.mask
     m, temperature = cfg.plane_count, cfg.temperature
     height = target
     sigma = (np.empty(gt.shape) if prev is None else prev[1]) if with_sigma else None
@@ -504,11 +512,11 @@ def _stage_pass(
         """The planes of ``tile``."""
         if prev is None:
             return shared
-        height_rows, sigma_rows = (_Rows(values[tile], swept[tile], nodata) for values in prev)
+        height_rows, sigma_rows = (_Rows(values[tile], swept[tile]) for values in prev)
         _, center, low, high = _pixel_range(height_rows, sigma_rows, cfg.sigma_floor)
         if not cfg.use_slope_partition:
             return _equal_planes(low, high, m)
-        strip, inner = _strip(prev[0], swept, tile, nodata)
+        strip, inner = _strip(prev[0], swept, tile)
         factors = slope_factor_maps(strip)
         n_below = _split_counts(m, factors.drop[inner], factors.rise[inner])
         return _guided_planes(center, low, high, n_below, m)
@@ -525,8 +533,7 @@ def _stage_pass(
         gap = shared_gap if prev is None else _widest_gaps(planes)[valid].max(initial=0.0)
         planes = np.ascontiguousarray(planes)  # stage 1's shared vector already is
         est = _expectation(probs, planes)
-        est[~valid] = nodata
-        _check_finite(est, tile, "expected height")
+        _check_finite(est, valid, tile, "expected height")
         return est, gap, (probs, planes) if with_sigma else ()
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -534,18 +541,16 @@ def _stage_pass(
         """Smooth ``tile`` if corrected and take its spread; return its rows."""
         tile_height = height[tile]
         if cfg.use_height_correction:
-            strip, inner = _strip(height, swept, tile, nodata)
+            strip, inner = _strip(height, swept, tile)
             tile_height = _smooth(strip, BASE_WEIGHTS)[inner]
         if volume:
             spread = _spread(*volume, tile_height)
-            spread[~swept[tile]] = nodata
-            _check_finite(spread, tile, "height spread")
+            _check_finite(spread, swept[tile], tile, "height spread")
             sigma[tile] = spread
         return tile_height
 
     widest = _sweep(tiles, height, kernel, settle)
-    height.flags.writeable = False  # the stage grid adopts it without a copy
-    return replace(gt, values=height), sigma, widest
+    return _adopt(gt, height), sigma, widest
 
 
 def run_pipeline(

@@ -50,12 +50,12 @@ grid's bits.  :func:`terraslope.correction.correct` and the sweep of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .raster import HeightGrid, SlopeDirectionGrid
+from .raster import HeightGrid, SlopeDirectionGrid, _adopt
 
 #: Row-major offsets of a 3x3 window; linear index 4 is the center.
 _OFFSETS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
@@ -75,7 +75,7 @@ class SlopeFactors:
 
 
 class _Rows(NamedTuple):
-    """Row views of a checked grid's values, a mask and the sentinel.
+    """Row views of a checked grid's values and a mask.
 
     They are what the 3x3 operations and ``partition._pixel_range`` read of
     a grid, without the copy and the scan a new grid makes of its rows.
@@ -83,13 +83,12 @@ class _Rows(NamedTuple):
 
     values: np.ndarray
     mask: np.ndarray
-    nodata: float
 
 
-def _strip(values: np.ndarray, mask: np.ndarray, tile: slice, nodata: float) -> tuple[_Rows, slice]:
+def _strip(values: np.ndarray, mask: np.ndarray, tile: slice) -> tuple[_Rows, slice]:
     """``tile``'s rows and a one-row halo (clipped to the grid), and ``tile``'s place in them."""
     lo, hi = max(tile.start - 1, 0), min(tile.stop + 1, values.shape[0])
-    return _Rows(values[lo:hi], mask[lo:hi], nodata), slice(tile.start - lo, tile.stop - lo)
+    return _Rows(values[lo:hi], mask[lo:hi]), slice(tile.start - lo, tile.stop - lo)
 
 
 def window_stack(grid: HeightGrid) -> np.ndarray:
@@ -97,8 +96,8 @@ def window_stack(grid: HeightGrid) -> np.ndarray:
 
     Entry ``[r, c, k]`` is window position ``k`` (row-major) of pixel
     ``(r, c)``: the replicate-padded neighbor value, or the center value
-    where that neighbor is invalid.  Rows whose center is invalid still get
-    a window built from the sentinel; callers mask them out.
+    where that neighbor is invalid.  Pixels whose center is invalid still
+    get a window, built from whatever their cell holds; callers mask them out.
 
     It takes 72 bytes a pixel, nine times its grid, so its one caller, the
     smoothing kernel of :mod:`terraslope.correction`, runs on row strips.
@@ -160,18 +159,6 @@ def _peak_codes(grid: HeightGrid) -> tuple[np.ndarray, np.ndarray]:
     return peak, codes
 
 
-def _adopt(like: HeightGrid, values: np.ndarray, mask: np.ndarray) -> HeightGrid:
-    """``values``, a float64 array of the caller's own, as a grid with ``like``'s metadata.
-
-    The sentinel is written in place outside ``mask`` and the grid adopts
-    the array without a copy, holding the bits of
-    :meth:`~terraslope.raster.HeightGrid.with_valid`.
-    """
-    np.copyto(values, like.nodata, where=~mask)
-    values.flags.writeable = False
-    return replace(like, values=values, mask=mask)
-
-
 def _slope_grid(grid: HeightGrid, peak: np.ndarray) -> HeightGrid:
     """|``peak`` - center| of ``grid``, computed in place of ``peak``, as a grid.
 
@@ -181,7 +168,7 @@ def _slope_grid(grid: HeightGrid, peak: np.ndarray) -> HeightGrid:
     with np.errstate(over="ignore"):
         slope = np.abs(np.subtract(peak, grid.values, out=peak), out=peak)
     _check_overflow(slope, grid.mask, "slope")
-    return _adopt(grid, slope, grid.mask)
+    return _adopt(grid, slope)
 
 
 def slope_map(grid: HeightGrid) -> HeightGrid:
@@ -219,7 +206,7 @@ def slope_and_direction(grid: HeightGrid) -> tuple[HeightGrid, HeightGrid]:
         ValueError: a slope beyond the float64 range at a valid pixel.
     """
     peak, codes = _peak_codes(grid)
-    return _slope_grid(grid, peak), _adopt(grid, codes.astype(np.float64), grid.mask)
+    return _slope_grid(grid, peak), _adopt(grid, codes.astype(np.float64))
 
 
 @np.errstate(over="ignore")

@@ -98,6 +98,17 @@ class TestCorrect:
         with pytest.raises(ValueError, match="scale 1e\\+308 overflows"):
             correct(HeightGrid(np.full((2, 3), 100.0)), GaussianKernel(scale=1e308))
 
+    def test_only_a_valid_cell_can_overflow(self):
+        # a block of holes smooths its -1e308 sentinel at scale 2 to -inf, out of the mask
+        values = np.ones((5, 5))
+        values[1:4, 1:4] = -1e308
+        grid = HeightGrid(values, nodata=-1e308)
+        out = correct(grid, GaussianKernel(scale=2.0))
+        assert out.values.tobytes() == np.where(grid.mask, 2.0, -1e308).tobytes()
+        values[0, 0] = 1.7e308
+        with pytest.raises(ValueError, match="scale 2.0 overflows"):
+            correct(HeightGrid(values, nodata=-1e308), GaussianKernel(scale=2.0))
+
 
 class TestFitScale:
     def test_self_fit_is_one(self, rng):

@@ -19,6 +19,12 @@ def grid(values):
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_non_finite_threshold(self, rng, bad):
+        g = random_grid(rng, 3, 3)
+        with pytest.raises(ValueError, match=f"^threshold {bad} is not finite$"):
+            evaluate(g, g, thresholds=(1.0, bad))
+
     def test_perfect_estimate(self, rng):
         g = random_grid(rng, 5, 5)
         r = evaluate(g, g, thresholds=(2.5, 7.5))

@@ -52,6 +52,14 @@ class TestTypes:
                 planes=np.array([[[np.nan, np.nan]]]), mask=np.array([[True]])
             )
 
+    @pytest.mark.parametrize("sorted_planes", [[0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0], [np.inf]])
+    def test_infinite_planes_rejected_at_valid_pixels(self, sorted_planes):
+        planes = np.array([[sorted_planes]])
+        with pytest.raises(ValueError, match="^planes must be finite at valid pixels$"):
+            HypothesisPlanes(planes=planes, mask=np.array([[True]]))
+        # a pixel outside the mask may hold anything
+        HypothesisPlanes(planes=planes, mask=np.array([[False]]))
+
     def test_unsorted_planes_allowed_when_masked(self):
         p = HypothesisPlanes(planes=np.array([[[3.0, 1.0]]]), mask=np.array([[False]]))
         assert p.plane_count == 2
@@ -61,6 +69,11 @@ class TestTypes:
             ProbabilityVolume(
                 probs=np.array([[[0.5, 0.4]]]), mask=np.array([[True]])
             )
+
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_nan_probs_rejected(self, valid):
+        with pytest.raises(ValueError, match="^probabilities must be non-negative and not NaN$"):
+            ProbabilityVolume(probs=np.array([[[np.nan, 1.0]]]), mask=np.array([[valid]]))
 
     def test_probs_must_be_non_negative(self):
         with pytest.raises(ValueError, match="non-negative"):

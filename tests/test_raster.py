@@ -94,6 +94,28 @@ class TestHeightGrid:
         values.flags.writeable = False
         assert HeightGrid(values).values is values
 
+    def test_a_given_mask_writes_the_sentinel_into_a_copy_of_its_own(self):
+        values = np.array([[1.0, 2.0]])
+        g = HeightGrid(values, mask=np.array([[True, False]]))
+        assert g.values.tolist() == [[1.0, NODATA]]
+        assert values.tolist() == [[1.0, 2.0]]
+        assert g.with_values(g.values).mask.tolist() == [[True, False]]
+
+    def test_a_handed_over_array_with_junk_is_copied_not_written(self):
+        values = np.array([[1.0, 2.0]])
+        values.flags.writeable = False
+        g = HeightGrid(values, mask=np.array([[True, False]]))
+        assert g.values is not values
+        assert g.values.tolist() == [[1.0, NODATA]] and not g.values.flags.writeable
+        assert values.tolist() == [[1.0, 2.0]]
+
+    def test_an_adopted_array_is_filled_in_place_and_not_copied(self):
+        like = HeightGrid(np.array([[1.0, NODATA]]), nodata=NODATA)
+        values = np.array([[3.0, 4.0]])
+        g = raster._adopt(like, values)
+        assert g.values is values and g.mask is like.mask
+        assert values.tolist() == [[3.0, NODATA]] and not values.flags.writeable
+
     def test_with_valid_keeps_the_metadata_and_a_sentinel_no_value_equals(self):
         g = HeightGrid(np.zeros((1, 3)), cell_size=2.5, nodata=7.0, xllcorner=500.0, yllcorner=-1.0)
         # 7.0 outside the mask is no collision
@@ -104,7 +126,7 @@ class TestHeightGrid:
     def test_with_valid_keeps_a_value_equal_to_the_sentinel_valid(self):
         g = HeightGrid(np.zeros((1, 3)), nodata=0.0, xllcorner=500.0)
         values = np.array([[0.0, 2.0, 5.0]])
-        out = g.with_valid(values, np.array([[True, True, False]]))
+        out = g.with_valid(values, [[1, 1, 0]])
         assert out.values.tolist() == [[0.0, 2.0, 0.0]]
         assert out.nodata == 0.0 and out.xllcorner == 500.0
         assert out.mask.tolist() == [[True, True, False]]

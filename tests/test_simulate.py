@@ -273,6 +273,27 @@ class TestOracleMatcher:
         with pytest.raises(ValueError):
             oracle_matcher(planes, gt, temperature=0.0, noise=0.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "temperature,noise,message",
+        [
+            (float("inf"), 0.0, "temperature must be finite and > 0, got inf"),
+            (float("nan"), 0.0, "temperature must be finite and > 0, got nan"),
+            (-1.0, 0.0, "temperature must be finite and > 0, got -1.0"),
+            (1.0, -1.0, "noise must be finite and >= 0, got -1.0"),
+            (1.0, float("nan"), "noise must be finite and >= 0, got nan"),
+            (1.0, float("inf"), "noise must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_applies_the_stage_config_rules(self, temperature, noise, message):
+        planes = self.make_planes([0.0, 1.0])
+        gt = HeightGrid(np.array([[0.0]]))
+        for make in (
+            lambda: oracle_matcher(planes, gt, temperature=temperature, noise=noise, seed=0),
+            lambda: StageConfig(plane_count=8, temperature=temperature, noise=noise),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make()
+
     def test_invalid_gt_pixels_masked_uniform(self):
         planes_arr = np.tile(np.array([0.0, 1.0]), (1, 2, 1))
         planes = HypothesisPlanes(planes=planes_arr, mask=np.ones((1, 2), bool))
