@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import HeightGrid, _adopt, _cells
+from .raster import HeightGrid, _adopt, _cells, _check_real
 from .slope import _strip, window_stack
 
 #: Base 3x3 pattern in row-major order; sums to exactly 1.
@@ -46,8 +46,7 @@ class GaussianKernel:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.scale):
-            raise ValueError(f"kernel scale must be finite, got {self.scale}")
+        _check_real("kernel scale", self.scale)
 
     @property
     def weights(self) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import HeightGrid, _freeze, _freeze_mask
+from .raster import HeightGrid, _check_cells, _check_integer, _check_real, _freeze, _freeze_mask
 from .slope import SlopeFactors
 
 _PROB_SUM_TOL = 1e-9
@@ -44,12 +44,6 @@ _PROB_SUM_TOL = 1e-9
 #: of this size at once; a larger request fails with ``ValueError`` instead
 #: of exhausting memory.
 VOLUME_BUDGET_BYTES = 512 * 2**20
-
-
-def _check_integer(name: str, value: object, minimum: int) -> None:
-    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``minimum``."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_volume(shape: tuple[int, int], plane_count: int) -> None:
@@ -236,8 +230,7 @@ def pixel_range(
     """
     if height.shape != sigma.shape:
         raise ValueError(f"height {height.shape} and sigma {sigma.shape} differ")
-    if not (np.isfinite(sigma_floor) and sigma_floor >= 0):
-        raise ValueError(f"sigma_floor must be finite and >= 0, got {sigma_floor}")
+    _check_real("sigma_floor", sigma_floor, ">= 0")
     mask, _, low, high = _pixel_range(height, sigma, sigma_floor)
     return PixelRanges(low=low, high=high, mask=mask)
 
@@ -348,9 +341,7 @@ def slope_guided_partition(
         if factor.shape != height.shape:
             raise ValueError(f"{name} factors {factor.shape} and height {height.shape} differ")
         bad = ~(np.isfinite(factor) & (factor >= 0)) & mask
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
-            raise ValueError(f"{name} factor {factor[r, c]} at ({r}, {c}) is not finite and >= 0")
+        _check_cells(bad, factor, f"{name} factor {{value}} at {{at}} is not finite and >= 0")
     _check_volume(height.shape, plane_count)
     center, low, high = (np.where(mask, v, 0.0) for v in (height.values, ranges.low, ranges.high))
     planes = _guided_planes(center, low, high, _split_counts(plane_count, drop, rise), plane_count)

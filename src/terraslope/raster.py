@@ -4,7 +4,13 @@ A :class:`HeightGrid` is the universal carrier throughout the package: it
 holds height maps, slope maps, and DSMs as row-major 2D float64 arrays with
 a stored validity mask and a nodata sentinel: a grid built or read without
 a mask computes it once from the sentinel, and a derived grid passes its
-mask on (see :class:`HeightGrid`).  Every stored value must be finite.
+mask on (see :class:`HeightGrid`).  Every valid value must be finite.
+
+Every check of the package follows one of two rules, each written once
+here.  A parameter must be finite and within its bound
+(:func:`_check_real`; :func:`_check_integer` for counts and seeds), and
+a cell check names the first bad valid cell in row-major order, in
+whole-grid coordinates (:func:`_check_cells`).
 
 File formats:
 
@@ -77,6 +83,28 @@ def atomic_output(path: str | os.PathLike, mode: str = "w", **open_kwargs):
         raise
 
 
+def _check_integer(name: str, value: object, minimum: int) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_real(name: str, value: float, bound: str = "") -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is finite and
+    within ``bound``: none (``""``), ``"> 0"`` or ``">= 0"``."""
+    within = {"": True, "> 0": value > 0, ">= 0": value >= 0}[bound]
+    if not (math.isfinite(value) and within):
+        raise ValueError(f"{name} must be finite{bound and ' and ' + bound}, got {value}")
+
+
+def _check_cells(bad: np.ndarray, values: np.ndarray, message: str, first_row: int = 0) -> None:
+    """Raise a ``ValueError``: ``message`` with the ``{value}`` and ``{at}`` of the first
+    ``bad`` cell in row-major order, its row counted from ``first_row`` (a tile's offset)."""
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ValueError(message.format(value=values[r, c], at=f"({first_row + r}, {c})"))
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     """``arr`` read-only and C-contiguous: an array that owns its data and is
     read-only already is kept, so it is handed over without a copy; any other
@@ -117,8 +145,9 @@ class HeightGrid:
         nodata: finite sentinel that invalid cells hold, and the one a
             grid without a given mask is validated against.  A grid given
             a mask holds the sentinel outside it: values there that are
-            not the sentinel are replaced in a copy, never in the
-            caller's array.
+            not the sentinel, NaN and infinities included, are replaced
+            in a copy, never in the caller's array.  Values inside the
+            mask must be finite.
         xllcorner, yllcorner: finite world coordinates of the lower-left
             corner (metadata only; carried through file round trips).
         mask: (rows, cols) read-only boolean validity, True where the cell
@@ -151,23 +180,20 @@ class HeightGrid:
             raise ValueError(f"cell_size must be > 0, got {self.cell_size}")
         if not np.isfinite(self.nodata):
             raise ValueError("nodata sentinel must be finite")
-        if not np.isfinite(values).all():
-            # the sentinel is finite, so every non-finite value is a bad cell
-            r, c = np.argwhere(~np.isfinite(values))[0]
-            raise ValueError(
-                f"non-finite value {values[r, c]} at ({r}, {c}) is not the "
-                f"nodata sentinel {self.nodata}"
-            )
         if self.mask is None:
+            # the sentinel is finite, so every non-finite value is a valid cell
             mask = values != self.nodata
             mask.flags.writeable = False  # this grid's own: kept without a copy
         else:
             mask = _freeze_mask(self.mask, values.shape)
             if not mask.all() and not ((values == self.nodata) | mask).all():
-                # a hole holds something else: the sentinel goes into a copy
-                # of the grid's own, never into the caller's array
+                # a hole holds something else, even NaN: the sentinel goes into
+                # a copy of the grid's own, never into the caller's array
                 values = np.where(mask, values, self.nodata)
                 values.flags.writeable = False
+        if not np.isfinite(values).all(where=mask):
+            message = "non-finite value {value} at {at} is not the nodata sentinel "
+            _check_cells(~np.isfinite(values) & mask, values, message + str(self.nodata))
         object.__setattr__(self, "values", _freeze(values))
         object.__setattr__(self, "mask", mask)
 
@@ -206,6 +232,8 @@ def _adopt(like: HeightGrid, values: np.ndarray, mask: np.ndarray | None = None)
     """
     mask = like.mask if mask is None else mask
     if not mask.all():
+        # checked before the write, so a wrong shape gets the grid's message
+        mask = _freeze_mask(mask, values.shape)
         np.copyto(values, like.nodata, where=~mask)
     values.flags.writeable = False
     return replace(like, values=values, mask=mask)

@@ -46,7 +46,6 @@ from .partition import (
     VOLUME_BUDGET_BYTES,
     HypothesisPlanes,
     ProbabilityVolume,
-    _check_integer,
     _check_volume,
     _equal_planes,
     _expectation,
@@ -58,6 +57,9 @@ from .partition import (
 from .raster import (
     HeightGrid,
     _adopt,
+    _check_cells,
+    _check_integer,
+    _check_real,
     atomic_output,
     render_pgm,
     write_ascii_grid,
@@ -73,10 +75,8 @@ DEFAULT_SIGMA_FLOORS = (0.0, 80.0, 10.0)
 
 def _check_matcher(temperature: float, noise: float) -> None:
     """Raise a ``ValueError`` unless the temperature is finite and > 0 and the noise finite and >= 0."""
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
-    if not (math.isfinite(noise) and noise >= 0):
-        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    _check_real("temperature", temperature, "> 0")
+    _check_real("noise", noise, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,7 @@ class StageConfig:
     def __post_init__(self) -> None:
         _check_integer("plane_count", self.plane_count, 2)
         _check_matcher(self.temperature, self.noise)
-        if not (math.isfinite(self.sigma_floor) and self.sigma_floor >= 0):
-            raise ValueError(
-                f"sigma_floor must be finite and >= 0, got {self.sigma_floor}"
-            )
+        _check_real("sigma_floor", self.sigma_floor, ">= 0")
 
 
 def default_stage_configs(
@@ -137,10 +134,8 @@ class TerrainSpec:
             raise ValueError(
                 f"unsupported terrain kind {self.kind!r}; choose from {TERRAIN_KINDS}"
             )
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not math.isfinite(self.roughness):
-            raise ValueError(f"roughness must be finite, got {self.roughness}")
+        _check_real("amplitude", self.amplitude, ">= 0")
+        _check_real("roughness", self.roughness)
         _check_integer("seed", self.seed, 0)
         # Every hill fills a whole-grid array.  The first test rejects only
         # what the second would, before hill_count can overflow.
@@ -391,14 +386,6 @@ def oracle_matcher(
 TILE_BYTES = 2**20
 
 
-def _check_finite(values: np.ndarray, valid: np.ndarray, tile: slice, what: str) -> None:
-    """Raise a ``ValueError`` at the first non-finite ``valid`` cell of a row tile's ``values``."""
-    bad = ~np.isfinite(values) & valid
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise ValueError(f"non-finite {what} {values[r, c]} at ({tile.start + r}, {c})")
-
-
 def _sweep(tiles: list[slice], height: np.ndarray, kernel: Callable, settle: Callable) -> float:
     """Sweep the row ``tiles`` of ``height``; return the widest gap a kernel gave, or 0.0.
 
@@ -533,7 +520,9 @@ def _stage_pass(
         gap = shared_gap if prev is None else _widest_gaps(planes)[valid].max(initial=0.0)
         planes = np.ascontiguousarray(planes)  # stage 1's shared vector already is
         est = _expectation(probs, planes)
-        _check_finite(est, valid, tile, "expected height")
+        _check_cells(
+            ~np.isfinite(est) & valid, est, "non-finite expected height {value} at {at}", tile.start
+        )
         return est, gap, (probs, planes) if with_sigma else ()
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -545,7 +534,12 @@ def _stage_pass(
             tile_height = _smooth(strip, BASE_WEIGHTS)[inner]
         if volume:
             spread = _spread(*volume, tile_height)
-            _check_finite(spread, swept[tile], tile, "height spread")
+            _check_cells(
+                ~np.isfinite(spread) & swept[tile],
+                spread,
+                "non-finite height spread {value} at {at}",
+                tile.start,
+            )
             sigma[tile] = spread
         return tile_height
 

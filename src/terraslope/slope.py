@@ -55,10 +55,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .raster import HeightGrid, SlopeDirectionGrid, _adopt
+from .raster import HeightGrid, SlopeDirectionGrid, _adopt, _check_cells
 
 #: Row-major offsets of a 3x3 window; linear index 4 is the center.
 _OFFSETS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+
+#: The end of the message of a slope or slope factor beyond the float64 range.
+_OVERFLOWS = " overflows: a 3x3 height difference is beyond the float64 range"
 
 
 @dataclass(frozen=True)
@@ -128,16 +131,6 @@ def _fold(views: list[np.ndarray], ufunc: np.ufunc) -> np.ndarray:
     return out
 
 
-def _check_overflow(diff: np.ndarray, mask: np.ndarray, what: str) -> None:
-    """Raise a ``ValueError`` at the first ``mask`` cell where the difference ``diff`` overflowed."""
-    bad = ~np.isfinite(diff) & mask
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise ValueError(
-            f"{what} at ({r}, {c}) overflows: a 3x3 height difference is beyond the float64 range"
-        )
-
-
 def _peak_codes(grid: HeightGrid) -> tuple[np.ndarray, np.ndarray]:
     """The 3x3 neighborhood maximum of every pixel and its ``uint8`` direction code.
 
@@ -167,7 +160,7 @@ def _slope_grid(grid: HeightGrid, peak: np.ndarray) -> HeightGrid:
     """
     with np.errstate(over="ignore"):
         slope = np.abs(np.subtract(peak, grid.values, out=peak), out=peak)
-    _check_overflow(slope, grid.mask, "slope")
+    _check_cells(~np.isfinite(slope) & grid.mask, slope, "slope at {at}" + _OVERFLOWS)
     return _adopt(grid, slope)
 
 
@@ -223,7 +216,7 @@ def slope_factor_maps(grid: HeightGrid) -> SlopeFactors:
     views = _window_views(values, grid.mask)
     rise = np.abs(_fold(views, np.fmax) - values)
     # A drop from a to b overflows only where the rise from b to a does.
-    _check_overflow(rise, grid.mask, "rise slope factor")
+    _check_cells(~np.isfinite(rise) & grid.mask, rise, "rise slope factor at {at}" + _OVERFLOWS)
     drop = np.abs(_fold(views, np.fmin) - values)
     invalid = ~grid.mask
     rise[invalid] = 0.0

@@ -158,6 +158,35 @@ class TestHeightGrid:
         with pytest.raises(ValueError, match=re.escape(message)):
             HeightGrid(np.array([[1.0, 2.0]]), mask=np.ones((1, 3), bool))
 
+    @pytest.mark.parametrize("hole", [np.nan, np.inf, -np.inf])
+    def test_a_given_mask_replaces_a_non_finite_hole_in_a_copy(self, hole):
+        values = np.array([[1.0, hole]])
+        g = HeightGrid(values, mask=np.array([[True, False]]))
+        assert g.values.tolist() == [[1.0, NODATA]]
+        assert np.array_equal(values, [[1.0, hole]], equal_nan=True)
+
+    def test_a_given_mask_checks_only_its_valid_cells(self):
+        # the hole's inf comes first in row-major order; the valid NaN is named
+        message = f"non-finite value nan at (1, 0) is not the nodata sentinel {NODATA}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HeightGrid(
+                np.array([[1.0, np.inf], [np.nan, 2.0]]),
+                mask=np.array([[True, False], [True, True]]),
+            )
+
+    def test_a_wrong_mask_shape_is_reported_before_a_non_finite_value(self):
+        message = "mask shape (1, 3) does not match grid (1, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HeightGrid(np.array([[np.nan, 2.0]]), mask=np.ones((1, 3), bool))
+
+    @pytest.mark.parametrize("holes", [False, True])
+    def test_with_valid_rejects_a_mask_of_another_shape(self, holes):
+        mask = np.ones((3, 3), bool)
+        mask[1, 1] = not holes
+        message = "mask shape (3, 3) does not match grid (2, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HeightGrid(np.zeros((2, 2))).with_valid(np.ones((2, 2)), mask)
+
 
 class TestSlopeDirectionGrid:
     def test_rejects_out_of_range_codes(self):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from terraslope import (
+    GaussianKernel,
     HeightGrid,
     HypothesisPlanes,
     PixelRanges,
@@ -17,6 +18,8 @@ from terraslope import (
     SimulationResult,
     SlopeDirectionGrid,
     SlopeFactors,
+    StageConfig,
+    TerrainSpec,
     ablation_report,
     default_stage_configs,
     direction_loss,
@@ -39,6 +42,10 @@ PLANES = HypothesisPlanes(planes=np.array([[[0.0, 1.0]]]), mask=VALID)
 PROBS_3 = ProbabilityVolume(probs=np.full((1, 1, 3), 1.0 / 3.0), mask=VALID)
 RANGES = PixelRanges(low=np.zeros((2, 2)), high=np.ones((2, 2)), mask=np.ones((2, 2), bool))
 FLAT = SlopeFactors(rise=np.zeros((1, 1)), drop=np.zeros((1, 1)))
+ZEROS = np.zeros((2, 2))
+# Row 0 is a hole and one 1025-column row of 64 planes fills a whole tile,
+# so the bad cell lies in the tile that starts at row 1.
+SECOND_ROW = HeightGrid(np.vstack([np.full(1025, NODATA), np.zeros(1025)]), nodata=NODATA)
 
 REJECTIONS = {
     "losses-weight-count": (
@@ -116,6 +123,44 @@ REJECTIONS = {
     "ablation-no-seeds": (
         lambda: ablation_report(ONE, (0.0, 2.0), default_stage_configs(), seeds=[]),
         "at least one seed required",
+    ),
+    "spread-names-the-whole-grid-row": (
+        # far planes take probability 0 and a squared offset past float64: 0 * inf
+        lambda: run_pipeline(SECOND_ROW, (-1e200, 1e200), [StageConfig(plane_count=64)] * 2),
+        "stage 1: non-finite height spread nan at (1, 0)",
+    ),
+    "rise-factor": (
+        lambda: slope_guided_partition(
+            TWO_BY_TWO, RANGES, SlopeFactors(rise=np.array([[0, 0], [np.nan, 0]]), drop=ZEROS), 2
+        ),
+        "rise factor nan at (1, 0) is not finite and >= 0",
+    ),
+    "drop-factor": (
+        lambda: slope_guided_partition(
+            TWO_BY_TWO, RANGES, SlopeFactors(rise=ZEROS, drop=np.array([[0, -1.0], [0, 0]])), 2
+        ),
+        "drop factor -1.0 at (0, 1) is not finite and >= 0",
+    ),
+    "kernel-scale": (lambda: GaussianKernel(scale=np.inf), "kernel scale must be finite, got inf"),
+    "terrain-amplitude": (
+        lambda: TerrainSpec(rows=1, cols=1, amplitude=-1.0),
+        "amplitude must be finite and >= 0, got -1.0",
+    ),
+    "terrain-roughness": (
+        lambda: TerrainSpec(rows=1, cols=1, roughness=np.nan),
+        "roughness must be finite, got nan",
+    ),
+    "stage-sigma-floor": (
+        lambda: StageConfig(plane_count=2, sigma_floor=-1.0),
+        "sigma_floor must be finite and >= 0, got -1.0",
+    ),
+    "pixel-range-sigma-floor": (
+        lambda: pixel_range(ONE, ONE, sigma_floor=-1.0),
+        "sigma_floor must be finite and >= 0, got -1.0",
+    ),
+    "height-grid-non-finite": (
+        lambda: HeightGrid(np.array([[np.inf]])),
+        "non-finite value inf at (0, 0) is not the nodata sentinel -9999.0",
     ),
     "cli-float-list": (
         lambda: _parse_float_list("1,x", "thresholds"),
