@@ -69,8 +69,10 @@ def _pgm_sibling(path: str) -> Path:
 
 
 def cmd_slope(args: argparse.Namespace) -> int:
-    # No name keeps the input grid, so its values are freed once both maps exist.
+    # No name keeps the input grid or the codes, so each is freed once the
+    # grids made from it exist; the slope grid has the input's metadata and mask.
     slope, direction = slope_and_direction(read_ascii_grid(args.input))
+    direction = direction_as_grid(direction, like=slope)
     # The slope PGM is written first: render_pgm checks LO/HI before it
     # writes, so bad bounds leave no output.
     if args.pgm is not None:

@@ -26,6 +26,7 @@ from .metrics import _abs_error, _finite_mean, _joint_cells
 from .raster import HeightGrid, SlopeDirectionGrid, _cells
 from .slope import slope_direction_map
 
+
 @dataclass(frozen=True)
 class LossReport:
     """Loss bundle for one evaluation pass.
@@ -163,6 +164,15 @@ def loss_report(heights: Sequence[HeightGrid], gt: HeightGrid) -> LossReport:
         (stage_height_loss(h, gt), stage_direction_loss(slope_direction_map(h), pseudo_gt_dir))
         for h in heights
     ]
+    return _report(per_stage)
+
+
+def _report(per_stage: Sequence[tuple[float, float]]) -> LossReport:
+    """The loss bundle of per-stage (height, direction) losses, coarse to fine.
+
+    The one stage-weighted fold of :func:`loss_report` and of the run
+    directory's ``loss.txt``.
+    """
     h_loss = _staged([h for h, _ in per_stage])
     d_loss = _staged([d for _, d in per_stage])
     return LossReport(

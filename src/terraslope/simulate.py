@@ -20,7 +20,9 @@ Every stage sweeps the ground truth's valid pixels.
 
 A run returns per-stage heights, evaluations and plane spacings only; the
 slope and direction maps and losses derived from the heights are computed
-where they are written (:func:`write_run_directory`).
+where they are written (:func:`write_run_directory`), from one 3x3 fold of
+each stage's height and one of the ground truth.  The run directory is
+written after the last stage, so a stage that fails leaves no output.
 
 Paired runs are comparable seed-for-seed: the matcher noise field depends
 only on the run seed, the stage count and the stage index, never on the
@@ -39,8 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import losses
 from .correction import BASE_WEIGHTS, _smooth
+from .losses import _report, stage_direction_loss, stage_height_loss
 from .metrics import DEFAULT_THRESHOLDS, EvalReport, _format_threshold, evaluate, write_report_csv
 from .partition import (
     VOLUME_BUDGET_BYTES,
@@ -64,7 +66,7 @@ from .raster import (
     render_pgm,
     write_ascii_grid,
 )
-from .slope import _Rows, _strip, slope_and_direction, slope_factor_maps
+from .slope import _Rows, _strip, direction_as_grid, slope_and_direction, slope_factor_maps
 
 #: Published-style refinement schedule: plane counts per stage and the
 #: uncertainty floors (half of plane count times stage interval: 32*5/2 and
@@ -154,7 +156,8 @@ class SimulationResult:
     ``max_plane_spacing`` is the largest gap between consecutive hypothesis
     planes of any valid pixel, per stage: the resolution limit of that
     stage's sweep.  Slope and direction maps and the training losses are
-    functions of the heights; :func:`write_run_directory` derives them.
+    functions of the heights; :func:`write_run_directory` derives them,
+    with one 3x3 fold per height.
     """
 
     heights: tuple[HeightGrid, ...]
@@ -718,26 +721,38 @@ def write_run_directory(
 
     Per stage N (1-based): ``stageN_height.asc``, ``stageN_slope.asc``,
     ``stageN_dir.asc`` plus PGM quick-looks of each, and ``stageN_eval.csv``
-    with that stage's metrics.  The slope and direction maps are derived
-    from each stage's height here.  The ground truth is written as
-    ``gt.asc`` and :func:`~terraslope.losses.loss_report` of the heights
-    against it as ``loss.txt``.
+    with that stage's metrics.  The ground truth is written as ``gt.asc``,
+    and the losses of the heights against it as ``loss.txt``, with the
+    bits of :func:`~terraslope.losses.loss_report`.
+
+    The slope and direction maps are derived here, from one 3x3 fold per
+    stage and one of ``gt``: a stage's ``uint8`` direction codes feed both
+    ``stageN_dir.asc`` and its direction loss.  A stage keeps only its
+    (height, direction) loss pair, and its slope grid is freed before its
+    codes become a grid of floats, so no stage's maps outlive it.
     """
     os.makedirs(out_dir, exist_ok=True)
     lo, hi = global_range
     write_ascii_grid(gt, os.path.join(out_dir, "gt.asc"))
+    # uint8 codes, an eighth of slope_direction_map's; no name keeps the slope
+    gt_codes = slope_and_direction(gt)[1]
+    per_stage = []
     for i, (height, report) in enumerate(zip(result.heights, result.reports), start=1):
         write_ascii_grid(height, os.path.join(out_dir, f"stage{i}_height.asc"))
         render_pgm(height, os.path.join(out_dir, f"stage{i}_height.pgm"), lo, hi)
-        slope, dir_grid = slope_and_direction(height)
+        slope, codes = slope_and_direction(height)
         write_ascii_grid(slope, os.path.join(out_dir, f"stage{i}_slope.asc"))
-        valid = slope.values[slope.mask]
-        slope_hi = max(float(valid.max()), 1e-9) if valid.size else 1.0
+        # slopes are >= 0; without a valid cell every pixel renders 0 whatever the bound
+        slope_hi = max(float(slope.values.max(where=slope.mask, initial=0.0)), 1e-9)
         render_pgm(slope, os.path.join(out_dir, f"stage{i}_slope.pgm"), 0.0, slope_hi)
+        del slope
+        per_stage.append((stage_height_loss(height, gt), stage_direction_loss(codes, gt_codes)))
+        dir_grid = direction_as_grid(codes, like=height)
         write_ascii_grid(dir_grid, os.path.join(out_dir, f"stage{i}_dir.asc"))
         render_pgm(dir_grid, os.path.join(out_dir, f"stage{i}_dir.pgm"), 0.0, 8.0)
+        del dir_grid
         write_report_csv(report, os.path.join(out_dir, f"stage{i}_eval.csv"))
-    loss = losses.loss_report(result.heights, gt)
+    loss = _report(per_stage)
     with atomic_output(os.path.join(out_dir, "loss.txt"), "w", encoding="ascii") as fh:
         fh.write(f"height_loss={loss.height_loss:.6f}\n")
         fh.write(f"direction_loss={loss.direction_loss:.6f}\n")

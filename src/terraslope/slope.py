@@ -30,12 +30,12 @@ absolute difference, a direction code an equality test).
 Slope and direction share one fold: :func:`_peak_codes` pads once, folds
 once with ``np.fmax`` and writes the direction codes into a ``uint8``
 grid, one ``np.copyto`` per window position that attains the maximum.
-:func:`slope_and_direction` makes both output grids of that fold, the
-slope in place of the maximum and the code grid from the ``uint8``
-codes, and each grid adopts its array without a copy;
-:func:`slope_direction_map` widens the codes to the ``int64`` of the public
-:class:`~terraslope.raster.SlopeDirectionGrid` in one ``astype``.
-:func:`slope_map` takes the fold alone.
+:func:`slope_and_direction` returns both maps of that fold, the slope
+in place of the maximum and the ``uint8`` codes, each adopted without a
+copy; :func:`slope_direction_map` widens the codes to the ``int64`` of the
+public :class:`~terraslope.raster.SlopeDirectionGrid` in one ``astype``.
+:func:`slope_map` takes the fold alone.  :func:`direction_as_grid` is the
+one place where codes become a grid of floats, for the writers.
 :func:`window_stack` stacks the nine views and copies the center into
 every NaN entry, for the weighted sum of :mod:`terraslope.correction`;
 that sum stays one matmul, because a sum's bits depend on its order.
@@ -189,17 +189,19 @@ def slope_direction_map(grid: HeightGrid) -> SlopeDirectionGrid:
     return SlopeDirectionGrid(codes=codes, mask=grid.mask)
 
 
-def slope_and_direction(grid: HeightGrid) -> tuple[HeightGrid, HeightGrid]:
-    """:func:`slope_map` and the direction codes as a height grid, from one fold.
+def slope_and_direction(grid: HeightGrid) -> tuple[HeightGrid, SlopeDirectionGrid]:
+    """:func:`slope_map` and :func:`slope_direction_map` of ``grid``, from one fold.
 
-    The second grid holds the bits of ``direction_as_grid(slope_direction_map(grid),
-    like=grid)``; both share ``grid``'s metadata and mask.
+    The direction codes stay the fold's ``uint8``, equal by value to
+    :func:`slope_direction_map`'s; :func:`direction_as_grid` makes them a
+    grid.  Both share ``grid``'s mask.
 
     Raises:
         ValueError: a slope beyond the float64 range at a valid pixel.
     """
     peak, codes = _peak_codes(grid)
-    return _slope_grid(grid, peak), _adopt(grid, codes.astype(np.float64))
+    codes.flags.writeable = False  # the direction grid adopts it without a copy
+    return _slope_grid(grid, peak), SlopeDirectionGrid(codes=codes, mask=grid.mask)
 
 
 @np.errstate(over="ignore")

@@ -428,7 +428,13 @@ def test_runs_derive_no_slope_direction_or_loss(arm, monkeypatch, tmp_path):
 
     # rebind every copy, including the names other modules imported
     modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "terraslope"]
-    watched = (slope.slope_map, slope.slope_direction_map, slope.slope_and_direction, losses.loss_report)
+    watched = (
+        slope._peak_codes,
+        slope.slope_map,
+        slope.slope_direction_map,
+        slope.slope_and_direction,
+        losses.loss_report,
+    )
     for fn in watched:
         wrapper = counting(fn)
         for module in modules:
@@ -445,10 +451,12 @@ def test_runs_derive_no_slope_direction_or_loss(arm, monkeypatch, tmp_path):
     result = run_pipeline(gt, global_range, stages, seed=11)
     simulate.ablation_report(gt, global_range, stages, seeds=[0])
     assert calls == []
-    # the writer derives them, through the same rebound names: slope and
-    # direction from one fold per stage, the losses' own direction maps
+    # the writer derives them, through the same rebound names: one fold per
+    # stage and one of gt, whose codes feed both stageN_dir.asc and the
+    # direction losses, so it never calls loss_report
     simulate.write_run_directory(result, gt, global_range, tmp_path)
-    assert sorted(set(calls)) == ["loss_report", "slope_and_direction", "slope_direction_map"]
+    assert calls.count("_peak_codes") == len(stages) + 1
+    assert sorted(set(calls)) == ["_peak_codes", "slope_and_direction"]
 
 
 def overflowing_range_stages():
@@ -586,3 +594,49 @@ def test_grid_constructions_do_not_grow_with_the_tile_count(arm, monkeypatch):
         run_pipeline(gt, (0.0, 200.0 + 1e-9), stages, seed=11)
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+def test_run_directory_peak_memory_stays_under_three_grids(tmp_path):
+    gt = fractal(512, 512)
+    global_range = (0.0, 200.0 + 1e-9)
+    result = run_pipeline(gt, global_range, default_stage_configs(), seed=11)
+    # the first write builds the ASCII writer's token tables, which stay
+    simulate.write_run_directory(result, gt, global_range, tmp_path / "warm")
+    tracemalloc.start()
+    try:
+        simulate.write_run_directory(result, gt, global_range, tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one stage's fold: the padding, the NaN copy it pads and the maximum,
+    # next to uint8 codes.  A stage's slope is freed before its codes become
+    # floats, and neither outlives the stage
+    assert peak < 3 * gt.values.nbytes
+
+
+@pytest.mark.parametrize("grid", ["18x512", "nodata-40x33"])
+@pytest.mark.parametrize("schedule", ["1-stage", "2-stage", "4-stage"])
+def test_loss_txt_matches_loss_report(schedule, grid, monkeypatch, tmp_path):
+    gt = GRIDS[grid]()
+    valid = gt.values[gt.mask]
+    global_range = (float(valid.min()), float(valid.max()) + 1e-9)
+    result = run_pipeline(gt, global_range, SCHEDULES[schedule], seed=11)
+    folds = []
+    peak_codes = slope._peak_codes
+
+    def counting(g):
+        folds.append(g)
+        return peak_codes(g)
+
+    monkeypatch.setattr(slope, "_peak_codes", counting)
+    simulate.write_run_directory(result, gt, global_range, tmp_path)
+    assert len(folds) == len(result.heights) + 1
+    want = loss_report(result.heights, gt)
+    lines = [
+        f"height_loss={want.height_loss:.6f}",
+        f"direction_loss={want.direction_loss:.6f}",
+        f"overall={want.overall:.6f}",
+    ]
+    for i, (h, d) in enumerate(want.per_stage, start=1):
+        lines += [f"stage{i}_height_loss={h:.6f}", f"stage{i}_direction_loss={d:.6f}"]
+    assert (tmp_path / "loss.txt").read_text() == "\n".join(lines) + "\n"

@@ -10,13 +10,18 @@ import pytest
 from terraslope import (
     HeightGrid,
     HypothesisPlanes,
+    PixelRanges,
     StageConfig,
     TerrainSpec,
     ablation_report,
+    correct,
     default_stage_configs,
+    equal_partition,
+    expected_height,
     generate_terrain,
     loss_report,
     oracle_matcher,
+    pixel_std,
     run_pipeline,
     slope_direction_map,
     slope_map,
@@ -25,7 +30,7 @@ from terraslope import (
 )
 from terraslope import simulate
 from terraslope.partition import VOLUME_BUDGET_BYTES
-from terraslope.simulate import TERRAIN_KINDS, hill_count, matcher_noise
+from terraslope.simulate import DEFAULT_SIGMA_FLOORS, TERRAIN_KINDS, hill_count, matcher_noise
 
 from conftest import NODATA
 from oracles import reference_fractal
@@ -44,8 +49,12 @@ def sharp_stages(use_slope=False, use_correction=False):
     )
 
 
+def valid_cells(grid):
+    return grid.values[grid.mask]
+
+
 def terrain_range(gt):
-    v = gt.values[gt.mask]
+    v = valid_cells(gt)
     return float(v.min()), float(v.max()) + 1e-9
 
 
@@ -307,6 +316,54 @@ class TestOracleMatcher:
         b = matcher_noise((5, 5), 3.0, seed=42)
         np.testing.assert_array_equal(a, b)
         assert (matcher_noise((5, 5), 0.0, seed=42) == 0.0).all()
+
+
+class TestStageOneSpread:
+    """Under the oracle, stage 1's spread measures the temperature, not the error.
+
+    The oracle's plane weights fall as ``exp(-|plane - target| / T)``, a
+    Laplace distribution whose standard deviation is sqrt(2) * T once T is
+    well above the plane spacing (3.17 m here).  If a change moves these
+    numbers, the spread has changed meaning.
+    """
+
+    @pytest.fixture(scope="class")
+    def spreads(self):
+        """Stage-1 spreads around the expected height and around its correction,
+        per (temperature, noise): 64 equal planes over a 128x128 fractal terrain."""
+        gt = generate_terrain(TerrainSpec(128, 128, kind="fractal", amplitude=200.0, seed=5))
+        low, high = np.zeros(gt.shape), np.full(gt.shape, 200.0 + 1e-9)
+        planes = equal_partition(PixelRanges(low=low, high=high, mask=gt.mask), 64)
+        spreads = {}
+        for temperature in (2.0, 8.0):
+            for noise in (0.0, 3.0):
+                probs = oracle_matcher(planes, gt, temperature, noise, seed=0)
+                height = expected_height(planes, probs, like=gt)
+                spreads[temperature, noise] = [
+                    pixel_std(planes, probs, center) for center in (height, correct(height))
+                ]
+        return spreads
+
+    @pytest.mark.parametrize("temperature", [2.0, 8.0])
+    def test_noise_leaves_the_percentiles(self, spreads, temperature):
+        quiet, noisy = (
+            np.percentile(valid_cells(spreads[temperature, noise][0]), [5, 50, 95])
+            for noise in (0.0, 3.0)
+        )
+        np.testing.assert_allclose(noisy, quiet, rtol=0.01)
+
+    @pytest.mark.parametrize("temperature", [2.0, 8.0])
+    def test_median_is_sqrt2_times_the_temperature(self, spreads, temperature):
+        # measured: +1.2% at T = 2 and -0.4% at T = 8
+        for noise in (0.0, 3.0):
+            median = np.median(valid_cells(spreads[temperature, noise][0]))
+            assert median == pytest.approx(np.sqrt(2.0) * temperature, rel=0.02)
+
+    def test_stays_below_the_stage_2_floor(self, spreads):
+        # the largest is 3.01 m at T = 2 around the expected height
+        for sigmas in spreads.values():
+            for sigma in sigmas:
+                assert valid_cells(sigma).max() < DEFAULT_SIGMA_FLOORS[1]
 
 
 class TestRunPipeline:

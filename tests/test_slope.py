@@ -183,8 +183,14 @@ class TestSlopeAndDirection:
         rng = np.random.default_rng(28)
         for i in range(150):
             g = holey_grid(rng, i, nodata)
-            got_slope, got_dir = slope.slope_and_direction(g)
-            want_dir = direction_as_grid(slope_direction_map(g), like=g)
+            got_slope, got_codes = slope.slope_and_direction(g)
+            want_codes = slope_direction_map(g)
+            # the fold's own uint8 codes, equal by value to the public int64 ones
+            assert got_codes.codes.dtype == np.uint8 and not got_codes.codes.flags.writeable
+            assert np.array_equal(got_codes.codes, want_codes.codes), i
+            assert np.array_equal(got_codes.mask, want_codes.mask) and got_codes.mask is g.mask
+            got_dir = direction_as_grid(got_codes, like=g)
+            want_dir = direction_as_grid(want_codes, like=g)
             for got, want in ((got_slope, slope_map(g)), (got_dir, want_dir)):
                 assert got.values.tobytes() == want.values.tobytes(), i
                 assert np.array_equal(got.mask, want.mask) and got.mask is g.mask
@@ -284,7 +290,62 @@ class TestOracleEquivalence:
             np.testing.assert_array_equal(factors.drop, drop)
 
 
+#: The 8 symmetries of the square, as transforms of a 2D array.
+SYMMETRIES = (
+    lambda a: a,
+    np.rot90,
+    lambda a: np.rot90(a, 2),
+    lambda a: np.rot90(a, 3),
+    np.flipud,
+    np.fliplr,
+    np.transpose,
+    lambda a: np.rot90(a, 2).T,
+)
+
+#: Direction codes laid out at their window positions: code ``8 - k`` at
+#: row-major position ``k``.
+WINDOW_CODES = 8 - np.arange(9).reshape(3, 3)
+
+
+def code_permutation(transform):
+    """The code each code becomes when ``transform`` moves its window offset ``(dr, dc)``."""
+    perm = np.empty(9, dtype=np.int64)
+    perm[transform(WINDOW_CODES).ravel()] = WINDOW_CODES.ravel()
+    return perm
+
+
 class TestInvariances:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(3, 8),
+        extra_cols=st.integers(1, 4),
+        hole_share=st.sampled_from([0.0, 0.3]),
+    )
+    def test_the_square_symmetries_commute_with_the_3x3_maps(
+        self, seed, rows, extra_cols, hole_share
+    ):
+        g = random_grid(
+            np.random.default_rng(seed), rows, rows + extra_cols, nodata_fraction=hole_share
+        )
+        slope_g, codes_g = slope.slope_and_direction(g)
+        factors_g = slope_factor_maps(g)
+        for transform in SYMMETRIES:
+            moved = HeightGrid(transform(g.values), nodata=NODATA)
+            got_slope, got_codes = slope.slope_and_direction(moved)
+            got_factors = slope_factor_maps(moved)
+            # slope, rise and drop are exact everywhere, sentinels included
+            assert np.array_equal(got_slope.values, transform(slope_g.values))
+            assert np.array_equal(got_factors.rise, transform(factors_g.rise))
+            assert np.array_equal(got_factors.drop, transform(factors_g.drop))
+            assert np.array_equal(got_codes.mask, transform(g.mask))
+            # Codes follow their offsets, 4 staying 4.  Interior pixels only:
+            # replicate padding makes a border pixel's outside neighbors tie
+            # with its inside ones, so there the row-major rule, not the
+            # geometry, picks the code.
+            want = transform(code_permutation(transform)[codes_g.codes])
+            assert np.array_equal(got_codes.codes[1:-1, 1:-1], want[1:-1, 1:-1])
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
